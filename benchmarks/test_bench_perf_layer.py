@@ -202,8 +202,10 @@ _REPLICATED_N4_FULL_STATES = 376_400
 
 def test_bench_packed_scaling_arch2(perf_record):
     """Scaling records for the array-native engine: one packed build +
-    exact solve per conversation count, recording the build/solve split
-    and the states-per-second build rate."""
+    exact solve per conversation count, recording the build/solve split,
+    the states-per-second build rate, and which stationary-solver
+    branch produced the vector (sparse LU, or the bounded ILU-GMRES
+    attempt above the markov size threshold)."""
     from repro.gtpn.markov import stationary_distribution
     from repro.gtpn.packed import compile_packed, packed_build
 
@@ -216,12 +218,19 @@ def test_bench_packed_scaling_arch2(perf_record):
         (graph_and_skel), build_s = _timed(
             packed_build, net, pnet, max_states=5_000_000)
         graph, skeleton = graph_and_skel
-        _, solve_s = _timed(stationary_distribution, graph,
-                            closed_classes=skeleton.closed_class_count())
+        with obs.recording() as recorder:
+            _, solve_s = _timed(stationary_distribution, graph,
+                                closed_classes=skeleton.closed_class_count())
+        (solve_method,) = [name.removeprefix("markov.method.")
+                           for name in recorder.counters
+                           if name.startswith("markov.method.")]
         states_per_s = graph.state_count / build_s
         perf_record(bench=f"scaling-arch2-n{n}",
                     state_count=graph.state_count, reduction="none",
                     build_s=build_s, solve_s=solve_s,
+                    solve_method=solve_method,
+                    gmres_unconverged=int(recorder.counters.get(
+                        "markov.gmres_unconverged", 0)),
                     states_per_s=states_per_s)
         assert states_per_s >= MIN_STATES_PER_S
 

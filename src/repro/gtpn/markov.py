@@ -1,10 +1,16 @@
 """Stationary solution of the embedded Markov chain of a GTPN.
 
-Solves pi P = pi, sum(pi) = 1 over the reachable state space.  The
+Solves pi P = pi, sum(pi) = 1 over the reachable state space with one
+deflated sparse direct solve (``_solve_linear``): pin the last
+component, factor the remaining principal block of P^T - I, and accept
+the vector only if it passes a fixed-point residual gate.  The
 architecture models of chapter 6 produce irreducible chains (every
-conversation cycles forever), but the solver also copes with transient
-initial states by falling back to power iteration when the direct
-linear solve is ill-conditioned.
+conversation cycles forever); anything the gate rejects, such as a
+chain whose pinned state is transient, falls back to power iteration,
+which is counted (``markov.solve_fallback``).  Each accepted direct
+solve counts its method (``markov.method.lu`` or
+``markov.method.ilu_gmres``) and records its residual
+(``markov.residual``).
 
 Chains with more than one closed communicating class are refused
 (``AnalysisError``): their stationary distribution is not unique, so
@@ -58,10 +64,8 @@ def stationary_distribution(graph: ReachabilityGraph,
             f"embedded chain is reducible ({closed} closed communicating "
             "classes); the stationary distribution is not unique")
     if method in ("auto", "linear"):
-        solve = _solve_linear if matrix.shape[0] <= _DEFLATION_THRESHOLD \
-            else _solve_linear_deflated
         try:
-            pi = solve(matrix)
+            pi = _solve_linear(matrix)
             if pi is not None:
                 return pi
         except (np.linalg.LinAlgError, ValueError):
@@ -94,103 +98,77 @@ def _closed_class_count(matrix: sp.csr_matrix) -> int:
     return n_components - len(open_components)
 
 
-# Above this many states the augmented-system direct solve switches to
-# the deflated formulation: the dense normalization row causes
-# catastrophic LU fill-in on large chains (tens of millions of
-# factor nonzeros from a few-hundred-thousand-entry matrix).  Every
-# chain in the validation grids sits far below the threshold, so the
-# committed baseline keeps the historical solver bit for bit.
-_DEFLATION_THRESHOLD = 10_000
+# Above this many states a bounded ILU-preconditioned GMRES attempt
+# runs before the sparse LU: on the large chains of the replicated and
+# n >= 5 models its incomplete factorization is much cheaper than a
+# full LU.  Below it the LU wins outright, and on high-load chains
+# (min pi below ~1e-11) GMRES stalls at the exactness tolerance
+# anyway, so an unbounded attempt would only burn iterations.
+_GMRES_THRESHOLD = 10_000
 
 
 def _solve_linear(matrix: sp.csr_matrix) -> np.ndarray | None:
-    """Direct solve of (P^T - I) pi = 0 with a normalization row.
+    """Deflated direct solve of pi (P - I) = 0.
 
-    The augmented system — balance equations with the redundant last
-    one replaced by sum(pi) = 1 — is assembled directly in coordinate
-    form (P^T entries off the last row, a -1 diagonal, and a dense
-    last row of ones); duplicate coordinates sum on CSR conversion.
-    This avoids the O(n^2) LIL round-trip of row-assigning into a
-    converted matrix on large chains.
+    Pinning pi[n-1] = 1 leaves the order-(n-1) principal block of
+    P^T - I with right-hand side -(P^T)[:n-1, n-1], assembled straight
+    from the coordinate form of P.  The block is as sparse as the chain
+    itself (no dense normalization row to wreck the fill-reducing
+    ordering) and column diagonally dominant, so SuperLU's diagonal
+    pivots are stable; MMD on A^T A gave the least fill on the chapter-6
+    chains.  Chains above ``_GMRES_THRESHOLD`` first try ILU-GMRES on a
+    bounded budget and fall through to the same LU when it does not
+    converge.  The vector is accepted only if it is a non-negative
+    fixed point (max |pi P - pi| <= 1e-8); ``None`` hands the chain to
+    the counted power-iteration fallback.
     """
     n = matrix.shape[0]
-    coo = matrix.T.tocoo()
-    keep = coo.row != n - 1
-    data = np.concatenate([coo.data[keep],
-                           -np.ones(n - 1),
-                           np.ones(n)])
-    rows = np.concatenate([coo.row[keep],
-                           np.arange(n - 1),
-                           np.full(n, n - 1)])
-    cols = np.concatenate([coo.col[keep],
-                           np.arange(n - 1),
-                           np.arange(n)])
-    a = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    pi = spla.spsolve(a, b)
-    if not np.all(np.isfinite(pi)):
-        return None
-    pi = np.where(np.abs(pi) < 1e-14, 0.0, pi)
-    if np.any(pi < -1e-9):
-        return None
-    pi = np.clip(pi, 0.0, None)
-    total = pi.sum()
-    if total <= 0 or not np.isfinite(total):
-        return None
-    pi = pi / total
-    # verify the fixed point (catches singular systems solved garbage)
-    residual = np.abs(pi @ matrix - pi).max()
-    if residual > 1e-8:
-        return None
-    return pi
-
-
-def _solve_linear_deflated(matrix: sp.csr_matrix) -> np.ndarray | None:
-    """Large-chain direct solve via deflation instead of a dense row.
-
-    Pinning pi[n-1] = 1 and solving the order-(n-1) principal block of
-    P^T - I keeps the system as sparse as the chain itself, where the
-    augmented form's dense normalization row destroys the fill-reducing
-    ordering.  An ILU-preconditioned GMRES attempt comes first (its
-    factorization is an order of magnitude cheaper than a full LU);
-    exactness is gated by the same fixed-point residual check as the
-    small-chain path, with sparse LU on the deflated block as the
-    in-function fallback and power iteration behind a ``None`` return.
-    """
-    n = matrix.shape[0]
-    a = (matrix.T - sp.identity(n, format="csr", dtype=float)).tocsc()
-    block = a[:n - 1, :n - 1]
-    rhs = -np.asarray(a[:n - 1, [n - 1]].todense()).ravel()
-    x = None
-    try:
-        ilu = spla.spilu(block, drop_tol=0.05, fill_factor=2.0)
-        precond = spla.LinearOperator(block.shape, ilu.solve)
-        x, info = spla.gmres(block, rhs, M=precond, rtol=1e-12,
-                             atol=0.0, restart=50, maxiter=40)
-        if info != 0:
+    m = n - 1
+    coo = matrix.tocoo()
+    inner = (coo.row < m) & (coo.col < m)
+    last = (coo.row == m) & (coo.col < m)
+    # transposed entries plus a -1 diagonal; duplicate coordinates sum
+    block = sp.csc_matrix(
+        (np.concatenate([coo.data[inner], -np.ones(m)]),
+         (np.concatenate([coo.col[inner], np.arange(m)]),
+          np.concatenate([coo.row[inner], np.arange(m)]))),
+        shape=(m, m))
+    rhs = -np.bincount(coo.col[last], weights=coo.data[last], minlength=m)
+    x, method = None, "lu"
+    if n > _GMRES_THRESHOLD:
+        try:
+            ilu = spla.spilu(block, drop_tol=0.05, fill_factor=2.0)
+            precond = spla.LinearOperator(block.shape, ilu.solve)
+            x, info = spla.gmres(block, rhs, M=precond, rtol=1e-12,
+                                 atol=0.0, restart=50, maxiter=2)
+        except RuntimeError:
+            # spilu raises on an exactly singular factor
+            info = -1
+        if info == 0:
+            method = "ilu_gmres"
+        else:
             x = None
-    except (RuntimeError, np.linalg.LinAlgError, ValueError,
-            MemoryError):
-        # spilu raises RuntimeError on an exactly singular factor;
-        # the sparse LU below is the designed fallback for those.
-        x = None
+            obs.add("markov.gmres_unconverged")
     if x is None:
-        x = spla.spsolve(block, rhs)
-    pi = np.concatenate([x, [1.0]])
-    if not np.all(np.isfinite(pi)):
-        return None
+        try:
+            x = spla.splu(block, permc_spec="MMD_ATA").solve(rhs)
+        except RuntimeError:
+            # SuperLU reports an exactly singular block this way
+            return None
+    pi = np.append(x, 1.0)
     total = pi.sum()
-    if total <= 0 or not np.isfinite(total):
+    if not np.isfinite(total) or total <= 0:
         return None
-    pi = pi / total
+    pi /= total
     if np.any(pi < -1e-9):
         return None
     pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
+    pi /= pi.sum()
     residual = np.abs(pi @ matrix - pi).max()
+    obs.gauge("markov.residual", float(residual))
     if residual > 1e-8:
         return None
+    obs.add(f"markov.method.{method}")
     return pi
 
 

@@ -7,8 +7,9 @@ trusts:
   timing** exactly like the analysis cache's
   :class:`~repro.perf.cache.NetFingerprint`: the *structure* half
   names what system is being evaluated (experiment id, reduction mode,
-  fault plan, queue limit), the *timing* half names the stochastic and
-  load parameters (seed, duration, arrival rate, deadline).  Two
+  sync primitive, fault plan, queue limit), the *timing* half names
+  the stochastic and load parameters (seed, duration, arrival rate,
+  deadline).  Two
   submissions with equal keys are the same computation — the basis for
   request coalescing and the content-addressed result store.
   Execution-only knobs (``jobs``, ``cache``, ``backend``, ``trace``)
@@ -71,7 +72,7 @@ class JobKey:
     say *which half* differed between two near-miss submissions.
     """
 
-    structure: tuple                # (experiment_id, reduction, plan, …)
+    structure: tuple                # (experiment_id, reduction, sync, …)
     timing: tuple                   # (seed, duration, rate, deadline)
 
     @property
@@ -127,6 +128,7 @@ def build_job_key(experiment_id: str, run_kwargs: dict) -> JobKey:
         plan = ambient["fault_plan"]
     structure = (experiment_id,
                  pick("reduction", str),
+                 pick("sync", str),
                  repr(plan) if plan is not None else None,
                  pick("queue_limit", int))
     timing = (pick("seed", int),

@@ -81,6 +81,29 @@ def test_ambient_cli_state_survives_nested_overrides():
     assert inside == build_job_key("figure-6.7", {"seed": 7})
 
 
+def test_sync_primitive_lands_in_structure_half(monkeypatch):
+    # arch II is re-costed per primitive, so a CAS run must never
+    # coalesce with or store-hit a TAS result
+    monkeypatch.delenv("REPRO_SYNC", raising=False)
+    tas = build_job_key("figure-6.18", {"sync": "tas"})
+    cas = build_job_key("figure-6.18", {"sync": "cas"})
+    assert tas != cas
+    assert tas.structure_digest != cas.structure_digest
+    assert tas.timing_digest == cas.timing_digest
+    # the ambient default primitive is TAS: same computation, same key
+    assert build_job_key("figure-6.18", {}) == tas
+
+
+def test_ambient_sync_keys_like_explicit_sync(monkeypatch):
+    monkeypatch.setenv("REPRO_SYNC", "tas")
+    config.set_sync("cas")
+    try:
+        ambient = build_job_key("figure-6.18", {})
+    finally:
+        config.set_sync(None)
+    assert ambient == build_job_key("figure-6.18", {"sync": "cas"})
+
+
 def test_numeric_normalisation():
     assert build_job_key("t", {"duration": 500000}) == \
         build_job_key("t", {"duration": 500000.0})
