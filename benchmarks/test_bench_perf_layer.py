@@ -179,17 +179,6 @@ _SCALING_NS_HEAVY = (7, 8)
 #: the grid; the floor only catches order-of-magnitude regressions.
 MIN_STATES_PER_S = 15_000
 
-#: CI floor on the packed-vs-object build ratio for the headline
-#: comparison (arch-II replicated, n=3, 19068 states): the packed
-#: engine explores ~19x faster on a quiet machine, and the builds are
-#: long enough (0.35 s vs ~7 s) that the ratio is noise-immune.
-MIN_PACKED_RATIO = 10.0
-
-#: CI floor for the small pooled net (1658 states), where both builds
-#: finish in tens of milliseconds and scheduler noise dominates; the
-#: quiet-machine min-over-min ratio is ~9-12x.
-MIN_PACKED_RATIO_SMALL = 5.0
-
 #: Wall budget for the flagship lumping point: a >= 1e5 pre-lumping
 #: state arch-II grid point must solve end-to-end under this.
 LUMPED_BUDGET_S = 10.0
@@ -235,60 +224,55 @@ def test_bench_packed_scaling_arch2(perf_record):
         assert states_per_s >= MIN_STATES_PER_S
 
 
-def _paired_build_ratio(mk, reps):
-    """Interleaved packed-vs-object build timing on the same net
-    family, rep by rep so machine noise hits both engines alike;
-    returns the final graph and min-over-min times (each engine's
-    best rep)."""
-    from repro.gtpn.packed import compile_packed, packed_build
-    from repro.gtpn.reachability import _build_object_graph
-
-    # warm both paths once
-    packed_build(mk(), compile_packed(mk()), max_states=2_000_000)
-    _build_object_graph(mk(), 2_000_000)
-    packed_times, object_times = [], []
-    for _ in range(reps):
-        net = mk()
-        pnet = compile_packed(net)
-        (graph, _), packed_s = _timed(packed_build, net, pnet,
-                                      max_states=2_000_000)
-        _, object_s = _timed(_build_object_graph, mk(), 2_000_000)
-        packed_times.append(packed_s)
-        object_times.append(object_s)
-    return graph, min(packed_times), min(object_times)
+#: The one non-local point timed by stage: figure 6.19, architecture
+#: II, two conversations, offered load 0.6.
+_NONLOCAL_POINT = dict(architecture=Architecture.II, conversations=2,
+                       load=0.6)
 
 
-def _record_ratio(perf_record, bench, graph, packed_s, object_s):
-    perf_record(bench=bench, state_count=graph.state_count,
-                reduction="none", packed_best_s=packed_s,
-                object_best_s=object_s,
-                packed_states_per_s=graph.state_count / packed_s,
-                object_states_per_s=graph.state_count / object_s,
-                speedup=object_s / packed_s)
+def test_bench_nonlocal_fixed_point(perf_record):
+    """One figure-6.19 point's client/server fixed point, split by
+    stage from its own trace: net builds, reachability builds, skeleton
+    re-times and stationary solves.  The gated client and server nets
+    ride the packed engine, so each side builds once and re-times on
+    every later iteration."""
+    from repro.models import Mode, solve_nonlocal
+    from repro.models.solve import server_time_for_offered_load
 
+    point = _NONLOCAL_POINT
+    compute = server_time_for_offered_load(Architecture.I, Mode.NONLOCAL,
+                                           point["load"])
+    set_cache_enabled(False)
+    try:
+        with obs.recording() as recorder:
+            solution, total_s = _timed(
+                solve_nonlocal, point["architecture"],
+                point["conversations"], compute)
+    finally:
+        set_cache_enabled(True)
 
-def test_bench_packed_vs_object_build_n3(perf_record):
-    """The packed engine against the seed object walk at n=3.
+    def stage_s(name):
+        return sum(s.duration_s for s in recorder.spans if s.name == name)
 
-    The headline record is the arch-II replicated net (19068 states):
-    builds are long enough that the min-over-min ratio is stable, and
-    it is the family the engine exists for (the state space the
-    pooled counter abstraction cannot reach).  The pooled 1658-state
-    net rides along as a second record with a softer floor — at ~20 ms
-    a build, scheduler noise moves its ratio by 2-3x between runs."""
-    from repro.models import build_replicated_local_net
-
-    graph, packed_s, object_s = _paired_build_ratio(
-        lambda: build_replicated_local_net(Architecture.II, 3), reps=3)
-    _record_ratio(perf_record, "packed-vs-object-arch2-replicated-n3",
-                  graph, packed_s, object_s)
-    assert object_s / packed_s >= MIN_PACKED_RATIO
-
-    graph, packed_s, object_s = _paired_build_ratio(
-        lambda: build_local_net(Architecture.II, 3), reps=9)
-    _record_ratio(perf_record, "packed-vs-object-arch2-n3",
-                  graph, packed_s, object_s)
-    assert object_s / packed_s >= MIN_PACKED_RATIO_SMALL
+    (fixed_point,) = [s for s in recorder.spans
+                      if s.name == "models.fixed_point"]
+    builds = [s for s in recorder.spans if s.name == "gtpn.build"]
+    retimes = [s for s in recorder.spans if s.name == "gtpn.retime"]
+    perf_record(bench="nonlocal-fixed-point",
+                architecture=point["architecture"].name,
+                conversations=point["conversations"],
+                load=point["load"], compute_us=compute,
+                iterations=solution.iterations,
+                client_states=solution.client_result.state_count,
+                server_states=solution.server_result.state_count,
+                builds=len(builds), retimes=len(retimes),
+                build_s=stage_s("gtpn.build"),
+                retime_s=stage_s("gtpn.retime"),
+                solve_s=stage_s("gtpn.solve"),
+                total_s=total_s, throughput=solution.throughput)
+    assert fixed_point.attrs["iterations"] == solution.iterations
+    assert len(builds) == 2
+    assert len(retimes) == 2 * (solution.iterations - 1)
 
 
 def test_bench_lumped_flagship_point(perf_record):

@@ -198,8 +198,9 @@ def transition_attribute_table(experiment_id: str) -> Table:
               f"{mode.value.title()} Conversation transitions{suffix}",
         headers=["Transition", "Delay", "Frequency", "Resource"],
         rows=rows,
-        notes=["<gate> marks the thesis's state-dependent inhibition "
-               "expressions ((NetIntr = 0) & !T & !T')"])
+        notes=["gated frequencies read as the thesis's inhibitor "
+               "expressions: (P = 0) needs place P empty, !T needs "
+               "transition T not firing; otherwise the frequency is 0"])
 
 
 def offered_loads_table(mode: Mode, *, jobs: int | None = None) -> Table:

@@ -23,7 +23,7 @@ from repro.gtpn.approximations import (activity_pair, geometric_frequency,
                                        littles_law_population,
                                        littles_law_residence)
 from repro.gtpn.markov import stationary_distribution, transition_matrix
-from repro.gtpn.net import Context, Net, Place, SymmetryGroup, Transition
+from repro.gtpn.net import Gate, Net, Place, SymmetryGroup, Transition
 from repro.gtpn.packed import (PackedLayout, PackedSkeleton, compile_packed,
                                packed_build, packed_retime)
 from repro.gtpn.reachability import (ReachabilityGraph, ReductionInfo,
@@ -39,7 +39,7 @@ from repro.gtpn.structure import (check_invariant, incidence_matrix,
 
 __all__ = [
     "AnalysisResult",
-    "Context",
+    "Gate",
     "Net",
     "PackedLayout",
     "PackedSkeleton",

@@ -47,35 +47,20 @@ class AnalysisResult:
     def _mean_inflight(self) -> np.ndarray:
         """Per-transition mean number of concurrent in-flight firings.
 
-        Object-walk graphs sum state by state (not as pi @ matrix):
-        that accumulation order is part of the reproducibility contract
-        for the committed baselines — a BLAS reduction shifts the last
-        bits.  Packed graphs use the vector product (deterministic per
-        build, and both build and retime go through it, so sweep
-        bit-identity holds); lumped graphs then average each declared
-        transition orbit, which recovers the exact per-member value
-        because canonicalization only permutes members within a state.
+        One vector product (deterministic per build, and both build and
+        retime go through it, so sweep bit-identity holds); lumped
+        graphs then average each declared transition orbit, which
+        recovers the exact per-member value because canonicalization
+        only permutes members within a state.
         """
-        if self.graph.is_packed:
-            total = self.pi @ self.graph.inflight_matrix
-        else:
-            total = np.zeros(len(self.net.transitions))
-            for i, weight in enumerate(self.pi):
-                if weight > 0:
-                    total += weight * self.graph.inflight_counts[i]
-        return self._fold_orbits(total, places=False)
+        return self._fold_orbits(self.pi @ self.graph.inflight_matrix,
+                                 places=False)
 
     @cached_property
     def _mean_starts(self) -> np.ndarray:
         """Per-transition expected firing starts per tick."""
-        if self.graph.is_packed:
-            total = self.pi @ self.graph.starts_matrix
-        else:
-            total = np.zeros(len(self.net.transitions))
-            for i, weight in enumerate(self.pi):
-                if weight > 0:
-                    total += weight * self.graph.expected_starts[i]
-        return self._fold_orbits(total, places=False)
+        return self._fold_orbits(self.pi @ self.graph.starts_matrix,
+                                 places=False)
 
     def _fold_orbits(self, vec: np.ndarray, *, places: bool) -> np.ndarray:
         """Average *vec* over each symmetry orbit of a lumped graph.
@@ -113,18 +98,14 @@ class AnalysisResult:
 
     @cached_property
     def _mean_marking(self) -> np.ndarray:
-        """Per-place mean token count (packed graphs only)."""
+        """Per-place mean token count."""
         n_places = self.graph.packed_layout.n_places
         marking = self.graph.packed_table[:, :n_places].astype(float)
         return self._fold_orbits(self.pi @ marking, places=True)
 
     def mean_tokens(self, place: str) -> float:
         """Steady-state mean number of tokens in *place*."""
-        index = self.net.place_index(place)
-        if self.graph.is_packed:
-            return float(self._mean_marking[index])
-        return float(sum(weight * self.graph.states[i].marking[index]
-                         for i, weight in enumerate(self.pi) if weight > 0))
+        return float(self._mean_marking[self.net.place_index(place)])
 
     def throughput(self, resource: str = "lambda") -> float:
         """Alias for :meth:`resource_usage` on the conventional name."""
@@ -170,9 +151,7 @@ def analyze(net: Net, *, method: str = "auto",
 
     ``reduction`` selects opt-in state-space reduction (``"lump"``,
     ``"elim"``, ``"lump+elim"``); ``None`` resolves the configured mode
-    (CLI ``--reduction`` > ``REPRO_REDUCTION`` > ``"none"``).  The
-    default exact path is untouched: with ``"none"`` the packed and
-    object engines produce bit-identical graphs.
+    (CLI ``--reduction`` > ``REPRO_REDUCTION`` > ``"none"``).
     """
     from repro import config
     if reduction is None:
@@ -182,19 +161,16 @@ def analyze(net: Net, *, method: str = "auto",
     with obs.span("gtpn.analyze", net=net.name, method=method) as root:
         store = cache if cache is not None else (
             get_cache() if cache_enabled() else None)
-        key = None
         closed = None
         if store is not None:
             fingerprint = fingerprint_net(net)
-            if fingerprint is not None:
-                key = (fingerprint.structure, fingerprint.timing,
-                       method, reduction)
-                payload = store.get(key)
-                if payload is not None:
-                    net.validate()      # keep error behaviour of a solve
-                    root.set(outcome="cache-hit")
-                    return _rebind(net, payload)
-        if key is not None:
+            key = (fingerprint.structure, fingerprint.timing, method,
+                   reduction)
+            payload = store.get(key)
+            if payload is not None:
+                net.validate()      # keep error behaviour of a solve
+                root.set(outcome="cache-hit")
+                return _rebind(net, payload)
             # share the reachability build across every net with this
             # structure (sweeps re-time the cached skeleton; a timing
             # change that alters branch resolution rebuilds)
@@ -212,7 +188,7 @@ def analyze(net: Net, *, method: str = "auto",
             pi = stationary_distribution(graph, method=method,
                                          closed_classes=closed)
         result = AnalysisResult(net=net, graph=graph, pi=pi)
-        if key is not None:
+        if store is not None:
             store.put(key, _payload(result))
         root.set(outcome="solved", states=graph.state_count)
         return result
@@ -222,51 +198,29 @@ def _payload(result: AnalysisResult) -> dict:
     """Cacheable view of a result: everything except the net binding.
 
     Names live only on the net, so a payload computed for one net
-    re-binds cleanly to any net with the same fingerprint.  Packed
-    graphs cache their array form (CSR matrix, packed state table);
-    object-walk graphs keep the historical dict form, so existing
-    on-disk cache entries stay readable.
+    re-binds cleanly to any net with the same fingerprint.
     """
     graph = result.graph
-    if graph.is_packed:
-        return {
-            "packed": True,
-            "matrix": graph.matrix,
-            "starts_matrix": graph.starts_matrix,
-            "init_vec": graph.init_vec,
-            "inflight_matrix": graph.inflight_matrix,
-            "table": graph.packed_table,
-            "layout": graph.packed_layout,
-            "reduction": graph.reduction,
-            "pi": result.pi,
-        }
     return {
-        "states": graph.states,
-        "probabilities": graph.probabilities,
-        "initial": graph.initial,
-        "expected_starts": graph.expected_starts,
-        "inflight_counts": graph.inflight_counts,
+        "matrix": graph.matrix,
+        "starts_matrix": graph.starts_matrix,
+        "init_vec": graph.init_vec,
+        "inflight_matrix": graph.inflight_matrix,
+        "table": graph.packed_table,
+        "layout": graph.packed_layout,
+        "reduction": graph.reduction,
         "pi": result.pi,
     }
 
 
 def _rebind(net: Net, payload: dict) -> AnalysisResult:
-    if payload.get("packed"):
-        graph = ReachabilityGraph(
-            net=net,
-            matrix=payload["matrix"],
-            starts_matrix=payload["starts_matrix"],
-            init_vec=payload["init_vec"],
-            inflight_matrix=payload["inflight_matrix"],
-            packed_table=payload["table"],
-            packed_layout=payload["layout"],
-            reduction=payload["reduction"])
-    else:
-        graph = ReachabilityGraph(
-            net=net,
-            states=payload["states"],
-            probabilities=payload["probabilities"],
-            initial=payload["initial"],
-            expected_starts=payload["expected_starts"],
-            inflight_counts=payload["inflight_counts"])
+    graph = ReachabilityGraph(
+        net=net,
+        matrix=payload["matrix"],
+        starts_matrix=payload["starts_matrix"],
+        init_vec=payload["init_vec"],
+        inflight_matrix=payload["inflight_matrix"],
+        packed_table=payload["table"],
+        packed_layout=payload["layout"],
+        reduction=payload["reduction"])
     return AnalysisResult(net=net, graph=graph, pi=payload["pi"])

@@ -14,10 +14,10 @@ used by the iterative solution of the split non-local models
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import ModelError
-from repro.gtpn.net import Context, Net, Place, Transition
+from repro.gtpn.net import Gate, Net, Place, Transition
 
 
 def geometric_frequency(mean: float) -> float:
@@ -33,7 +33,7 @@ def activity_pair(net: Net, name: str, mean_delay: float, *,
                   holds: Iterable[Place] = (),
                   resource: str | None = None,
                   occupancy: str | None = None,
-                  gate: Callable[[Context], bool] | None = None,
+                  gate: Gate | None = None,
                   ) -> tuple[Transition, Transition]:
     """Model an activity of geometric mean duration *mean_delay* ticks.
 
@@ -48,9 +48,10 @@ def activity_pair(net: Net, name: str, mean_delay: float, *,
 
     ``holds`` lists resource places (Host, MP, IoIn, ...) that the
     activity occupies for its whole duration and releases afterwards.
-    ``gate`` optionally inhibits the whole pair (both frequencies
-    evaluate to zero) in states where it returns False — the library
-    form of the thesis's state-dependent frequency expressions.
+    ``gate`` optionally inhibits the whole pair (both act as frequency
+    zero) while its :class:`~repro.gtpn.net.Gate` condition is closed —
+    the thesis's inhibitor frequency expressions, declared as net
+    structure.
 
     ``occupancy`` names an extra resource measuring the mean number of
     in-progress executions of this activity (exit + loop in-flight
@@ -68,30 +69,20 @@ def activity_pair(net: Net, name: str, mean_delay: float, *,
 
     exit_label = f"1/{mean_delay:g}"
     loop_label = f"1 - 1/{mean_delay:g}"
-    if gate is None:
-        exit_freq: float | Callable = p_exit
-        loop_freq: float | Callable = 1.0 - p_exit
-    else:
-        def exit_freq(ctx: Context, _p=p_exit, _g=gate) -> float:
-            return _p if _g(ctx) else 0.0
+    if gate is not None:
+        exit_label = gate.render(exit_label)
+        loop_label = gate.render(loop_label)
 
-        def loop_freq(ctx: Context, _p=p_exit, _g=gate) -> float:
-            return (1.0 - _p) if _g(ctx) else 0.0
-
-        # thesis notation: <gate> -> frequency, 0
-        exit_label = f"<gate> -> {exit_label}, 0"
-        loop_label = f"<gate> -> {loop_label}, 0"
-
-    exit_t = net.transition(name, delay=1, frequency=exit_freq,
+    exit_t = net.transition(name, delay=1, frequency=p_exit,
                             resource=resource, extra_resources=extra,
                             inputs=in_arcs, outputs=out_arcs,
-                            frequency_label=exit_label)
+                            frequency_label=exit_label, gate=gate)
     if p_exit >= 1.0:
         return exit_t, exit_t
-    loop_t = net.transition(f"{name}.loop", delay=1, frequency=loop_freq,
-                            extra_resources=extra,
+    loop_t = net.transition(f"{name}.loop", delay=1,
+                            frequency=1.0 - p_exit, extra_resources=extra,
                             inputs=in_arcs, outputs=in_arcs,
-                            frequency_label=loop_label)
+                            frequency_label=loop_label, gate=gate)
     return exit_t, loop_t
 
 

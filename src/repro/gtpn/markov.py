@@ -31,11 +31,7 @@ from repro.gtpn.reachability import ReachabilityGraph
 
 
 def transition_matrix(graph: ReachabilityGraph) -> sp.csr_matrix:
-    """The one-tick probability matrix P as a sparse CSR matrix.
-
-    Packed graphs carry their CSR natively; object-walk graphs
-    materialize (and cache) it from the row dicts on first access.
-    """
+    """The one-tick probability matrix P as a sparse CSR matrix."""
     return graph.matrix
 
 

@@ -11,66 +11,65 @@ where *delay* is a deterministic, non-negative integer firing duration,
 transitions that share input places, and *resource* names an output
 measure that is "in use" while the transition is firing.
 
-Both delay and frequency may be state-dependent: instead of a constant
-they may be callables receiving a :class:`Context` (a read view of the
-current marking and the set of currently-firing transitions).  This
-mirrors the paper's frequency expressions such as::
+Delay and frequency are constants.  The thesis's state-dependent
+frequency expressions are all inhibitor conditions, such as::
 
     (NetIntr = 0) & !T6 & !T7  ->  1/853.2, 0
 
-which in this library is written::
+and a transition declares one as net structure, with a :class:`Gate`
+naming the places that must be empty and the transitions that must not
+be firing::
 
-    lambda ctx: 1 / 853.2 if ctx.tokens("NetIntr") == 0
-                and not ctx.firing("T6") and not ctx.firing("T7") else 0.0
+    net.transition("T2", delay=1, frequency=1 / 853.2,
+                   gate=Gate(inhibitors=["NetIntr"],
+                             not_firing=["T6", "T7"]), ...)
+
+While the gate is closed the transition behaves exactly as if its
+frequency were zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ModelError
 
-#: A delay attribute: a constant number of ticks or a state-dependent rule.
-DelaySpec = Union[int, Callable[["Context"], int]]
 
-#: A frequency attribute: a constant weight or a state-dependent rule.
-FrequencySpec = Union[float, int, Callable[["Context"], float]]
+@dataclass(frozen=True)
+class Gate:
+    """A declarative inhibitor condition on a transition.
 
-
-class Context:
-    """Read-only view of a net state handed to state-dependent attributes.
-
-    ``tokens(place)`` returns the current marking of a place and
-    ``firing(transition)`` reports whether a transition is currently in
-    flight (has started firing and not yet deposited its outputs).
+    The gated transition may join its conflict class's weighted choice
+    only while every place in ``inhibitors`` holds zero tokens and no
+    transition in ``not_firing`` has a firing in flight (started, in
+    this tick or an earlier one, and not yet completed).  Places and
+    transitions are given as objects or names and kept as names, so a
+    gate may name transitions declared after the one it guards.
     """
 
-    __slots__ = ("_net", "_marking", "_inflight")
+    inhibitors: tuple[str, ...] = ()
+    not_firing: tuple[str, ...] = ()
 
-    def __init__(self, net: "Net", marking: Sequence[int],
-                 inflight_counts: Sequence[int]):
-        self._net = net
-        self._marking = marking
-        self._inflight = inflight_counts
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "inhibitors", tuple(
+            p.name if isinstance(p, Place) else p for p in self.inhibitors))
+        object.__setattr__(self, "not_firing", tuple(
+            t.name if isinstance(t, Transition) else t
+            for t in self.not_firing))
+        if not self.inhibitors and not self.not_firing:
+            raise ModelError("a gate needs an inhibitor place or a "
+                             "not-firing transition")
 
-    def tokens(self, place: Union[str, "Place"]) -> int:
-        """Number of tokens currently in *place*."""
-        index = place.index if isinstance(place, Place) else \
-            self._net.place_index(place)
-        return self._marking[index]
+    @property
+    def label(self) -> str:
+        """The condition in the thesis's notation."""
+        return " & ".join([f"({p} = 0)" for p in self.inhibitors]
+                          + [f"!{t}" for t in self.not_firing])
 
-    def firing(self, transition: Union[str, "Transition"]) -> bool:
-        """True if *transition* is currently firing (in flight)."""
-        index = transition.index if isinstance(transition, Transition) else \
-            self._net.transition_index(transition)
-        return self._inflight[index] > 0
-
-    def firing_count(self, transition: Union[str, "Transition"]) -> int:
-        """Number of concurrent in-flight firings of *transition*."""
-        index = transition.index if isinstance(transition, Transition) else \
-            self._net.transition_index(transition)
-        return self._inflight[index]
+    def render(self, frequency_label: str) -> str:
+        """``<condition> -> <frequency>, 0``, as the tables print it."""
+        return f"{self.label} -> {frequency_label}, 0"
 
 
 @dataclass(frozen=True)
@@ -94,8 +93,8 @@ class Transition:
 
     name: str
     index: int
-    delay: DelaySpec
-    frequency: FrequencySpec
+    delay: int
+    frequency: float
     resource: str | None
     inputs: dict[int, int] = field(default_factory=dict)
     outputs: dict[int, int] = field(default_factory=dict)
@@ -107,6 +106,8 @@ class Transition:
     #: thesis's notation (e.g. "1/544.7" or "(NetIntr = 0) & !T6 & !T7
     #: -> 1/853.2, 0"); used when reproducing the transition tables.
     frequency_label: str = ""
+    #: inhibitor condition; closed, the transition acts as frequency 0
+    gate: Gate | None = None
 
     @property
     def all_resources(self) -> tuple[str, ...]:
@@ -116,26 +117,8 @@ class Transition:
 
     @property
     def immediate(self) -> bool:
-        """True when the delay is the constant zero (fires in zero time)."""
+        """True when the delay is zero (fires in zero time)."""
         return self.delay == 0
-
-    def eval_delay(self, ctx: Context) -> int:
-        value = self.delay(ctx) if callable(self.delay) else self.delay
-        if not isinstance(value, int) or value < 0:
-            raise ModelError(
-                f"transition {self.name}: delay must be a non-negative "
-                f"integer, got {value!r}")
-        return value
-
-    def eval_frequency(self, ctx: Context) -> float:
-        value = self.frequency(ctx) if callable(self.frequency) \
-            else self.frequency
-        value = float(value)
-        if value < 0:
-            raise ModelError(
-                f"transition {self.name}: frequency must be >= 0, "
-                f"got {value!r}")
-        return value
 
     def enabled(self, marking: Sequence[int]) -> bool:
         """True when every input place holds enough tokens."""
@@ -205,34 +188,46 @@ class Net:
         return p
 
     def transition(self, name: str, *,
-                   delay: DelaySpec,
-                   frequency: FrequencySpec = 1.0,
+                   delay: int,
+                   frequency: float = 1.0,
                    resource: str | None = None,
                    extra_resources: Iterable[str] = (),
                    inputs: Iterable[Place] | Mapping[Place, int] = (),
                    outputs: Iterable[Place] | Mapping[Place, int] = (),
                    frequency_label: str = "",
+                   gate: Gate | None = None,
                    ) -> Transition:
         """Add a transition.
 
         ``inputs``/``outputs`` accept either an iterable of places
         (repeat a place for arc multiplicity > 1, matching the
         multigraph definition in the thesis) or an explicit
-        place -> multiplicity mapping.
+        place -> multiplicity mapping.  ``gate`` declares an inhibitor
+        condition (:class:`Gate`).
         """
         if name in self._transition_by_name:
             raise ModelError(f"duplicate transition name {name!r}")
-        if not frequency_label and not callable(frequency):
+        if callable(delay) or callable(frequency):
+            raise ModelError(
+                f"transition {name!r}: delay and frequency are constants; "
+                "declare state-dependent inhibition with gate=Gate(...)")
+        if not isinstance(delay, int) or delay < 0:
+            raise ModelError(
+                f"transition {name!r}: delay must be a non-negative integer")
+        if float(frequency) < 0:
+            raise ModelError(
+                f"transition {name!r}: frequency must be >= 0, "
+                f"got {frequency!r}")
+        if not frequency_label:
             frequency_label = f"{float(frequency):g}"
+            if gate is not None:
+                frequency_label = gate.render(frequency_label)
         t = Transition(name=name, index=len(self.transitions),
                        delay=delay, frequency=frequency, resource=resource,
                        inputs=self._arc_dict(inputs, name),
                        outputs=self._arc_dict(outputs, name),
                        extra_resources=tuple(extra_resources),
-                       frequency_label=frequency_label)
-        if not callable(delay) and (not isinstance(delay, int) or delay < 0):
-            raise ModelError(
-                f"transition {name!r}: delay must be a non-negative integer")
+                       frequency_label=frequency_label, gate=gate)
         self.transitions.append(t)
         self._transition_by_name[name] = t
         self._conflict_classes = None
@@ -281,6 +276,17 @@ class Net:
 
     def get_transition(self, name: str) -> Transition:
         return self.transitions[self.transition_index(name)]
+
+    def gate_indices(self, t: Transition,
+                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(inhibitor places, not-firing transitions)`` of *t*'s gate,
+        as sorted index tuples (both empty for an ungated transition)."""
+        if t.gate is None:
+            return (), ()
+        return (tuple(sorted({self.place_index(p)
+                              for p in t.gate.inhibitors})),
+                tuple(sorted({self.transition_index(u)
+                              for u in t.gate.not_firing})))
 
     @property
     def initial_marking(self) -> tuple[int, ...]:
@@ -347,7 +353,7 @@ class Net:
         objects or names), aligned so position *j* of one replica
         corresponds to position *j* of every other.  The declaration is
         validated: swapping any replica with the first must be a net
-        automorphism (equal mapped arcs, equal static delay/frequency,
+        automorphism (equal mapped arcs and gates, equal delay/frequency,
         equal initial tokens), which suffices for full interchange
         symmetry because transpositions generate the symmetric group.
         The symmetry-lumping reduction folds states that differ only by
@@ -381,13 +387,6 @@ class Net:
             raise ModelError(
                 "symmetry members must not overlap each other or a "
                 "previously declared group")
-        for t in claimed_t:
-            tr = self.transitions[t]
-            if callable(tr.delay) or callable(tr.frequency):
-                raise ModelError(
-                    f"transition {tr.name!r}: state-dependent attributes "
-                    "cannot be part of a symmetry group (lumping needs "
-                    "static, provably equal attributes)")
         group = SymmetryGroup(members=tuple(resolved))
         for k in range(1, len(resolved)):
             self._check_swap_automorphism(group, k)
@@ -413,20 +412,19 @@ class Net:
                     "not a symmetry")
         for t in self.transitions:
             image = self.transitions[t_perm[t.index]]
-            if (callable(t.delay) or callable(t.frequency)
-                    or callable(image.delay) or callable(image.frequency)):
-                # callables inside groups are rejected earlier; a shared
-                # transition mapping to itself keeps identical objects
-                same_attrs = (t.delay is image.delay
-                              and t.frequency is image.frequency)
-            else:
-                same_attrs = (t.delay == image.delay
-                              and float(t.frequency)
-                              == float(image.frequency))
-            if not same_attrs:
+            if (t.delay != image.delay
+                    or float(t.frequency) != float(image.frequency)):
                 raise ModelError(
                     f"transitions {t.name!r} and {image.name!r} differ "
                     "in delay/frequency; not a symmetry")
+            places, fired = self.gate_indices(t)
+            if (tuple(sorted(p_perm[p] for p in places)),
+                    tuple(sorted(t_perm[u] for u in fired))) \
+                    != self.gate_indices(image):
+                raise ModelError(
+                    f"swapping symmetry member 0 with member {k} does "
+                    f"not preserve the gate of transition {t.name!r}; "
+                    "not a net automorphism")
             mapped_in = {p_perm[p]: n for p, n in t.inputs.items()}
             mapped_out = {p_perm[p]: n for p, n in t.outputs.items()}
             if mapped_in != image.inputs or mapped_out != image.outputs:
@@ -442,6 +440,7 @@ class Net:
                 raise ModelError(
                     f"transition {t.name!r} has no input places; it would "
                     "fire unboundedly")
+            self.gate_indices(t)        # every gate name must resolve
 
     def __repr__(self) -> str:
         return (f"Net({self.name!r}, places={len(self.places)}, "

@@ -1,12 +1,12 @@
 """Array-native GTPN engine: packed states, batched expansion, lumping.
 
-This module is the scaling path of the exact analyzer.  The object
-engine (:mod:`repro.gtpn.state`) walks one ``State`` at a time through
-Python dicts; here the same semantics run over numpy arrays:
+This module is the exact analyzer's reachability engine.  It runs the
+tick semantics of :mod:`repro.gtpn.state` (which the Monte Carlo
+simulator executes one ``State`` at a time) over numpy arrays:
 
 * **Packed states** — a state is one ``int32`` row: the marking in the
   first ``n_places`` columns, then one column per ``(transition,
-  remaining_ticks)`` slot of every static-delay transition, holding the
+  remaining_ticks)`` slot of every timed transition, holding the
   count of in-flight firings at that countdown.  Rows are hash-consed
   through :class:`_Interner` (per-wave ``np.unique`` + a byte-keyed id
   table), so state identity is a row compare, not a tuple hash.
@@ -14,21 +14,23 @@ Python dicts; here the same semantics run over numpy arrays:
   states per step.  The settle rounds of a tick run vectorized: one
   enabledness test per round for every (item, class member) pair, a
   mixed-radix expansion of the per-class choice cross product
-  (class 0 is the slowest-varying digit, exactly the object engine's
+  (class 0 is the slowest-varying digit, exactly the tick engine's
   ``_cartesian`` order), and sentinel-row bookkeeping so inactive
-  classes cost a no-op row instead of a Python branch.
+  classes cost a no-op row instead of a Python branch.  A declared
+  :class:`~repro.gtpn.net.Gate` is one more column test of the same
+  enabledness mask (see :class:`PackedNet`).
 * **Direct CSR assembly** — branch probabilities are recorded as
-  *programs* of normalized-frequency factors (the packed analogue of
-  the sweep skeleton) and evaluated once, at the end, straight into the
-  data array of a ``scipy.sparse.csr_matrix``; no per-state dict is
-  ever built.
+  *programs* of normalized-frequency factors and evaluated once, at
+  the end, straight into the data array of a
+  ``scipy.sparse.csr_matrix``; no per-state dict is ever built.
 
 Bit-reproducibility contract: every floating-point accumulation —
 factor normalization, per-round products, branch dedup sums, row and
-expected-starts accumulation — replays the object engine's operation
-order (Python left folds, first-seen branch order, additive/
-multiplicative identity padding), so an unreduced packed build is
-**bit-identical** to ``build_reachability_graph``'s object walk, and a
+expected-starts accumulation — replays the order of a breadth-first
+walk over :class:`~repro.gtpn.state.TickEngine` ticks (Python left
+folds, first-seen branch order, additive/multiplicative identity
+padding), so an unreduced packed build is **bit-identical** to that
+walk (the test suite keeps it as an oracle), and a
 :func:`packed_retime` re-evaluation is bit-identical to a fresh
 :func:`packed_build` by construction (same arrays through the same
 :func:`_evaluate`).
@@ -62,8 +64,8 @@ from repro.errors import AnalysisError, StateSpaceLimitError
 from repro.gtpn.net import Net
 from repro.gtpn.state import MAX_IMMEDIATE_ROUNDS, State
 
-#: Hard caps keeping the packed encodings honest; a net exceeding one
-#: falls back to the object engine (``compile_packed`` returns None).
+#: Hard caps keeping the packed encodings honest; ``compile_packed``
+#: refuses a net exceeding one.
 MAX_PACKED_WIDTH = 4096         # marking + slot columns per state row
 MAX_CLASS_MEMBERS = 40          # positive-frequency members per class
                                 # (the factor-key mask is 40 bits)
@@ -79,7 +81,6 @@ class SkeletonMismatch(Exception):
 
     Internal control flow only: callers catch it and fall back to a
     full build (which also refreshes the cached skeleton).  Raised by
-    both the object-path :func:`repro.gtpn.sweep.retime` and
     :func:`packed_retime`.
     """
 
@@ -94,7 +95,7 @@ class PackedLayout:
 
     Row layout: ``[marking (n_places cols) | slots]`` where the slots
     enumerate ``(transition, remaining)`` pairs for every transition of
-    static delay >= 1, transition-major with ``remaining`` ascending
+    delay >= 1, transition-major with ``remaining`` ascending
     ``1..delay`` — the same ordering as a sorted ``State.inflight``
     tuple, so unpacking needs no sort.
     """
@@ -141,12 +142,22 @@ class PackedLayout:
 
 
 class PackedNet:
-    """Compiled arrays for batched execution of one static net.
+    """Compiled arrays for batched execution of one net.
 
     Built by :func:`compile_packed`; not pickled (rebuilt per process
-    from the net).  All ``*_ext`` arrays carry a sentinel row/column at
-    index ``n_transitions`` (a no-op transition) so inactive conflict
-    classes apply as zero-cost vector rows.
+    from the net).  The settle delta carries a sentinel row at index
+    ``n_transitions`` (a no-op transition) so inactive conflict classes
+    apply as zero-cost vector rows.
+
+    Settle rounds run on *settle rows*: the marking, then one column
+    per gate inhibitor place holding its negated token count, then one
+    per gate not-firing target of delay >= 1 holding its negated
+    in-flight count (an immediate target is never in flight, so its
+    condition always holds).  A gate condition "must be zero" is then
+    the enabledness test of an input arc, ``column >= requirement``,
+    with requirement 0; the settle delta keeps the extra columns in
+    step as transitions start.  Ungated nets have settle rows equal to
+    their markings.
     """
 
     def __init__(self, net: Net):
@@ -174,17 +185,39 @@ class PackedNet:
             slot_base=slot_base)
         width = self.layout.width
 
+        # gate columns of the settle rows (see the class docstring)
+        gates = [net.gate_indices(t) for t in net.transitions]
+        self.gate_places = np.array(
+            sorted({p for places, _ in gates for p in places}),
+            dtype=np.int64)
+        self.gate_ts = np.array(
+            sorted({u for _, fired in gates for u in fired
+                    if self.delays[u] >= 1}), dtype=np.int64)
+        n_g = len(self.gate_places)
+        self.settle_width = n_p + n_g + len(self.gate_ts)
+        gate_col = {int(p): n_p + k for k, p in enumerate(self.gate_places)}
+        busy_col = {int(u): n_p + n_g + k
+                    for k, u in enumerate(self.gate_ts)}
+
         # arc matrices with the sentinel no-op row
-        self.in_mat = np.zeros((n_t + 1, n_p), dtype=np.int32)
-        self.out_imm = np.zeros((n_t + 1, n_p), dtype=np.int32)
+        in_mat = np.zeros((n_t + 1, n_p), dtype=np.int32)
+        out_imm = np.zeros((n_t + 1, n_p), dtype=np.int32)
         for t in net.transitions:
             for p, n in t.inputs.items():
-                self.in_mat[t.index, p] = n
+                in_mat[t.index, p] = n
             if self.delays[t.index] == 0:
                 for p, n in t.outputs.items():
-                    self.out_imm[t.index, p] = n
-        #: one-gather settle delta: immediate outputs minus inputs
-        self.settle_delta = self.out_imm - self.in_mat
+                    out_imm[t.index, p] = n
+        #: one-gather settle delta: immediate outputs minus inputs,
+        #: mirrored (negated) into the gate columns; a started firing of
+        #: a not-firing target adds one (negated) in-flight count
+        self.settle_delta = np.zeros((n_t + 1, self.settle_width),
+                                     dtype=np.int32)
+        self.settle_delta[:, :n_p] = out_imm - in_mat
+        self.settle_delta[:, n_p:n_p + n_g] = \
+            -self.settle_delta[:, self.gate_places]
+        for u, col in busy_col.items():
+            self.settle_delta[u, col] = -1
 
         # advance phase: slots at remaining == 1 complete and deposit
         complete_cols, complete_t = [], []
@@ -246,23 +279,22 @@ class PackedNet:
         self.class_of_member = np.array(class_of_member, dtype=np.int64)
         self.cls_ids64 = np.array(self.cls_index, dtype=np.int64)
         self.n_cls = len(self.classes)
-        self.in_req = self.in_mat[self.members_flat] \
-            if len(members_flat) else np.zeros((0, n_p), dtype=np.int32)
-        # sparse form of the enabledness test: one (place, requirement)
-        # triple per nonzero of in_req, a dummy always-true triple for
-        # members with no inputs so every reduceat segment is non-empty
+        # sparse form of the enabledness test: one (settle column,
+        # requirement) pair per input arc and per gate condition of each
+        # member, in member order; a dummy always-true pair for members
+        # with no conditions so every reduceat segment is non-empty
         trip_place: list[int] = []
         trip_req: list[int] = []
         trip_offsets: list[int] = []
-        for m in range(len(members_flat)):
+        for t in members_flat:
             trip_offsets.append(len(trip_place))
-            places = np.nonzero(self.in_req[m])[0]
-            if len(places):
-                trip_place.extend(int(p) for p in places)
-                trip_req.extend(int(r) for r in self.in_req[m, places])
-            else:
-                trip_place.append(0)
-                trip_req.append(0)
+            places, fired = gates[t]
+            conditions = sorted(net.transitions[t].inputs.items()) \
+                + [(gate_col[p], 0) for p in places] \
+                + [(busy_col[u], 0) for u in fired if u in busy_col]
+            for col, req in conditions or [(0, 0)]:
+                trip_place.append(col)
+                trip_req.append(req)
         self.trip_place = np.array(trip_place, dtype=np.int64)
         self.trip_req = np.array(trip_req, dtype=np.int32)
         self.trip_offsets = np.array(trip_offsets, dtype=np.int64)
@@ -274,6 +306,23 @@ class PackedNet:
 
         # symmetry lumping blocks (filled by compile_packed on demand)
         self.sym_blocks: list[np.ndarray] = []
+        #: per transition: its gate as (place, transition) index tuples
+        self.gates = tuple(gates)
+
+    def settle_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Post-advance full-width rows -> their settle rows."""
+        n_p = self.n_places
+        if self.settle_width == n_p:
+            return rows[:, :n_p]
+        out = np.empty((len(rows), self.settle_width), dtype=np.int32)
+        out[:, :n_p] = rows[:, :n_p]
+        n_g = len(self.gate_places)
+        out[:, n_p:n_p + n_g] = -rows[:, self.gate_places]
+        for k, u in enumerate(self.gate_ts):
+            base = n_p + self.layout.slot_base[u]
+            out[:, n_p + n_g + k] = \
+                -rows[:, base:base + self.delays[u]].sum(axis=1)
+        return out
 
     def build_sym_blocks(self) -> None:
         """Column blocks for canonicalization, one per symmetry group."""
@@ -292,25 +341,21 @@ class PackedNet:
                                             dtype=np.int64))
 
 
-def compile_packed(net: Net, reduction: str = "none",
-                   ) -> PackedNet | None:
-    """Compile *net* for the packed engine, or ``None`` to fall back.
+def compile_packed(net: Net, reduction: str = "none") -> PackedNet:
+    """Compile *net* for the packed engine.
 
-    A net compiles when every delay and frequency is static (the packed
-    factor encoding has no context snapshots), no static frequency is
-    negative (the object engine owns that error path), and the packed
-    row / factor-mask caps hold.
+    Raises :class:`AnalysisError` when the net exceeds the packed row
+    or factor-mask caps.
     """
-    for t in net.transitions:
-        if callable(t.delay) or callable(t.frequency):
-            return None
-        if float(t.frequency) < 0:
-            return None
     pnet = PackedNet(net)
     if pnet.layout.width > MAX_PACKED_WIDTH:
-        return None
+        raise AnalysisError(
+            f"net {net.name!r}: packed rows would be "
+            f"{pnet.layout.width} columns wide (cap {MAX_PACKED_WIDTH})")
     if any(len(members) > MAX_CLASS_MEMBERS for members in pnet.classes):
-        return None
+        raise AnalysisError(
+            f"net {net.name!r}: a conflict class has more than "
+            f"{MAX_CLASS_MEMBERS} positive-frequency members")
     if "lump" in reduction and net.symmetries:
         pnet.build_sym_blocks()
     return pnet
@@ -375,7 +420,7 @@ def _unique_rows_first_seen(arr: np.ndarray,
     ``firsts[k]`` is the row index of the first occurrence of the k-th
     distinct row *in order of appearance*; ``inverse`` maps every row
     to its first-seen rank.  (``np.unique`` alone ranks lexically,
-    which would scramble the object engine's accumulation order.)
+    which would scramble the tick engine's accumulation order.)
 
     Dedups by 64-bit row hash — sorting scalars beats memcmp-sorting
     wide rows — then *verifies* every row equals its hash group's
@@ -482,7 +527,7 @@ class _EvalData:
     rows pad with ``n_transitions`` (frequency 0.0, the additive
     identity of the left-fold total), ``prog_fids`` pads with the
     sentinel factor (value 1.0, the multiplicative identity), so padded
-    vector folds reproduce the object engine's variable-length Python
+    vector folds reproduce the tick engine's variable-length Python
     folds bit for bit.
     """
 
@@ -508,7 +553,7 @@ def _evaluate(ev: _EvalData, freqs: np.ndarray, n_states: int,
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor values -> branch probabilities -> (data, starts, initial).
 
-    Replays the object engine's float order exactly: per-factor totals
+    Replays the tick engine's float order exactly: per-factor totals
     are left folds over enabled members, per-item probabilities are
     per-round products folded round by round, and every ``np.add.at``
     accumulates in the same first-seen order the dict-based build used.
@@ -557,7 +602,7 @@ class PackedSkeleton:
 
     Stores the interned state table, the CSR sparsity pattern, and the
     factor/program bookkeeping; :func:`packed_retime` re-evaluates the
-    probabilities for new static timings in-place on this structure.
+    probabilities for new frequencies in-place on this structure.
     Shared (cached, possibly across processes): treat every field as
     read-only.
     """
@@ -568,6 +613,7 @@ class PackedSkeleton:
     n_transitions: int
     static_delays: tuple
     freq_positive: tuple        # per transition: frequency > 0
+    gates: tuple                # per transition: gate index tuples
     layout: PackedLayout
     table: np.ndarray           # (n_full, width) canonical state rows
     indptr: np.ndarray
@@ -597,9 +643,8 @@ class PackedSkeleton:
         The sparsity pattern (hence the reachability structure) is
         timing-invariant while the frequency support holds, so the
         class count and the transient slice are skeleton facts — but
-        they are solve-side facts, not build-side ones (the object
-        engine computes them at solve time too), so they are deferred
-        until a solver or the transient elimination asks.
+        they are solve-side facts, not build-side ones, so they are
+        deferred until a solver or the transient elimination asks.
         """
         if self.closed_classes is None:
             n_states = self.full_state_count
@@ -691,16 +736,17 @@ class _Bookkeeper:
 def _settle_markings(pnet: PackedNet, markings: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray]:
-    """Run settle rounds for a batch of markings, vectorized.
+    """Run settle rounds for a batch of settle rows, vectorized.
 
-    The settle phase never reads or writes the in-flight slots (a
-    delayed firing started mid-settle deposits nothing until later
-    ticks), so it is a function of the marking alone — which is what
-    lets :class:`_SettleMemo` run it once per distinct marking.
+    The settle phase reads the in-flight slots only through the gate
+    columns of the settle row (a delayed firing started mid-settle
+    deposits nothing until later ticks), so it is a function of the
+    settle row alone — which is what lets :class:`_SettleMemo` run it
+    once per distinct settle row.
 
-    Returns the quiescent ``(markings, starts, src, prog_flat)`` with
+    Returns the quiescent ``(settle rows, starts, src, prog_flat)`` with
     items restored to source-major order (each source's items
-    round-major within it), matching the object engine's per-state
+    round-major within it), matching the tick engine's per-state
     ``done`` enumeration.
     """
     n_p, n_t = pnet.n_places, pnet.n_transitions
@@ -781,7 +827,7 @@ def _settle_markings(pnet: PackedNet, markings: np.ndarray,
 
         # apply every class's choice: inputs out, immediate outputs in
         # (delayed outputs wait for completion in later ticks); record
-        # the started firings — the sentinel row of in_mat/out_imm and
+        # the started firings — the sentinel row of settle_delta and
         # the scratch starts column swallow inactive classes
         work = work[rep]
         work += pnet.settle_delta[chosen_t, :].sum(axis=1,
@@ -802,32 +848,34 @@ def _settle_markings(pnet: PackedNet, markings: np.ndarray,
                constant_values=-1) for p in done_prog]) \
         if done_prog else np.zeros((0, 0), dtype=np.int64)
     d_work = np.concatenate(done_work) if done_work \
-        else np.zeros((0, n_p), dtype=np.int32)
+        else np.zeros((0, pnet.settle_width), dtype=np.int32)
     d_starts = np.concatenate(done_starts) if done_starts \
         else np.zeros((0, n_t), dtype=np.int32)
     d_src = np.concatenate(done_src) if done_src \
         else np.zeros(0, dtype=np.int64)
     # back to source-major order (stable: keeps round-major within a
-    # source), matching the object engine's per-state done list
+    # source), matching the tick engine's per-state done list
     order = np.argsort(d_src, kind="stable")
     return d_work[order], d_starts[order], d_src[order], d_prog[order]
 
 
 class _SettleMemo:
-    """Settle-once cache: post-advance marking -> quiescent outcomes.
+    """Settle-once cache: post-advance settle row -> quiescent outcomes.
 
     The reachable set distinguishes states by marking *and* in-flight
-    slots, but the settle outcome is a function of the marking alone —
-    typically orders of magnitude fewer distinct values.  Each new
-    marking is settled once (batched with the wave's other new
-    markings) and its done items appended to flat result arrays;
-    ``lookup`` returns per-marking ``[lo, hi)`` windows into them.
+    slots, but the settle outcome is a function of the settle row alone
+    (the marking, plus the gate columns of a gated net, see
+    :class:`PackedNet`) — typically orders of magnitude fewer distinct
+    values.  Each new settle row is settled once (batched with the
+    wave's other new rows) and its done items, cut back to markings,
+    appended to flat result arrays; ``lookup`` returns per-row
+    ``[lo, hi)`` windows into them.
     """
 
     def __init__(self, pnet: PackedNet, books: "_Bookkeeper"):
         self._pnet = pnet
         self._books = books
-        self._mark_ids = _Interner(pnet.n_places)
+        self._mark_ids = _Interner(pnet.settle_width)
         self._starts_ids = _Interner(pnet.n_transitions)
         self._prog_batches: list[np.ndarray] = []
         self._n_items = 0
@@ -858,7 +906,8 @@ class _SettleMemo:
             ends = base + np.cumsum(counts)
             self._lo = np.concatenate([self._lo, ends - counts])
             self._hi = np.concatenate([self._hi, ends])
-            self.marks = np.concatenate([self.marks, d_mark])
+            self.marks = np.concatenate(
+                [self.marks, d_mark[:, :self._pnet.n_places]])
             self.starts = np.concatenate([self.starts, d_starts])
             self.sids = np.concatenate([self.sids, sids])
             self._n_items = int(ends[-1]) if len(ends) else base
@@ -903,7 +952,7 @@ def _dedup_branches(dst: np.ndarray, src: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
     """First-seen branch dedup by ``(src, successor, starts)``.
 
-    The object engine merges settle outcomes with identical successor
+    The tick engine merges settle outcomes with identical successor
     *and* start counts before accumulating rows; replicating the merge
     (and its order) keeps every downstream float identical.  The
     starts row is represented by the memo's content id (*sids* —
@@ -928,16 +977,12 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
                  ) -> tuple["object", PackedSkeleton]:
     """Breadth-first build of the embedded chain, a wave at a time.
 
-    Returns ``(graph, skeleton)``; the graph is bit-identical to the
-    object engine's (reduction off), the skeleton re-times under new
-    static frequencies via :func:`packed_retime`.
+    Returns ``(graph, skeleton)``; the graph is bit-identical to a
+    breadth-first walk over tick-engine ticks (reduction off), the
+    skeleton re-times under new frequencies via :func:`packed_retime`.
     """
     if pnet is None:
         pnet = compile_packed(net, reduction)
-        if pnet is None:
-            raise AnalysisError(
-                f"net {net.name!r} does not compile for the packed "
-                "engine (state-dependent attributes?)")
     net.validate()
     n_p, n_t = pnet.n_places, pnet.n_transitions
     width = pnet.layout.width
@@ -966,7 +1011,7 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
         """Settle a batch of *distinct* advanced rows through the memo.
 
         *adv* holds post-advance full-width rows; the memo settles
-        each distinct marking once.  A successor's packed row is fully
+        each distinct settle row once.  A successor's packed row is fully
         determined by the (settle item, source slots) pair — item
         marking plus the source's in-flight slots plus the deposits of
         delayed firings started during the settle — so only one
@@ -975,7 +1020,7 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
         Returns ``(dst, rep, gidx)`` in row-major, round-major item
         order, *rep* indexing into *adv*.
         """
-        lo, hi = memo.lookup(adv[:, :n_p])
+        lo, hi = memo.lookup(pnet.settle_rows(adv))
         k = hi - lo
         total = int(k.sum())
         rep = np.repeat(np.arange(len(adv)), k)
@@ -1000,7 +1045,7 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
         Distinct states frequently advance to the same full row (the
         completions deposit erases where the tokens came from); every
         such group shares its entire expansion.  Replicating the
-        deduped item streams back per source preserves the object
+        deduped item streams back per source preserves the tick
         engine's source-major enumeration — and its successor
         first-seen order, because the distinct rows are ranked by
         their first source, so a successor's first appearance comes at
@@ -1022,7 +1067,7 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
         return dst_u[idx], base + rep_s, gidx_u[idx]
 
     # initial settle: the pseudo-source feeding the time-zero
-    # distribution (no starts are recorded, matching the object build)
+    # distribution (no starts are recorded for it)
     init_adv = np.zeros((1, width), dtype=np.int32)
     init_adv[0, :n_p] = net.initial_marking
     dst, src, gidx = expand_wave(init_adv, 0, 0)
@@ -1123,7 +1168,7 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
         else np.zeros(0, dtype=np.int64)
     # entry ids sorted by (src, dst) give the CSR pattern directly;
     # branch streams are already source-major so `inverse` respects
-    # the object engine's per-row accumulation order
+    # the tick engine's per-row accumulation order
     ekey = b_src * np.int64(n_states + 1) + b_dst
     entries, b_entry = np.unique(ekey, return_inverse=True)
     e_src = entries // (n_states + 1)
@@ -1167,6 +1212,7 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
         n_places=pnet.n_places, n_transitions=n_t,
         static_delays=tuple(int(d) for d in pnet.delays),
         freq_positive=tuple(bool(f > 0) for f in pnet.freqs),
+        gates=pnet.gates,
         layout=pnet.layout, table=table, indptr=indptr,
         indices=indices, ev=ev, inflight_matrix=inflight_matrix,
         closed_classes=None, kept=None, reduction=reduction,
@@ -1225,7 +1271,7 @@ def _materialize(skeleton: PackedSkeleton, net: Net,
 
 def packed_retime(skeleton: PackedSkeleton, net: Net, *,
                   max_states: int):
-    """Re-evaluate a packed skeleton under *net*'s static timings.
+    """Re-evaluate a packed skeleton under *net*'s frequencies.
 
     Bit-identical to a fresh :func:`packed_build` of *net* (both end in
     the same :func:`_evaluate` over the same arrays).  Raises
@@ -1238,22 +1284,20 @@ def packed_retime(skeleton: PackedSkeleton, net: Net, *,
     if skeleton.full_state_count > max_states:
         raise SkeletonMismatch("skeleton exceeds max_states")
     net.validate()
-    for t in net.transitions:
-        if callable(t.delay) or callable(t.frequency):
-            raise SkeletonMismatch("attributes became state-dependent")
     delays = tuple(int(t.delay) for t in net.transitions)
     if delays != skeleton.static_delays:
         raise SkeletonMismatch("static delays differ")
+    if tuple(net.gate_indices(t) for t in net.transitions) \
+            != skeleton.gates:
+        raise SkeletonMismatch("gates differ")
     freqs = np.array([float(t.frequency) for t in net.transitions])
-    if (freqs < 0).any():
-        raise SkeletonMismatch("negative frequency")
     if tuple(bool(f > 0) for f in freqs) != skeleton.freq_positive:
         raise SkeletonMismatch("frequency support changed")
     return _materialize(skeleton, net, freqs)
 
 
 def _check_stochastic_csr(net: Net, matrix: sp.csr_matrix) -> None:
-    """CSR analogue of ``reachability._check_stochastic``."""
+    """Every state has successors and its row sums to one."""
     empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
     if len(empty):
         raise AnalysisError(

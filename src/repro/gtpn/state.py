@@ -13,7 +13,8 @@ One tick proceeds in two phases (DESIGN.md, "Firing semantics"):
 1. **advance** — every in-flight firing counts down one tick; firings
    reaching zero deposit their output tokens.
 2. **settle rounds** — repeatedly, every conflict class with enabled
-   transitions (of positive frequency) selects one, with probability
+   transitions (of positive frequency and open gate, see
+   :class:`~repro.gtpn.net.Gate`) selects one, with probability
    proportional to its frequency.  A selected *immediate* (delay-0)
    transition fires instantly, depositing its outputs within the same
    tick; a selected *timed* transition starts firing and goes in
@@ -29,9 +30,11 @@ One tick proceeds in two phases (DESIGN.md, "Firing semantics"):
    delay) and processor sharing when one does (the single Host token
    of the architecture models).
 
-The same engine drives both the exact analyzer (exploring every branch
-with its probability) and the Monte Carlo simulator (sampling one
-branch), via the :class:`Resolver` strategy.
+This engine executes one state at a time and drives the Monte Carlo
+simulator (sampling one branch per choice); under the exhaustive
+:class:`Resolver` it follows every branch with its probability, which
+is what the exact analyzer's batched engine (:mod:`repro.gtpn.packed`)
+reproduces over arrays, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from repro.errors import AnalysisError
-from repro.gtpn.net import Context, Net
+from repro.gtpn.net import Net
 
 #: Safety cap on settle rounds within a single tick (guards unbounded
 #: zero-time loops and runaway models).
@@ -144,16 +147,14 @@ class TickEngine:
         net.validate()
         self.net = net
         self._classes = net.conflict_classes()
-        # hot-path precomputation: arc lists, static delays/frequencies
+        # hot-path precomputation: arc lists, delays, frequencies, gates
         self._in_arcs = [tuple(t.inputs.items()) for t in net.transitions]
         self._out_arcs = [tuple(t.outputs.items())
                           for t in net.transitions]
-        self._static_freq = [
-            None if callable(t.frequency) else float(t.frequency)
-            for t in net.transitions]
-        self._static_delay = [
-            None if callable(t.delay) else int(t.delay)
-            for t in net.transitions]
+        self._freq = [float(t.frequency) for t in net.transitions]
+        self._delay = [int(t.delay) for t in net.transitions]
+        self._gates = [net.gate_indices(t) if t.gate is not None else None
+                       for t in net.transitions]
         #: state -> successor branches, for deterministic resolvers
         #: (tick is a pure function of the state in that case).
         self._tick_memo: dict[State, tuple[Branch, ...]] = {}
@@ -161,32 +162,26 @@ class TickEngine:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def initial_branches(self, resolver: Resolver,
-                         tracer=None) -> list[Branch]:
+    def initial_branches(self, resolver: Resolver) -> list[Branch]:
         """Settle the initial marking into post-decision states."""
         marking = list(self.net.initial_marking)
-        return self._settle(marking, [], resolver, tracer)
+        return self._settle(marking, [], resolver)
 
-    def tick(self, state: State, resolver: Resolver,
-             tracer=None) -> list[Branch]:
+    def tick(self, state: State, resolver: Resolver) -> list[Branch]:
         """Execute one tick from *state*, returning successor branches.
 
         Under a deterministic resolver the branch list is memoized per
         state; callers must treat the returned branches as read-only.
-        A *tracer* (see :mod:`repro.gtpn.sweep`) records how each
-        branch probability was assembled; traced ticks bypass the memo
-        so every branch is observed.
         """
-        if resolver.deterministic and tracer is None:
+        if resolver.deterministic:
             cached = self._tick_memo.get(state)
             if cached is None:
                 cached = tuple(self._tick(state, resolver))
                 self._tick_memo[state] = cached
             return list(cached)
-        return self._tick(state, resolver, tracer)
+        return self._tick(state, resolver)
 
-    def _tick(self, state: State, resolver: Resolver,
-              tracer=None) -> list[Branch]:
+    def _tick(self, state: State, resolver: Resolver) -> list[Branch]:
         marking = list(state.marking)
         inflight: list[list[int]] = []
         for t_idx, remaining in state.inflight:
@@ -196,24 +191,18 @@ class TickEngine:
                     marking[p] += n
             else:
                 inflight.append([t_idx, remaining - 1])
-        return self._settle(marking, inflight, resolver, tracer)
+        return self._settle(marking, inflight, resolver)
 
     # ------------------------------------------------------------------
     # phases 2 + 3
     # ------------------------------------------------------------------
     def _settle(self, marking: list[int], inflight: list[list[int]],
-                resolver: Resolver, tracer=None) -> list[Branch]:
+                resolver: Resolver) -> list[Branch]:
         n_t = len(self.net.transitions)
-        work: list[tuple[float, list[int], list[list[int]], list[int]]]
-        work = [(1.0, marking, inflight, [0] * n_t)]
-        if tracer is None:
-            work = self._run_settle_rounds(work, resolver)
-            progs = None
-        else:
-            work, progs = self._run_settle_rounds(work, resolver, tracer)
-            branch_progs: dict[tuple, list[int]] = {}
+        work = self._run_settle_rounds(
+            [(1.0, marking, inflight, [0] * n_t)], resolver)
         branches: dict[tuple, Branch] = {}
-        for item_idx, (prob, mk, fl, starts) in enumerate(work):
+        for prob, mk, fl, starts in work:
             state = State(marking=tuple(mk),
                           inflight=tuple(sorted(map(tuple, fl))))
             key = (state.marking, state.inflight, tuple(starts))
@@ -222,26 +211,10 @@ class TickEngine:
             else:
                 branches[key] = Branch(probability=prob, state=state,
                                        starts=tuple(starts))
-            if tracer is not None:
-                branch_progs.setdefault(key, []).append(progs[item_idx])
-        if tracer is not None:
-            # aligned with the returned branch list (same first-seen
-            # insertion order); each entry lists the program ids whose
-            # values sum, in order, to that branch's probability.
-            tracer.branch_progs = list(branch_progs.values())
         return list(branches.values())
 
-    def _context(self, marking: Sequence[int],
-                 inflight: Sequence[Sequence[int]]) -> Context:
-        counts = [0] * len(self.net.transitions)
-        for t_idx, _remaining in inflight:
-            counts[t_idx] += 1
-        return Context(self.net, marking, counts)
-
-    def _run_settle_rounds(self, work, resolver: Resolver, tracer=None):
+    def _run_settle_rounds(self, work, resolver: Resolver):
         done = []
-        done_progs = [] if tracer is not None else None
-        progs = [()] * len(work) if tracer is not None else None
         rounds = 0
         while work:
             rounds += 1
@@ -251,44 +224,19 @@ class TickEngine:
                     f"quiescence in {MAX_IMMEDIATE_ROUNDS} rounds "
                     "(unbounded zero-time loop?)")
             next_work = []
-            next_progs = [] if tracer is not None else None
-            for w_idx, (prob, mk, fl, starts) in enumerate(work):
-                if tracer is None:
-                    selections = self._select_per_class(mk, fl)
-                    tokens = None
-                else:
-                    selections, tokens = self._select_per_class(
-                        mk, fl, tracer)
+            for prob, mk, fl, starts in work:
+                selections = self._select_per_class(mk, fl)
                 if not selections:
                     done.append((prob, mk, fl, starts))
-                    if tracer is not None:
-                        done_progs.append(tracer.prog(progs[w_idx]))
                     continue
                 for branch_prob, chosen in _cartesian(selections, resolver):
                     new_mk = list(mk)
                     new_fl = [list(entry) for entry in fl]
                     new_starts = list(starts)
-                    ctx = None
-                    ctx_counts = None
                     for t_idx in chosen:
                         for p, n in self._in_arcs[t_idx]:
                             new_mk[p] -= n
-                        delay = self._static_delay[t_idx]
-                        if delay is None:
-                            if ctx is None:
-                                ctx = self._context(new_mk, new_fl)
-                                if tracer is not None:
-                                    # the context's in-flight counts are
-                                    # snapshotted at creation and then
-                                    # shared by every later dynamic
-                                    # delay in this combo; the marking
-                                    # view stays live.
-                                    ctx_counts = tuple(ctx._inflight)
-                            delay = self.net.transitions[t_idx] \
-                                .eval_delay(ctx)
-                            if tracer is not None:
-                                tracer.delay_check(t_idx, tuple(new_mk),
-                                                   ctx_counts, delay)
+                        delay = self._delay[t_idx]
                         if delay == 0:
                             # immediate: outputs deposit within the tick
                             for p, n in self._out_arcs[t_idx]:
@@ -298,42 +246,33 @@ class TickEngine:
                         new_starts[t_idx] += 1
                     next_work.append(
                         (prob * branch_prob, new_mk, new_fl, new_starts))
-                    if tracer is not None:
-                        fids = tuple(tracer.factor(tokens[k], chosen[k])
-                                     for k in range(len(chosen)))
-                        next_progs.append(progs[w_idx] + (fids,))
             work = next_work
-            progs = next_progs
-        if tracer is None:
-            return done
-        return done, done_progs
+        return done
 
-    def _select_per_class(self, marking, inflight, tracer=None):
+    def _select_per_class(self, marking, inflight):
         """For each conflict class, the weighted enabled choices.
 
         Returns a list with one entry per class that has at least one
-        enabled transition of positive frequency; each entry is a list
-        of ``(probability, transition_index)`` choices summing to one.
-        Immediate and timed members of a class compete by frequency.
-
-        With a *tracer*, also returns a parallel list of factor tokens
-        (one per selection) and records classes whose enabled members
-        all have zero frequency (those silently select nothing, which
-        a re-timed replay must re-verify).
+        enabled transition of positive frequency whose gate is open;
+        each entry is a list of ``(probability, transition_index)``
+        choices summing to one.  Immediate and timed members of a class
+        compete by frequency.  A gate reads the settle-round marking
+        and the in-flight list, which holds the firings carried over
+        from earlier ticks plus those started in earlier settle rounds
+        of this tick; a closed gate drops its member exactly as a zero
+        frequency would.
         """
-        ctx = None
-        ctx_key = None
         selections = []
-        tokens = [] if tracer is not None else None
         in_arcs = self._in_arcs
-        static_freq = self._static_freq
+        freq_of = self._freq
+        gates = self._gates
+        busy = None
         for cls in self._classes:
             weighted = None
-            if tracer is not None:
-                enabled_members: list[int] = []
-                mask: list[bool] = []
-                class_dynamic = False
             for t_idx in cls:
+                freq = freq_of[t_idx]
+                if freq <= 0:
+                    continue
                 enabled = True
                 for p, n in in_arcs[t_idx]:
                     if marking[p] < n:
@@ -341,38 +280,22 @@ class TickEngine:
                         break
                 if not enabled:
                     continue
-                freq = static_freq[t_idx]
-                if freq is None:
-                    if ctx is None:
-                        ctx = self._context(marking, inflight)
-                        if tracer is not None:
-                            ctx_key = (tuple(marking),
-                                       tuple(ctx._inflight))
-                    if tracer is not None:
-                        class_dynamic = True
-                    freq = self.net.transitions[t_idx] \
-                        .eval_frequency(ctx)
-                if tracer is not None:
-                    enabled_members.append(t_idx)
-                    mask.append(freq > 0)
-                if freq > 0:
-                    if weighted is None:
-                        weighted = []
-                    weighted.append((freq, t_idx))
+                gate = gates[t_idx]
+                if gate is not None:
+                    if busy is None:
+                        busy = {t for t, _remaining in inflight}
+                    places, fired = gate
+                    if any(marking[p] for p in places) \
+                            or any(u in busy for u in fired):
+                        continue
+                if weighted is None:
+                    weighted = []
+                weighted.append((freq, t_idx))
             if weighted:
                 total = sum(f for f, _ in weighted)
                 selections.append(
                     [(f / total, t_idx) for f, t_idx in weighted])
-                if tracer is not None:
-                    tokens.append(tracer.factor_token(
-                        tuple(enabled_members), tuple(mask),
-                        ctx_key if class_dynamic else None))
-            elif tracer is not None and enabled_members:
-                tracer.null_class(tuple(enabled_members), tuple(mask),
-                                  ctx_key if class_dynamic else None)
-        if tracer is None:
-            return selections
-        return selections, tokens
+        return selections
 
 
 def _cartesian(selections, resolver: Resolver,

@@ -93,17 +93,15 @@ def to_networkx(net: Net) -> nx.DiGraph:
     """The net as a bipartite digraph (places and transitions).
 
     Node attributes: ``kind`` ("place"/"transition"), ``tokens`` for
-    places, ``delay``/``resource`` for transitions (state-dependent
-    attributes are tagged ``"dynamic"``).  Edge attribute ``weight``
-    is the arc multiplicity.
+    places, ``delay``/``resource`` for transitions.  Edge attribute
+    ``weight`` is the arc multiplicity.
     """
     graph = nx.DiGraph(name=net.name)
     for place in net.places:
         graph.add_node(f"p:{place.name}", kind="place",
                        tokens=place.initial_tokens)
     for t in net.transitions:
-        delay = "dynamic" if callable(t.delay) else t.delay
-        graph.add_node(f"t:{t.name}", kind="transition", delay=delay,
+        graph.add_node(f"t:{t.name}", kind="transition", delay=t.delay,
                        resource=t.resource)
         for p, n in t.inputs.items():
             graph.add_edge(f"p:{net.places[p].name}", f"t:{t.name}",

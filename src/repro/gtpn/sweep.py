@@ -8,23 +8,21 @@ frequency weights (the delay-1 geometric activity pairs of
 reachability graph and only the branch probabilities of the embedded
 Markov chain change.
 
-This module exploits that.  A traced reachability build records, next
-to the ordinary graph, a :class:`SweepSkeleton`: for every branch
-probability the exact *program* of normalized-frequency factors whose
-products and sums produced it.  Re-timing a skeleton under a new net
-re-evaluates only those factors and replays the programs **in the same
-floating-point operation order** as a from-scratch build, so a re-timed
-graph is bit-identical to the one `analyze` would have built — the
-reproducibility contract (identical figure values at any cache state
-or job count) survives.
+This module exploits that.  A packed build (:mod:`repro.gtpn.packed`)
+returns, next to the graph, a :class:`~repro.gtpn.packed.PackedSkeleton`
+holding for every branch probability the *program* of
+normalized-frequency factors whose products and sums produced it.
+Re-timing a skeleton under a new net re-evaluates only those factors,
+through the same arrays and the same floating-point operation order as
+a from-scratch build, so a re-timed graph is bit-identical to the one
+`analyze` would have built — the reproducibility contract (identical
+figure values at any cache state or job count) survives.
 
 Replay is only valid while the new timings keep the *support* of every
-choice unchanged.  Each factor therefore records which enabled
-transitions had positive frequency; if a new timing flips any of those
-signs (or changes a state-dependent delay), replay raises
-:class:`SkeletonMismatch` and the caller falls back to a full build.
-Static-delay changes also force a rebuild: remaining-tick counters are
-part of the states themselves.
+choice unchanged; if a new timing flips any frequency between zero and
+positive, replay raises :class:`SkeletonMismatch` and the caller falls
+back to a full build.  Delay changes also force a rebuild:
+remaining-tick counters are part of the states themselves.
 
 Entry points:
 
@@ -42,412 +40,24 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
 from repro import obs
-from repro.errors import AnalysisError, StateSpaceLimitError
-from repro.gtpn.net import Context, Net
+from repro.gtpn.net import Net
 from repro.gtpn.packed import (SkeletonMismatch, compile_packed,
                                packed_build, packed_retime)
-from repro.gtpn.reachability import (DEFAULT_MAX_STATES,
-                                     ReachabilityGraph, _check_stochastic)
-from repro.gtpn.state import ExhaustiveResolver, State, TickEngine
+from repro.gtpn.reachability import DEFAULT_MAX_STATES, ReachabilityGraph
 from repro.obs.clock import perf_now
 from repro.perf.cache import cache_enabled, fingerprint_net, get_cache
 
 __all__ = [
-    "SkeletonMismatch", "SweepSkeleton", "SweepSolver", "SweepStats",
-    "acquire_graph", "retime", "sweep_analyze", "traced_build",
+    "SkeletonMismatch", "SweepSolver", "SweepStats", "acquire_graph",
+    "retime", "sweep_analyze", "traced_build",
 ]
 
+# perfbench's layer tracer resolves these names: aliases, not wrappers
+traced_build = packed_build
+retime = packed_retime
+
 _USE_GLOBAL = object()      # sentinel: "global cache when enabled"
-
-
-# ----------------------------------------------------------------------
-# the skeleton and its tracer
-# ----------------------------------------------------------------------
-
-@dataclass
-class SweepSkeleton:
-    """Everything timing-independent about one net structure.
-
-    ``factors`` entries are ``(chosen, enabled, mask, ctx)``: one
-    conflict-class selection — *chosen* transition out of the *enabled*
-    members whose positive-frequency pattern was *mask*, evaluated
-    under context snapshot *ctx* (``(marking, inflight_counts)``, or
-    ``None`` when every member's frequency is static).  ``chosen is
-    None`` marks a class whose enabled members all had zero frequency
-    (selects nothing; replay re-verifies the zeros).
-
-    ``progs`` entries are factor-id programs: a tuple of settle rounds,
-    each a tuple of factor ids, multiplied exactly as the engine
-    multiplied them.  ``state_branches[i]`` lists, per successor branch
-    of state *i*, ``(j, starts_nonzero, prog_ids)`` — the prog values
-    sum (in order) to the branch probability.
-
-    Skeletons are shared (cached, possibly across processes): treat
-    every field as read-only.
-    """
-
-    structure: str                      # structure fingerprint
-    n_places: int
-    n_transitions: int
-    static_delays: tuple                # per transition: int | None
-    factors: list
-    delay_checks: list                  # (t_idx, marking, counts, expected)
-    progs: list
-    states: list                        # list[State]
-    state_branches: list
-    initial_branches: list              # [(i, prog_ids)]
-    inflight_matrix: np.ndarray
-    closed_classes: int
-
-    @property
-    def state_count(self) -> int:
-        return len(self.states)
-
-    # the lazily-built CSR replay plan (`retime`) is a per-process
-    # derived structure: strip it from pickles so cached skeletons stay
-    # compact and old cache entries stay loadable
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_csr_plan", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-
-class _Tracer:
-    """Records factor/program structure during a traced build.
-
-    Duck-typed against the hooks in :class:`repro.gtpn.state.TickEngine`
-    (``factor_token`` / ``factor`` / ``null_class`` / ``delay_check`` /
-    ``prog``); the engine stashes per-settle branch programs in
-    ``branch_progs``.
-    """
-
-    def __init__(self) -> None:
-        self.factors: list = []
-        self._factor_ids: dict = {}
-        self.delay_checks: list = []
-        self._delay_seen: set = set()
-        self.progs: list = []
-        self._prog_ids: dict = {}
-        self.branch_progs: list = []
-
-    def factor_token(self, enabled, mask, ctx_key):
-        return (enabled, mask, ctx_key)
-
-    def factor(self, token, chosen) -> int:
-        enabled, mask, ctx_key = token
-        key = (chosen, enabled, mask, ctx_key)
-        fid = self._factor_ids.get(key)
-        if fid is None:
-            fid = self._factor_ids[key] = len(self.factors)
-            self.factors.append(key)
-        return fid
-
-    def null_class(self, enabled, mask, ctx_key) -> None:
-        key = (None, enabled, mask, ctx_key)
-        if key not in self._factor_ids:
-            self._factor_ids[key] = len(self.factors)
-            self.factors.append(key)
-
-    def delay_check(self, t_idx, marking, counts, value) -> None:
-        key = (t_idx, marking, counts)
-        if key not in self._delay_seen:
-            self._delay_seen.add(key)
-            self.delay_checks.append((t_idx, marking, counts, value))
-
-    def prog(self, rounds) -> int:
-        pid = self._prog_ids.get(rounds)
-        if pid is None:
-            pid = self._prog_ids[rounds] = len(self.progs)
-            self.progs.append(rounds)
-        return pid
-
-
-# ----------------------------------------------------------------------
-# traced build
-# ----------------------------------------------------------------------
-
-def traced_build(net: Net, *, max_states: int = DEFAULT_MAX_STATES,
-                 structure: str | None = None,
-                 ) -> tuple[ReachabilityGraph, SweepSkeleton]:
-    """Full BFS exactly as ``build_reachability_graph``, plus a skeleton.
-
-    The returned graph is bit-identical to an untraced build (the trace
-    only observes; every float operation is unchanged).
-    """
-    if structure is None:
-        fingerprint = fingerprint_net(net)
-        structure = fingerprint.structure if fingerprint else ""
-    engine = TickEngine(net)
-    resolver = ExhaustiveResolver()
-    tracer = _Tracer()
-    n_transitions = len(net.transitions)
-
-    index: dict[State, int] = {}
-    states: list[State] = []
-    rows: list[dict[int, float]] = []
-    start_rows: list[list[float]] = []
-    state_branches: list = []
-    explored = 0
-
-    def intern(state: State) -> int:
-        found = index.get(state)
-        if found is None:
-            found = len(states)
-            index[state] = found
-            states.append(state)
-            rows.append({})
-            start_rows.append([0.0] * n_transitions)
-            state_branches.append(None)
-            if len(states) > max_states:
-                raise StateSpaceLimitError(
-                    net.name, len(states), len(states) - explored,
-                    max_states)
-        return found
-
-    initial: dict[int, float] = {}
-    initial_records: list = []
-    for branch, prog_ids in zip(engine.initial_branches(resolver, tracer),
-                                tracer.branch_progs):
-        i = intern(branch.state)
-        initial[i] = initial.get(i, 0.0) + branch.probability
-        initial_records.append((i, tuple(prog_ids)))
-
-    while explored < len(states):
-        i = explored
-        explored += 1
-        row = rows[i]
-        start_row = start_rows[i]
-        records: list = []
-        for branch, prog_ids in zip(engine.tick(states[i], resolver,
-                                                tracer),
-                                    tracer.branch_progs):
-            j = intern(branch.state)
-            prob = branch.probability
-            row[j] = row.get(j, 0.0) + prob
-            starts_nz: list = []
-            for t_idx, count in enumerate(branch.starts):
-                if count:
-                    start_row[t_idx] += prob * count
-                    starts_nz.append((t_idx, count))
-            records.append((j, tuple(starts_nz), tuple(prog_ids)))
-        state_branches[i] = records
-
-    n_states = len(states)
-    starts_matrix = np.asarray(start_rows, dtype=float).reshape(
-        n_states, n_transitions)
-    inflight_matrix = np.zeros((n_states, n_transitions))
-    for i, state in enumerate(states):
-        for t_idx, _remaining in state.inflight:
-            inflight_matrix[i, t_idx] += 1.0
-
-    _check_stochastic(net, rows)
-    graph = ReachabilityGraph(net=net, states=states, probabilities=rows,
-                              initial=initial,
-                              expected_starts=list(starts_matrix),
-                              inflight_counts=list(inflight_matrix))
-    from repro.gtpn.markov import _closed_class_count, transition_matrix
-    skeleton = SweepSkeleton(
-        structure=structure,
-        n_places=len(net.places),
-        n_transitions=n_transitions,
-        static_delays=tuple(engine._static_delay),
-        factors=tracer.factors,
-        delay_checks=tracer.delay_checks,
-        progs=tracer.progs,
-        states=states,
-        state_branches=state_branches,
-        initial_branches=initial_records,
-        inflight_matrix=inflight_matrix,
-        closed_classes=_closed_class_count(transition_matrix(graph)))
-    return graph, skeleton
-
-
-# ----------------------------------------------------------------------
-# re-timing replay
-# ----------------------------------------------------------------------
-
-def retime(skeleton: SweepSkeleton, net: Net, *,
-           max_states: int = DEFAULT_MAX_STATES) -> ReachabilityGraph:
-    """Rebuild the embedded chain of *net* from a shared skeleton.
-
-    Raises :class:`SkeletonMismatch` when the skeleton does not apply
-    (different shape, a static delay changed, a dynamic delay or a
-    frequency-support pattern changed) — callers fall back to
-    :func:`traced_build`, which reproduces full-analyze behaviour.
-    """
-    if (len(net.places) != skeleton.n_places
-            or len(net.transitions) != skeleton.n_transitions):
-        raise SkeletonMismatch("net shape differs")
-    if skeleton.state_count > max_states:
-        raise SkeletonMismatch("skeleton exceeds max_states")
-    net.validate()
-    transitions = net.transitions
-    static_delay = tuple(
-        None if callable(t.delay) else int(t.delay) for t in transitions)
-    if static_delay != skeleton.static_delays:
-        # remaining-tick counters live inside the states: a static
-        # firing-time change moves the state space itself
-        raise SkeletonMismatch("static delays differ")
-    static_freq = [
-        None if callable(t.frequency) else float(t.frequency)
-        for t in transitions]
-
-    for t_idx, marking, counts, expected in skeleton.delay_checks:
-        ctx = Context(net, marking, counts)
-        if transitions[t_idx].eval_delay(ctx) != expected:
-            raise SkeletonMismatch("state-dependent delay changed")
-
-    values = [0.0] * len(skeleton.factors)
-    for fid, (chosen, enabled, mask, ctx_key) in enumerate(
-            skeleton.factors):
-        ctx = None
-        freqs: list[float] = []
-        for k, t_idx in enumerate(enabled):
-            f = static_freq[t_idx]
-            if f is None:
-                if ctx is None:
-                    ctx = Context(net, ctx_key[0], ctx_key[1])
-                f = transitions[t_idx].eval_frequency(ctx)
-            if (f > 0) != mask[k]:
-                raise SkeletonMismatch("frequency support changed")
-            freqs.append(f)
-        if chosen is None:
-            continue            # null class: the zeros were verified
-        # same arithmetic as _select_per_class: positives in enabled
-        # order, python sum from 0, chosen weight over the total
-        total = sum(f for f in freqs if f > 0)
-        values[fid] = freqs[enabled.index(chosen)] / total
-
-    prog_values = [0.0] * len(skeleton.progs)
-    for pid, rounds in enumerate(skeleton.progs):
-        p = 1.0
-        for fids in rounds:
-            # one settle round: the engine folds class factors into the
-            # round's branch probability left-to-right from 1.0 ...
-            bp = 1.0
-            for fid in fids:
-                bp = bp * values[fid]
-            # ... then multiplies it onto the work item's probability
-            p = p * bp
-        prog_values[pid] = p
-
-    plan = getattr(skeleton, "_csr_plan", None)
-    if plan is None:
-        plan = _build_csr_plan(skeleton)
-        skeleton._csr_plan = plan
-
-    # replay the branch sums on the shared CSR pattern.  Padding the
-    # prog-id matrix with a 0.0-valued sentinel and accumulating with
-    # np.add.at (which applies additions one index at a time, in
-    # order) reproduces the historical per-row dict accumulation bit
-    # for bit — without rebuilding row dicts at every grid point.
-    pv_ext = np.append(np.asarray(prog_values), 0.0)
-    bv = pv_ext[plan.b_prog[:, 0]]
-    for k in range(1, plan.b_prog.shape[1]):
-        bv = bv + pv_ext[plan.b_prog[:, k]]
-    n_states = skeleton.state_count
-    data = np.zeros(len(plan.indices))
-    np.add.at(data, plan.b_entry, bv)
-    n_transitions = skeleton.n_transitions
-    starts_matrix = np.zeros((n_states, n_transitions))
-    np.add.at(starts_matrix, (plan.s_src, plan.s_t),
-              bv[plan.s_branch] * plan.s_cnt)
-    iv = pv_ext[plan.i_prog[:, 0]]
-    for k in range(1, plan.i_prog.shape[1]):
-        iv = iv + pv_ext[plan.i_prog[:, k]]
-    init_vec = np.zeros(n_states)
-    np.add.at(init_vec, plan.i_dst, iv)
-
-    import scipy.sparse as sp
-    from repro.gtpn.packed import _check_stochastic_csr
-    matrix = sp.csr_matrix((data, plan.indices, plan.indptr),
-                           shape=(n_states, n_states), copy=False)
-    _check_stochastic_csr(net, matrix)
-    return ReachabilityGraph(
-        net=net, states=skeleton.states, matrix=matrix,
-        starts_matrix=starts_matrix, init_vec=init_vec,
-        inflight_counts=list(skeleton.inflight_matrix))
-
-
-@dataclass
-class _CsrPlan:
-    """Frozen replay order of a skeleton's branch accumulations.
-
-    Derived once per skeleton per process (see ``retime``): the CSR
-    sparsity pattern plus, for every branch, its program ids (padded
-    with a sentinel whose value is 0.0) and its entry index, in the
-    exact record order the historical dict assembly used.
-    """
-
-    b_prog: np.ndarray      # (n_branches, K) prog ids, sentinel-padded
-    b_entry: np.ndarray     # (n_branches,) CSR entry index
-    s_branch: np.ndarray    # nonzero starts, in record order:
-    s_src: np.ndarray       # branch, source state, transition, count
-    s_t: np.ndarray
-    s_cnt: np.ndarray
-    i_dst: np.ndarray       # initial records: state and prog-id rows
-    i_prog: np.ndarray
-    indices: np.ndarray     # the shared CSR pattern
-    indptr: np.ndarray
-
-
-def _build_csr_plan(skeleton: SweepSkeleton) -> _CsrPlan:
-    sentinel = len(skeleton.progs)
-    n = skeleton.state_count
-
-    def _prog_matrix(rows: list) -> np.ndarray:
-        width = max((len(r) for r in rows), default=0)
-        out = np.full((len(rows), max(width, 1)), sentinel,
-                      dtype=np.int64)
-        for k, r in enumerate(rows):
-            out[k, :len(r)] = r
-        return out
-
-    b_src: list[int] = []
-    b_dst: list[int] = []
-    b_progs: list = []
-    s_branch: list[int] = []
-    s_src: list[int] = []
-    s_t: list[int] = []
-    s_cnt: list[int] = []
-    for i, records in enumerate(skeleton.state_branches):
-        for j, starts_nz, prog_ids in records:
-            b = len(b_src)
-            b_src.append(i)
-            b_dst.append(j)
-            b_progs.append(prog_ids)
-            for t_idx, count in starts_nz:
-                s_branch.append(b)
-                s_src.append(i)
-                s_t.append(t_idx)
-                s_cnt.append(count)
-
-    ekey = np.array(b_src, dtype=np.int64) * (n + 1) \
-        + np.array(b_dst, dtype=np.int64)
-    entries, b_entry = np.unique(ekey, return_inverse=True)
-    indices = (entries % (n + 1)).astype(np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, entries // (n + 1) + 1, 1)
-    indptr = np.cumsum(indptr)
-
-    return _CsrPlan(
-        b_prog=_prog_matrix(b_progs),
-        b_entry=b_entry.astype(np.int64),
-        s_branch=np.array(s_branch, dtype=np.int64),
-        s_src=np.array(s_src, dtype=np.int64),
-        s_t=np.array(s_t, dtype=np.int64),
-        s_cnt=np.array(s_cnt, dtype=np.int64),
-        i_dst=np.array([i for i, _ in skeleton.initial_branches],
-                       dtype=np.int64),
-        i_prog=_prog_matrix(
-            [prog_ids for _, prog_ids in skeleton.initial_branches]),
-        indices=indices, indptr=indptr)
 
 
 def acquire_graph(net: Net, structure: str, max_states: int, store,
@@ -457,43 +67,21 @@ def acquire_graph(net: Net, structure: str, max_states: int, store,
 
     Returns ``(graph, closed_class_count)``.  Used by
     :func:`repro.gtpn.analyze` so plain per-point analyses share
-    structure work with sweeps through the same cache.  Static nets
-    ride the packed engine (and its skeleton kind); nets with callable
-    attributes use the object skeleton, keeping its historical cache
-    key.
+    structure work with sweeps through the same cache.
     """
-    pnet = compile_packed(net, reduction)
-    if pnet is not None:
-        kind = f"packed:{reduction}"
-        skeleton = store.get_structure(structure, kind=kind)
-        if skeleton is not None:
-            try:
-                graph = packed_retime(skeleton, net,
-                                      max_states=max_states)
-                return graph, skeleton.closed_class_count()
-            except SkeletonMismatch:
-                pass
-        graph, skeleton = packed_build(net, pnet, max_states=max_states,
-                                       structure=structure,
-                                       reduction=reduction)
-        store.put_structure(structure, skeleton, kind=kind)
-        return graph, skeleton.closed_class_count()
-    if reduction != "none":
-        raise AnalysisError(
-            f"net {net.name!r}: reduction {reduction!r} requires the "
-            "packed engine, which needs static delays and frequencies "
-            "(state-dependent attributes force the object walk)")
-    skeleton = store.get_structure(structure)
+    kind = f"packed:{reduction}"
+    skeleton = store.get_structure(structure, kind=kind)
     if skeleton is not None:
         try:
-            graph = retime(skeleton, net, max_states=max_states)
-            return graph, skeleton.closed_classes
+            graph = packed_retime(skeleton, net, max_states=max_states)
+            return graph, skeleton.closed_class_count()
         except SkeletonMismatch:
             pass
-    graph, skeleton = traced_build(net, max_states=max_states,
-                                   structure=structure)
-    store.put_structure(structure, skeleton)
-    return graph, skeleton.closed_classes
+    graph, skeleton = packed_build(net, compile_packed(net, reduction),
+                                   max_states=max_states,
+                                   structure=structure, reduction=reduction)
+    store.put_structure(structure, skeleton, kind=kind)
+    return graph, skeleton.closed_class_count()
 
 
 # ----------------------------------------------------------------------
@@ -504,16 +92,13 @@ def acquire_graph(net: Net, structure: str, max_states: int, store,
 class SweepStats:
     """Per-stage accounting of a sweep (seconds and point counts)."""
 
-    build_s: float = 0.0        # traced reachability builds
+    build_s: float = 0.0        # reachability builds
     retime_s: float = 0.0       # skeleton replays
     solve_s: float = 0.0        # stationary solves
     skeleton_builds: int = 0
     points_retimed: int = 0
     payload_hits: int = 0
-    uncacheable: int = 0        # nets without a fingerprint
     mismatches: int = 0         # replays invalidated by a timing change
-    csr_plans_built: int = 0    # object-skeleton CSR replay plans made
-    csr_plan_reuses: int = 0    # retimes that reused an existing plan
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -543,23 +128,13 @@ class SweepSolver:
         if cache is _USE_GLOBAL:
             cache = get_cache() if cache_enabled() else None
         self.cache = cache
-        #: keyed ``(structure, kind)``: one structure can hold an
-        #: object skeleton and packed skeletons per reduction mode
-        self._skeletons: dict[tuple, Any] = {}
+        #: structure fingerprint -> skeleton (of this solver's reduction)
+        self._skeletons: dict[str, Any] = {}
         self.stats = SweepStats()
 
     def analyze(self, net: Net):
         """Solve one net; identical contract to ``repro.gtpn.analyze``."""
         fingerprint = fingerprint_net(net)
-        if fingerprint is None:
-            # uncacheable attribute: behave exactly like plain analyze
-            self.stats.uncacheable += 1
-            started = perf_now()
-            result = self._analysis.analyze(
-                net, method=self.method, max_states=self.max_states,
-                cache=self.cache, reduction=self.reduction)
-            self.stats.build_s += perf_now() - started
-            return result
         key = (fingerprint.structure, fingerprint.timing, self.method,
                self.reduction)
         if self.cache is not None:
@@ -582,54 +157,8 @@ class SweepSolver:
 
     def _graph_for(self, net: Net, structure: str,
                    ) -> tuple[ReachabilityGraph, int]:
-        pnet = compile_packed(net, self.reduction)
-        if pnet is not None:
-            return self._packed_graph_for(net, pnet, structure)
-        if self.reduction != "none":
-            raise AnalysisError(
-                f"net {net.name!r}: reduction {self.reduction!r} "
-                "requires the packed engine, which needs static delays "
-                "and frequencies (state-dependent attributes force the "
-                "object walk)")
-        skel_key = (structure, "object")
-        skeleton = self._skeletons.get(skel_key)
-        if skeleton is None and self.cache is not None:
-            skeleton = self.cache.get_structure(structure)
-        if skeleton is not None:
-            try:
-                had_plan = getattr(skeleton, "_csr_plan", None) \
-                    is not None
-                started = perf_now()
-                with obs.span("gtpn.retime"):
-                    graph = retime(skeleton, net,
-                                   max_states=self.max_states)
-                self.stats.retime_s += perf_now() - started
-                self.stats.points_retimed += 1
-                if had_plan:
-                    self.stats.csr_plan_reuses += 1
-                else:
-                    self.stats.csr_plans_built += 1
-                self._skeletons[skel_key] = skeleton
-                return graph, skeleton.closed_classes
-            except SkeletonMismatch:
-                self.stats.mismatches += 1
-        started = perf_now()
-        with obs.span("gtpn.build"):
-            graph, skeleton = traced_build(net,
-                                           max_states=self.max_states,
-                                           structure=structure)
-        self.stats.build_s += perf_now() - started
-        self.stats.skeleton_builds += 1
-        self._skeletons[skel_key] = skeleton
-        if self.cache is not None:
-            self.cache.put_structure(structure, skeleton)
-        return graph, skeleton.closed_classes
-
-    def _packed_graph_for(self, net: Net, pnet, structure: str,
-                          ) -> tuple[ReachabilityGraph, int]:
         kind = f"packed:{self.reduction}"
-        skel_key = (structure, kind)
-        skeleton = self._skeletons.get(skel_key)
+        skeleton = self._skeletons.get(structure)
         if skeleton is None and self.cache is not None:
             skeleton = self.cache.get_structure(structure, kind=kind)
         if skeleton is not None:
@@ -640,18 +169,19 @@ class SweepSolver:
                                           max_states=self.max_states)
                 self.stats.retime_s += perf_now() - started
                 self.stats.points_retimed += 1
-                self._skeletons[skel_key] = skeleton
+                self._skeletons[structure] = skeleton
                 return graph, skeleton.closed_class_count()
             except SkeletonMismatch:
                 self.stats.mismatches += 1
         started = perf_now()
         with obs.span("gtpn.build"):
             graph, skeleton = packed_build(
-                net, pnet, max_states=self.max_states,
-                structure=structure, reduction=self.reduction)
+                net, compile_packed(net, self.reduction),
+                max_states=self.max_states, structure=structure,
+                reduction=self.reduction)
         self.stats.build_s += perf_now() - started
         self.stats.skeleton_builds += 1
-        self._skeletons[skel_key] = skeleton
+        self._skeletons[structure] = skeleton
         if self.cache is not None:
             self.cache.put_structure(structure, skeleton, kind=kind)
         return graph, skeleton.closed_class_count()
@@ -677,8 +207,8 @@ def _sweep_task(build: Callable, point, star: bool, method: str,
                 max_states: int, reduction: str = "none") -> dict:
     """One pooled grid point: build, solve, return the unbound payload.
 
-    Runs in a worker process; nets and results do not pickle (closures,
-    net back-references), so the worker ships the same net-free payload
+    Runs in a worker process; results do not pickle (net
+    back-references), so the worker ships the same net-free payload
     the analysis cache stores and the parent re-binds it.
     """
     net = build(*point) if star else build(point)

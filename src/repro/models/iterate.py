@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.errors import ConvergenceError
 from repro.gtpn import AnalysisResult
 from repro.gtpn.sweep import SweepSolver
@@ -130,45 +131,52 @@ def solve_nonlocal(architecture: Architecture, conversations: int,
     client_solver = SweepSolver()
     server_solver = SweepSolver()
 
-    for iteration in range(1, max_iterations + 1):
-        client_net = build_nonlocal_client_net(
-            architecture, conversations, max(server_delay, _MIN_DELAY),
-            hosts=hosts, params=client_params)
-        client_result = client_solver.analyze(client_net)
-        throughput = client_result.throughput("lambda")
-        if throughput <= 0:
-            raise ConvergenceError(
-                f"{architecture}: client model produced zero throughput")
-        cycle = conversations / throughput
-        client_delay = max(cycle - server_delay - s_c, _MIN_DELAY)
+    with obs.span("models.fixed_point", architecture=architecture.name,
+                  conversations=conversations) as span:
+        for iteration in range(1, max_iterations + 1):
+            client_net = build_nonlocal_client_net(
+                architecture, conversations,
+                max(server_delay, _MIN_DELAY), hosts=hosts,
+                params=client_params)
+            client_result = client_solver.analyze(client_net)
+            throughput = client_result.throughput("lambda")
+            if throughput <= 0:
+                raise ConvergenceError(f"{architecture}: client model "
+                                       "produced zero throughput")
+            cycle = conversations / throughput
+            client_delay = max(cycle - server_delay - s_c, _MIN_DELAY)
 
-        server_net = build_nonlocal_server_net(
-            architecture, conversations, client_delay, compute_time,
-            hosts=hosts, params=server_params)
-        server_result = server_solver.analyze(server_net)
-        arrival_rate = server_result.resource_usage("lambda_in")
-        if arrival_rate <= 0:
-            raise ConvergenceError(
-                f"{architecture}: server model produced zero arrivals")
-        population = server_population(server_result)
-        new_server_delay = population / arrival_rate + dma_constant
+            server_net = build_nonlocal_server_net(
+                architecture, conversations, client_delay, compute_time,
+                hosts=hosts, params=server_params)
+            server_result = server_solver.analyze(server_net)
+            arrival_rate = server_result.resource_usage("lambda_in")
+            if arrival_rate <= 0:
+                raise ConvergenceError(f"{architecture}: server model "
+                                       "produced zero arrivals")
+            population = server_population(server_result)
+            new_server_delay = population / arrival_rate + dma_constant
 
-        history.append(IterationStep(
-            server_delay=server_delay, throughput=throughput,
-            client_cycle=cycle, client_delay=client_delay,
-            arrival_rate=arrival_rate, population=population,
-            new_server_delay=new_server_delay))
+            history.append(IterationStep(
+                server_delay=server_delay, throughput=throughput,
+                client_cycle=cycle, client_delay=client_delay,
+                arrival_rate=arrival_rate, population=population,
+                new_server_delay=new_server_delay))
 
-        if abs(new_server_delay - server_delay) <= \
-                tolerance * max(server_delay, 1.0):
-            return NonlocalSolution(
-                architecture=architecture, conversations=conversations,
-                compute_time=compute_time, throughput=throughput,
-                server_delay=new_server_delay, client_delay=client_delay,
-                iterations=iteration, client_result=client_result,
-                server_result=server_result, history=history)
-        server_delay = (damping * new_server_delay
-                        + (1.0 - damping) * server_delay)
+            step = abs(new_server_delay - server_delay)
+            span.set(iterations=iteration,
+                     sd_step=step / max(server_delay, 1.0))
+            if step <= tolerance * max(server_delay, 1.0):
+                return NonlocalSolution(
+                    architecture=architecture,
+                    conversations=conversations,
+                    compute_time=compute_time, throughput=throughput,
+                    server_delay=new_server_delay,
+                    client_delay=client_delay, iterations=iteration,
+                    client_result=client_result,
+                    server_result=server_result, history=history)
+            server_delay = (damping * new_server_delay
+                            + (1.0 - damping) * server_delay)
 
     raise ConvergenceError(
         f"{architecture}, {conversations} conversations, "

@@ -8,7 +8,7 @@ section 6.6.3.
 
 Network-interrupt priority is modelled exactly as in the thesis: the
 activities executing on the interrupt processor (host for architecture
-I, MP otherwise) are inhibited — their frequency expressions evaluate
+I, MP otherwise) are inhibited — a declared gate sets their frequencies
 to zero — whenever an interrupt is pending (``NetIntr`` marked) or
 being serviced (the cleanup pair firing), and the reply DMA cannot
 start the next packet until the previous interrupt is fielded.
@@ -17,7 +17,7 @@ start the next packet until the previous interrupt is fielded.
 from __future__ import annotations
 
 from repro.errors import ModelError
-from repro.gtpn import Context, Net, activity_pair
+from repro.gtpn import Gate, Net, activity_pair
 from repro.models.params import (NONLOCAL_CLIENT_PARAMS, Architecture,
                                  NonlocalClientParams)
 
@@ -60,13 +60,10 @@ def build_nonlocal_client_net(architecture: Architecture,
     interrupt_processor = host if params.process_send is None else \
         net.place("MP", tokens=1)
 
-    def interrupt_free(ctx: Context) -> bool:
-        """No interrupt pending or in service (thesis's
-        ``(NetIntr = 0) & !Tcleanup & !Tcleanup'`` expressions)."""
-        return (ctx.tokens("NetIntr") == 0
-                and ctx.tokens("IntrSvc") == 0
-                and not ctx.firing("cleanup")
-                and not ctx.firing("cleanup.loop"))
+    # no interrupt pending or in service: the thesis's
+    # ``(NetIntr = 0) & !Tcleanup & !Tcleanup'`` expressions
+    interrupt_free = Gate(inhibitors=[net_intr, intr_svc],
+                          not_firing=["cleanup", "cleanup.loop"])
 
     if params.process_send is None:
         # Architecture I (Table 6.7): syscall send executes on the

@@ -21,7 +21,7 @@ times (section 6.6.4) feeds back into the client model.
 from __future__ import annotations
 
 from repro.errors import ModelError
-from repro.gtpn import AnalysisResult, Context, Net, activity_pair
+from repro.gtpn import AnalysisResult, Gate, Net, activity_pair
 from repro.models.params import (NONLOCAL_SERVER_PARAMS, Architecture,
                                  NonlocalServerParams)
 
@@ -67,12 +67,9 @@ def build_nonlocal_server_net(architecture: Architecture,
     interrupt_processor = host if uniprocessor else \
         net.place("MP", tokens=1)
 
-    def interrupt_free(ctx: Context) -> bool:
-        """Thesis's ``(RequestService = 0) & !Tmatch & !Tmatch'``."""
-        return (ctx.tokens("NetIntr") == 0
-                and ctx.tokens("IntrSvc") == 0
-                and not ctx.firing("match")
-                and not ctx.firing("match.loop"))
+    # the thesis's ``(RequestService = 0) & !Tmatch & !Tmatch'``
+    interrupt_free = Gate(inhibitors=[net_intr, intr_svc],
+                          not_firing=["match", "match.loop"])
 
     if uniprocessor:
         # Architecture I (Table 6.8): receive on the host, inhibited

@@ -35,12 +35,8 @@ def transition_rows(net: Net) -> list[TransitionRow]:
     """Render every transition of *net* with its attribute vector."""
     rows = []
     for t in net.transitions:
-        delay = "state-dependent" if callable(t.delay) else str(t.delay)
-        frequency = t.frequency_label or (
-            "state-dependent" if callable(t.frequency) else
-            f"{float(t.frequency):g}")
         rows.append(TransitionRow(
-            name=t.name, delay=delay, frequency=frequency,
+            name=t.name, delay=str(t.delay), frequency=t.frequency_label,
             resource=t.resource or ""))
     return rows
 

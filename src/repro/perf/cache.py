@@ -3,12 +3,11 @@
 A net is fingerprinted by a *split key* (:class:`NetFingerprint`):
 
 * the **structure fingerprint** covers everything that shapes the
-  reachable state space — place count, initial marking, arcs, resource
-  tags, and the *code* of state-dependent attributes — and is
-  invariant across a timing sweep, while
+  reachable state space — place count, initial marking, arcs, gates,
+  resource tags and symmetry declarations — and is invariant across a
+  timing sweep, while
 * the **timing fingerprint** covers the numeric attribute values
-  (firing times and frequency weights, including numbers captured in
-  closure cells and defaults).
+  (firing times and frequency weights).
 
 Names (of the net, its places, and its transitions) stay out of both
 halves: two structurally identical nets share one solve, and the
@@ -16,15 +15,6 @@ cached payload is re-bound to whichever net asked.  The analyzer keys
 full payloads on ``(structure, timing, method)`` and the reusable
 reachability skeleton (:mod:`repro.gtpn.sweep`) on the structure half
 alone, which is what lets a parameter grid rebuild the graph once.
-
-State-dependent attributes (callables) are fingerprinted through
-their code object (bytecode, constants, referenced names, defaults)
-plus the values captured in their closure cells, which is exactly the
-information that determines their behaviour for the closure-built
-lambdas the architecture models use; numeric cell/default values are
-lifted into the timing half.  A callable without usable code (e.g. a
-C callable) makes the net uncacheable — :func:`fingerprint_net`
-returns ``None`` and the analyzer simply solves it.
 
 The cache is in-memory (bounded LRU) by default.  Setting the
 ``REPRO_CACHE_DIR`` environment variable — or passing ``directory`` to
@@ -40,7 +30,6 @@ import hashlib
 import os
 import pickle
 import threading
-import types
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -70,88 +59,22 @@ class NetFingerprint(NamedTuple):
     """Split content hash of a net.
 
     ``structure`` is invariant across a timing sweep (places, arcs,
-    initial marking, resource tags, attribute *code*); ``timing``
-    hashes the numeric attribute values (delays, frequency weights,
-    numbers captured in closures/defaults).  Compares as a plain tuple,
-    so ``fingerprint_net(a) == fingerprint_net(b)`` means identical
-    full keys and equal ``.structure`` means "same state space shape".
+    gates, initial marking, resource tags, symmetry declarations);
+    ``timing`` hashes the numeric attribute values (delays, frequency
+    weights).  Compares as a plain tuple, so ``fingerprint_net(a) ==
+    fingerprint_net(b)`` means identical full keys and equal
+    ``.structure`` means "same state space shape".
     """
 
     structure: str
     timing: str
 
 
-def _describe_code(code: types.CodeType) -> tuple:
-    consts = tuple(
-        _describe_code(c) if isinstance(c, types.CodeType) else repr(c)
-        for c in code.co_consts)
-    return ("code", code.co_code.hex(), consts, code.co_names,
-            code.co_varnames, code.co_argcount)
-
-
-def _split_captured(value: Any, timing: list) -> Any | None:
-    """Describe one closure-cell/default value, lifting numbers out.
-
-    Non-bool numbers go to *timing* and leave a positional placeholder
-    in the structural description; callables recurse; everything else
-    (bools, strings, tuples of names, ...) is structural.  Returns
-    ``None`` when the value cannot be fingerprinted faithfully.
-    """
-    if isinstance(value, bool):
-        return ("const", repr(value))
-    if isinstance(value, (int, float)):
-        timing.append(repr(value))
-        return ("param",)
-    if callable(value):
-        nested = _split_attr(value)
-        if nested is None:
-            return None
-        desc, nested_timing = nested
-        timing.extend(nested_timing)
-        return desc
-    return ("const", repr(value))
-
-
-def _split_attr(value: Any) -> tuple[tuple, tuple] | None:
-    """``(structure_desc, timing_values)`` for a delay/frequency.
-
-    Returns ``None`` when the attribute cannot be fingerprinted
-    faithfully (no code object, or unreadable closure cells).
-    """
-    timing: list = []
-    if not callable(value):
-        desc = _split_captured(value, timing)
-        return (desc, tuple(timing))
-    code = getattr(value, "__code__", None)
-    if code is None:
-        return None
-    cells: list = []
-    closure = getattr(value, "__closure__", None)
-    if closure:
-        try:
-            contents = [c.cell_contents for c in closure]
-        except ValueError:          # empty cell: still being built
-            return None
-        for item in contents:
-            desc = _split_captured(item, timing)
-            if desc is None:
-                return None
-            cells.append(desc)
-    defaults: list = []
-    for item in getattr(value, "__defaults__", None) or ():
-        desc = _split_captured(item, timing)
-        if desc is None:
-            return None
-        defaults.append(desc)
-    return (("callable", _describe_code(code), tuple(cells),
-             tuple(defaults)), tuple(timing))
-
-
-def fingerprint_net(net) -> NetFingerprint | None:
-    """Split content hash of a net, or ``None`` if uncacheable.
+def fingerprint_net(net) -> NetFingerprint:
+    """Split content hash of a net.
 
     Covers everything the analyzer's numbers depend on — places,
-    initial marking, arcs, delays, frequencies, resources — and
+    initial marking, arcs, gates, delays, frequencies, resources — and
     nothing cosmetic (names, labels), so renamed-but-identical nets
     share a fingerprint.  Numeric attribute values land in the
     ``timing`` half only; everything shaping the state space lands in
@@ -161,21 +84,18 @@ def fingerprint_net(net) -> NetFingerprint | None:
     # declared symmetry groups shape the packed engine's lumping
     # quotient, so they are structural: two nets that differ only in
     # declarations must not share a lumped skeleton
-    for group in getattr(net, "symmetries", ()):
+    for group in net.symmetries:
         structure.append(("sym", tuple(
             (tuple(p_idx), tuple(t_idx)) for p_idx, t_idx
             in group.members)))
     timing: list = []
     for t in net.transitions:
-        delay = _split_attr(t.delay)
-        freq = _split_attr(t.frequency)
-        if delay is None or freq is None:
-            return None
         structure.append((tuple(sorted(t.inputs.items())),
                           tuple(sorted(t.outputs.items())),
-                          delay[0], freq[0], t.resource,
+                          net.gate_indices(t), t.resource,
                           tuple(t.extra_resources)))
-        timing.append((delay[1], freq[1]))
+        timing.append((repr(t.delay), repr(t.frequency)))
+
     def _hash(parts) -> str:
         return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
     return NetFingerprint(_hash(structure), _hash(timing))
@@ -255,13 +175,11 @@ class AnalysisCache:
             self._store_mem(key, payload)
         self._write_disk(key, payload)
 
-    def get_structure(self, structure_fp: str, kind: str = "object"):
+    def get_structure(self, structure_fp: str, kind: str):
         """Cached sweep skeleton for a structure fingerprint, if any.
 
-        ``kind`` separates skeleton families sharing one structure:
-        ``"object"`` (the historical traced-build skeleton, keeping its
-        historical key so old disk tiers stay readable) and
-        ``"packed:<reduction>"`` for the array engine's skeletons.
+        ``kind`` (``"packed:<reduction>"``) separates the skeletons of
+        one structure built under different reduction modes.
 
         Skeleton lookups ride the same LRU/disk tiers as payloads but
         stay out of ``hits``/``misses`` — those stats count *solves
@@ -271,13 +189,11 @@ class AnalysisCache:
                         record_stats=False)
 
     def put_structure(self, structure_fp: str, skeleton: Any,
-                      kind: str = "object") -> None:
+                      kind: str) -> None:
         self.put(self._structure_key(structure_fp, kind), skeleton)
 
     @staticmethod
     def _structure_key(structure_fp: str, kind: str):
-        if kind == "object":
-            return ("skeleton", structure_fp)
         return ("skeleton", structure_fp, kind)
 
     def attach_directory(self, directory: str | os.PathLike) -> None:

@@ -1,4 +1,9 @@
-"""Shared fixtures for the GTPN suite."""
+"""Shared fixtures for the GTPN suite: test-only oracles.
+
+Retired engines live on here, outside the package, as differential
+oracles for the code that replaced them: the augmented-system
+stationary solve and the one-state-at-a-time object reachability walk.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from repro.errors import StateSpaceLimitError
+from repro.gtpn import Net
+from repro.gtpn.packed import compile_packed, packed_build
+from repro.gtpn.state import ExhaustiveResolver, State, TickEngine
 
 
 def augmented_solve(matrix: sp.csr_matrix) -> np.ndarray | None:
@@ -46,3 +56,112 @@ def augmented_solve(matrix: sp.csr_matrix) -> np.ndarray | None:
 def augmented_oracle():
     """The augmented-system solve as a differential-test oracle."""
     return augmented_solve
+
+
+class OracleGraph:
+    """The embedded chain as the object walk builds it: dict rows."""
+
+    def __init__(self, net: Net, states: list, rows: list,
+                 initial: dict, starts: list):
+        self.net = net
+        self.states = states
+        self.rows = rows
+        self.initial = initial
+        self.starts_matrix = np.asarray(starts, dtype=float).reshape(
+            len(states), len(net.transitions))
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(data, indices, indptr)``, columns ascending per row."""
+        data, indices, indptr = [], [], [0]
+        for row in self.rows:
+            for j in sorted(row):
+                indices.append(j)
+                data.append(row[j])
+            indptr.append(len(indices))
+        return (np.array(data), np.array(indices, dtype=np.int64),
+                np.array(indptr, dtype=np.int64))
+
+    @property
+    def init_vec(self) -> np.ndarray:
+        vec = np.zeros(len(self.states))
+        for i, p in self.initial.items():
+            vec[i] = p
+        return vec
+
+    @property
+    def inflight_matrix(self) -> np.ndarray:
+        out = np.zeros((len(self.states), len(self.net.transitions)))
+        for i, state in enumerate(self.states):
+            for t_idx, _remaining in state.inflight:
+                out[i, t_idx] += 1.0
+        return out
+
+
+def object_walk(net: Net, max_states: int = 200_000) -> OracleGraph:
+    """The retired one-state-at-a-time reachability walk, as an oracle.
+
+    Breadth-first over :class:`TickEngine` ticks with the exhaustive
+    resolver: states interned in first-seen order, per-row dict
+    accumulation in branch order, expected starts accumulated branch
+    by branch.  The packed engine replays exactly this float order, so
+    an unreduced packed build must equal it bit for bit.
+    """
+    engine = TickEngine(net)
+    resolver = ExhaustiveResolver()
+    n_transitions = len(net.transitions)
+    index: dict[State, int] = {}
+    states: list[State] = []
+    rows: list[dict[int, float]] = []
+    start_rows: list[list[float]] = []
+
+    def intern(state: State) -> int:
+        found = index.get(state)
+        if found is None:
+            found = index[state] = len(states)
+            states.append(state)
+            rows.append({})
+            start_rows.append([0.0] * n_transitions)
+            if len(states) > max_states:
+                raise StateSpaceLimitError(net.name, len(states),
+                                           len(states) - explored,
+                                           max_states)
+        return found
+
+    explored = 0
+    initial: dict[int, float] = {}
+    for branch in engine.initial_branches(resolver):
+        i = intern(branch.state)
+        initial[i] = initial.get(i, 0.0) + branch.probability
+    while explored < len(states):
+        i = explored
+        explored += 1
+        row, start_row = rows[i], start_rows[i]
+        for branch in engine.tick(states[i], resolver):
+            j = intern(branch.state)
+            row[j] = row.get(j, 0.0) + branch.probability
+            for t_idx, count in enumerate(branch.starts):
+                if count:
+                    start_row[t_idx] += branch.probability * count
+    return OracleGraph(net, states, rows, initial, start_rows)
+
+
+def assert_matches_oracle(net: Net) -> None:
+    """Packed build of *net* is bit-identical to :func:`object_walk`."""
+    oracle = object_walk(net)
+    graph, _skeleton = packed_build(net, compile_packed(net),
+                                    max_states=200_000)
+    assert graph.packed_layout.unpack_all(graph.packed_table) \
+        == oracle.states
+    data, indices, indptr = oracle.csr()
+    assert np.array_equal(graph.matrix.indptr, indptr)
+    assert np.array_equal(graph.matrix.indices, indices)
+    assert np.array_equal(graph.matrix.data, data)
+    assert np.array_equal(graph.init_vec, oracle.init_vec)
+    assert np.array_equal(graph.starts_matrix, oracle.starts_matrix)
+    assert np.array_equal(graph.inflight_matrix, oracle.inflight_matrix)
+
+
+@pytest.fixture(scope="session")
+def oracle_identical():
+    """:func:`assert_matches_oracle` as a differential-test fixture."""
+    return assert_matches_oracle

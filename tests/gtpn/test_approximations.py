@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.gtpn import (Net, activity_pair, analyze, geometric_frequency,
-                        littles_law_population, littles_law_residence)
+from repro.gtpn import (Gate, Net, activity_pair, analyze,
+                        geometric_frequency, littles_law_population,
+                        littles_law_residence)
 
 
 def test_geometric_frequency_inverse_of_mean():
@@ -56,7 +57,7 @@ def test_gated_activity_pair_inhibited_by_context():
     blocker = net.place("Blocker", tokens=1)
     b = net.place("B")
     activity_pair(net, "act", 2.0, inputs=[a], outputs=[b],
-                  gate=lambda ctx: ctx.tokens("Blocker") == 0,
+                  gate=Gate(inhibitors=[blocker]),
                   resource="lambda")
     # blocker present forever: throughput zero, net deadlocks benignly
     result = analyze(net)

@@ -148,3 +148,43 @@ def test_declare_symmetry_rejects_mismatched_delay():
     with pytest.raises(ModelError, match="delay"):
         net.declare_symmetry([(["A0", "B0"], ["t0"]),
                               (["A1", "B1"], ["t1"])])
+
+
+def _gated_replicas(gate_second: bool = True) -> Net:
+    """Two replicas sharing a Host; each replica's work is inhibited
+    while its own Wait place is marked or its own slow step fires."""
+    from repro.gtpn import Gate
+    net = Net("gated-replicas")
+    host = net.place("Host", tokens=1)
+    members = []
+    for k in range(2):
+        ready = net.place(f"Ready{k}", tokens=1)
+        wait = net.place(f"Wait{k}")
+        gate = Gate(inhibitors=[wait], not_firing=[f"slow{k}"]) \
+            if k == 0 or gate_second else None
+        work = net.transition(f"work{k}", delay=1, frequency=0.25,
+                              inputs=[ready, host], outputs=[wait, host],
+                              resource="lambda", gate=gate)
+        slow = net.transition(f"slow{k}", delay=2, frequency=0.5,
+                              inputs=[wait], outputs=[ready])
+        spin = net.transition(f"spin{k}", delay=1, frequency=0.75,
+                              inputs=[ready, host],
+                              outputs=[ready, host], gate=gate)
+        members.append(([ready, wait], [work, slow, spin]))
+    net.declare_symmetry(members)
+    return net
+
+
+def test_gated_replicas_lump_exactly():
+    exact = analyze(_gated_replicas(), reduction="none")
+    lumped = analyze(_gated_replicas(), reduction="lump")
+    assert lumped.state_count < exact.state_count
+    assert abs(lumped.throughput() - exact.throughput()) < TOL
+    for transition in exact.net.transitions:
+        assert abs(lumped.firing_rate(transition.name)
+                   - exact.firing_rate(transition.name)) < TOL
+
+
+def test_symmetry_rejects_replicas_with_different_gates():
+    with pytest.raises(ModelError, match="gate"):
+        _gated_replicas(gate_second=False)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.gtpn import Context, Net
+from repro.gtpn import Gate, Net
 
 
 def test_place_creation_assigns_indices():
@@ -160,7 +160,7 @@ class TestConflictClasses:
         assert net.conflict_classes() == [[0, 1]]
 
 
-class TestContext:
+class TestGate:
     def _net(self):
         net = Net()
         net.place("A", tokens=3)
@@ -169,30 +169,59 @@ class TestContext:
         net.transition("T", delay=1, inputs=[a], outputs=[a])
         return net
 
-    def test_tokens_by_name_and_place(self):
+    def test_gate_accepts_names_and_objects(self):
         net = self._net()
-        ctx = Context(net, (3, 0), [0])
-        assert ctx.tokens("A") == 3
-        assert ctx.tokens(net.get_place("B")) == 0
+        t = net.get_transition("T")
+        by_object = Gate(inhibitors=[net.get_place("B")], not_firing=[t])
+        by_name = Gate(inhibitors=["B"], not_firing=["T"])
+        assert by_object == by_name
+        gated = net.transition("U", delay=1, inputs=[net.get_place("A")],
+                               outputs=[net.get_place("A")],
+                               gate=by_object)
+        assert net.gate_indices(gated) == ((1,), (0,))
+        assert net.gate_indices(t) == ((), ())
 
-    def test_firing_flags(self):
+    def test_gate_may_name_a_later_transition(self):
         net = self._net()
-        ctx = Context(net, (3, 0), [2])
-        assert ctx.firing("T")
-        assert ctx.firing_count("T") == 2
-        ctx2 = Context(net, (3, 0), [0])
-        assert not ctx2.firing("T")
+        a = net.get_place("A")
+        early = net.transition("early", delay=1, inputs=[a], outputs=[a],
+                               gate=Gate(not_firing=["late"]))
+        net.transition("late", delay=1, inputs=[a], outputs=[a])
+        net.validate()
+        assert net.gate_indices(early) == ((), (2,))
 
-    def test_state_dependent_frequency_uses_context(self):
-        net = Net()
-        a = net.place("A", tokens=1)
-        gate = net.place("Gate", tokens=0)
+    def test_gate_label_in_thesis_notation(self):
+        net = self._net()
+        a = net.get_place("A")
         t = net.transition(
-            "T", delay=1,
-            frequency=lambda ctx: 1.0 if ctx.tokens("Gate") == 0 else 0.0,
-            inputs=[a], outputs=[a])
-        open_ctx = Context(net, (1, 0), [0, 0])
-        closed_ctx = Context(net, (1, 1), [0, 0])
-        assert t.eval_frequency(open_ctx) == 1.0
-        assert t.eval_frequency(closed_ctx) == 0.0
-        assert gate.index == 1
+            "U", delay=1, frequency=0.5, inputs=[a], outputs=[a],
+            gate=Gate(inhibitors=["B"], not_firing=["T"]))
+        assert t.frequency_label == "(B = 0) & !T -> 0.5, 0"
+
+    def test_empty_gate_and_unknown_names_rejected(self):
+        with pytest.raises(ModelError):
+            Gate()
+        net = self._net()
+        a = net.get_place("A")
+        net.transition("U", delay=1, inputs=[a], outputs=[a],
+                       gate=Gate(inhibitors=["Missing"]))
+        with pytest.raises(ModelError, match="Missing"):
+            net.validate()
+
+
+def test_callable_attribute_rejected_with_gate_hint():
+    net = Net()
+    a = net.place("A", tokens=1)
+    with pytest.raises(ModelError, match="gate="):
+        net.transition("T", delay=1, frequency=lambda ctx: 1.0,
+                       inputs=[a], outputs=[a])
+    with pytest.raises(ModelError, match="gate="):
+        net.transition("T", delay=lambda ctx: 1, inputs=[a], outputs=[a])
+
+
+def test_negative_frequency_rejected():
+    net = Net()
+    a = net.place("A", tokens=1)
+    with pytest.raises(ModelError, match="frequency"):
+        net.transition("T", delay=1, frequency=-0.5, inputs=[a],
+                       outputs=[a])

@@ -1,24 +1,27 @@
 """Tests for the array-native packed GTPN engine (repro.gtpn.packed).
 
 The contract under test: with ``reduction="none"`` the packed engine is
-*bit-identical* to the historical object walk — same state order, same
-sparse row dicts, same expected-start vectors, same stationary vector —
-on nets covering multi-tick delays, immediate transitions, multi-token
-places and conflict classes.  Plus the supporting machinery: the
-pack/unpack round trip, the vectorized row interner, and the structured
-state-space limit error.
+*bit-identical* to the object walk kept as a test oracle
+(``conftest.object_walk``) — same state order, same CSR arrays, same
+initial vector, same expected-start and in-flight matrices — on nets
+covering multi-tick delays, immediate transitions, multi-token places,
+conflict classes and declared gates, including every gated model net.
+Plus the supporting machinery: the pack/unpack round trip, the
+vectorized row interner, and the structured state-space limit error.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import StateSpaceLimitError
-from repro.gtpn import Net, activity_pair
-from repro.gtpn.markov import stationary_distribution
-from repro.gtpn.packed import (_Interner, _unique_rows_first_seen,
-                               compile_packed, packed_build,
-                               packed_retime)
-from repro.gtpn.reachability import _build_object_graph
+from repro.errors import AnalysisError, ModelError, StateSpaceLimitError
+from repro.gtpn import Gate, Net, activity_pair
+from repro.gtpn.packed import (SkeletonMismatch, _Interner,
+                               _unique_rows_first_seen, compile_packed,
+                               packed_build, packed_retime)
+from repro.models import (build_nonlocal_client_net,
+                          build_nonlocal_server_net)
 from repro.models.local import build_local_net
 from repro.models.params import Architecture
 
@@ -65,30 +68,153 @@ def _conflict_net() -> Net:
     return net
 
 
-NETS = [_cycle_net, _immediate_net, _conflict_net,
+def _gated_net() -> Net:
+    """Gates reading a delay-2 target and an earlier settle round.
+
+    ``hop`` (immediate) deposits the token ``gated`` needs, so
+    ``gated`` first competes in the round after ``slow`` (delay 2) and
+    ``quick`` started: its gate must see those firings in flight, and
+    a ``slow`` firing carried over from the previous tick as well.
+    ``drained`` is itself a delay-2 transition behind a gate.
+    """
+    net = Net("gated")
+    a = net.place("A", tokens=2)
+    b = net.place("B")
+    c = net.place("C", tokens=1)
+    d = net.place("D")
+    busy = net.place("Busy")
+    net.transition("slow", delay=2, frequency=0.5, inputs=[a],
+                   outputs=[b])
+    net.transition("quick", delay=1, frequency=0.5, inputs=[a],
+                   outputs=[b])
+    net.transition("back", delay=1, inputs=[b], outputs=[a])
+    net.transition("hop", delay=0, inputs=[c], outputs=[d])
+    net.transition("gated", delay=1, frequency=0.25, inputs=[d],
+                   outputs=[c, busy], resource="lambda",
+                   gate=Gate(not_firing=["slow"]))
+    net.transition("other", delay=3, frequency=0.75, inputs=[d],
+                   outputs=[c])
+    net.transition("drain", delay=1, inputs=[busy], outputs=[])
+    net.transition("drained", delay=2, frequency=0.5, inputs=[c],
+                   outputs=[c], gate=Gate(inhibitors=["Busy"],
+                                          not_firing=["quick", "hop"]))
+    return net
+
+
+NETS = [_cycle_net, _immediate_net, _conflict_net, _gated_net,
         lambda: build_local_net(Architecture.I, 2),
         lambda: build_local_net(Architecture.II, 2)]
 
 
-def _assert_bit_identical(og, pg):
-    assert og.states == pg.states
-    assert og.probabilities == pg.probabilities
-    assert og.initial == pg.initial
-    assert all((a == b).all() for a, b in
-               zip(og.expected_starts, pg.expected_starts))
-    assert all(tuple(a) == tuple(b) for a, b in
-               zip(og.inflight_counts, pg.inflight_counts))
-
-
 @pytest.mark.parametrize("make", NETS, ids=lambda f: "net")
-def test_packed_build_is_bit_identical_to_object_walk(make):
-    net = make()
-    og = _build_object_graph(net, 200_000)
-    pnet = compile_packed(net)
-    assert pnet is not None
-    pg, _ = packed_build(net, pnet, max_states=200_000)
-    _assert_bit_identical(og, pg)
-    assert (stationary_distribution(og) == stationary_distribution(pg)).all()
+def test_packed_build_is_bit_identical_to_object_walk(oracle_identical,
+                                                      make):
+    oracle_identical(make())
+
+
+@pytest.mark.parametrize("hosts", [1, 2])
+@pytest.mark.parametrize("arch", [Architecture.I, Architecture.II,
+                                  Architecture.III], ids=str)
+def test_gated_model_nets_bit_identical_to_object_walk(oracle_identical,
+                                                       arch, hosts):
+    """Every gated client and server net the fixed point builds."""
+    for n in (1, 2, 3, 4):
+        for surrogate in (3000.0, 450.0):
+            oracle_identical(build_nonlocal_client_net(
+                arch, n, surrogate, hosts=hosts))
+            oracle_identical(build_nonlocal_server_net(
+                arch, n, surrogate, hosts=hosts))
+
+
+def test_gated_off_member_leaves_the_weighted_choice():
+    """A closed gate acts exactly as frequency zero: with the
+    inhibitor marked, a gated 0.25 member and an ungated 0.75 member
+    split 0 / 1, not 0.25 / 0.75 renormalized to anything else."""
+    net = Net("inhibited")
+    ready = net.place("Ready", tokens=1)
+    block = net.place("Block", tokens=1)
+    net.transition("g", delay=1, frequency=0.25, inputs=[ready],
+                   outputs=[ready], gate=Gate(inhibitors=[block]))
+    net.transition("u", delay=1, frequency=0.75, inputs=[ready],
+                   outputs=[ready], resource="lambda")
+    graph, _ = packed_build(net, compile_packed(net), max_states=100)
+    assert graph.state_count == 1
+    assert graph.starts_matrix.tolist() == [[0.0, 1.0]]
+
+
+@st.composite
+def gated_nets(draw):
+    """Small conservative nets with immediate transitions and random
+    declarative gates over random places and transitions."""
+    n_places = draw(st.integers(2, 4))
+    n_transitions = draw(st.integers(2, 5))
+    tokens = draw(st.lists(st.integers(0, 2), min_size=n_places,
+                           max_size=n_places))
+    if sum(tokens) == 0:
+        tokens[0] = 1
+    net = Net("random-gated")
+    places = [net.place(f"P{i}", tokens=tokens[i])
+              for i in range(n_places)]
+    names = [f"T{t}" for t in range(n_transitions)]
+    for t, name in enumerate(names):
+        gate = None
+        if draw(st.booleans()):
+            inhibitors = draw(st.lists(st.sampled_from(places),
+                                       max_size=2, unique=True))
+            fired = draw(st.lists(st.sampled_from(names), max_size=2,
+                                  unique=True))
+            if inhibitors or fired:
+                gate = Gate(inhibitors=inhibitors, not_firing=fired)
+        # immediate transitions must not loop to themselves, or a
+        # settle could cycle forever in zero time
+        source = draw(st.integers(0, n_places - 1))
+        target = draw(st.integers(0, n_places - 1))
+        delay = draw(st.integers(0, 2))
+        if delay == 0 and target <= source:
+            delay = 1
+        net.transition(name, delay=delay,
+                       frequency=draw(st.floats(0.1, 1.0)),
+                       inputs=[places[source]], outputs=[places[target]],
+                       gate=gate)
+    return net
+
+
+@settings(max_examples=60, deadline=None)
+@given(gated_nets())
+@example(_gated_net())
+def test_property_random_gated_nets_bit_identical(oracle_identical, net):
+    """Random gates over random places and transitions, immediates
+    included; the explicit example pins a delay-2 gate target and a
+    target started in an earlier settle round of the same tick."""
+    oracle_identical(net)
+
+
+def test_gate_with_unknown_name_rejected():
+    net = Net("typo")
+    a = net.place("A", tokens=1)
+    net.transition("t", delay=1, inputs=[a], outputs=[a],
+                   gate=Gate(not_firing=["nope"]))
+    with pytest.raises(ModelError, match="nope"):
+        compile_packed(net)
+
+
+def test_retime_rejects_a_changed_gate():
+    """Gates are structure: a skeleton never re-times across them."""
+    def make(gate):
+        net = Net("g")
+        a = net.place("A", tokens=1)
+        b = net.place("B")
+        net.transition("t", delay=1, frequency=0.5, inputs=[a],
+                       outputs=[b], gate=gate)
+        net.transition("u", delay=2, frequency=0.5, inputs=[a],
+                       outputs=[b])
+        net.transition("back", delay=1, inputs=[b], outputs=[a])
+        return net
+    net = make(Gate(not_firing=["u"]))
+    _, skeleton = packed_build(net, compile_packed(net), max_states=100)
+    with pytest.raises(SkeletonMismatch, match="gates"):
+        packed_retime(skeleton, make(Gate(not_firing=["back"])),
+                      max_states=100)
 
 
 @pytest.mark.parametrize("make", NETS, ids=lambda f: "net")
@@ -108,10 +234,8 @@ def test_pack_unpack_round_trip():
     pnet = compile_packed(net)
     graph, _ = packed_build(net, pnet, max_states=200_000)
     layout = graph.packed_layout
-    for state, row in zip(graph.states, graph.packed_table):
-        assert layout.unpack(row) == state
-        assert (layout.pack(state) == row).all()
-    assert layout.unpack_all(graph.packed_table) == graph.states
+    for row in graph.packed_table:
+        assert (layout.pack(layout.unpack(row)) == row).all()
 
 
 def test_interner_assigns_first_seen_ids_and_is_stable():
@@ -146,6 +270,13 @@ def test_state_space_limit_error_is_structured():
     assert error.frontier_size > 0
     assert error.max_states == 100
     assert "reduction='lump'" in str(error)
-    # the object walk raises the same structured error
-    with pytest.raises(StateSpaceLimitError):
-        _build_object_graph(net, 100)
+
+
+def test_class_member_cap_is_an_analysis_error():
+    """The 40-bit factor mask bounds a conflict class's members."""
+    net = Net("wide")
+    ready = net.place("Ready", tokens=1)
+    for k in range(41):
+        net.transition(f"t{k}", delay=1, inputs=[ready], outputs=[ready])
+    with pytest.raises(AnalysisError, match="40"):
+        compile_packed(net)

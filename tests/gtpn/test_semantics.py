@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AnalysisError
-from repro.gtpn import Net, TickEngine
+from repro.gtpn import Gate, Net, TickEngine
 from repro.gtpn.state import ExhaustiveResolver, State
 
 
@@ -179,13 +179,36 @@ def test_state_dependent_gate_inhibits_class():
     a = net.place("A", tokens=1)
     gate = net.place("Gate", tokens=1)
     b = net.place("B")
-    net.transition(
-        "T", delay=1,
-        frequency=lambda ctx: 1.0 if ctx.tokens("Gate") == 0 else 0.0,
-        inputs=[a], outputs=[b])
+    net.transition("T", delay=1, inputs=[a], outputs=[b],
+                   gate=Gate(inhibitors=[gate]))
     (branch,) = branches_of(net)
     assert branch.state.marking == (1, 1, 0)   # nothing moved
     assert gate.index == 1
+
+
+def test_gate_reads_firings_started_in_earlier_settle_rounds():
+    """``hop`` (immediate) frees the token ``late`` needs, so ``late``
+    competes one settle round after ``slow`` started: it must see
+    ``slow`` in flight and stay inhibited for the whole tick."""
+    net = Net()
+    a = net.place("A", tokens=1)
+    c = net.place("C", tokens=1)
+    d = net.place("D")
+    net.transition("slow", delay=2, inputs=[a], outputs=[a])
+    net.transition("hop", delay=0, inputs=[c], outputs=[d])
+    net.transition("late", delay=1, inputs=[d], outputs=[c],
+                   gate=Gate(not_firing=["slow"]))
+    (branch,) = branches_of(net)
+    assert branch.starts == (1, 1, 0)
+    assert branch.state.marking == (0, 0, 1)
+    # next tick ``slow`` (delay 2) is still in flight after the
+    # advance; the tick after, it completes, and ``late`` competes in
+    # the same round as the restarting ``slow``, so it goes
+    engine = TickEngine(net)
+    (second,) = engine.tick(branch.state, ExhaustiveResolver())
+    assert second.starts == (0, 0, 0)
+    (third,) = engine.tick(second.state, ExhaustiveResolver())
+    assert third.starts == (1, 0, 1)
 
 
 def test_probabilities_sum_to_one_across_branches():

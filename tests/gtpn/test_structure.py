@@ -137,7 +137,7 @@ def test_property_invariants_hold_at_reachable_states(conversations,
     weights = {"Clients": 1, "SendReq": 1, "MsgQueued": 1,
                "ServerReady": 1, "ReplyReq": 1}
     graph = build_reachability_graph(net)
-    for state in graph.states:
+    for state in graph.packed_layout.unpack_all(graph.packed_table):
         total = sum(state.marking[net.place_index(name)] * weight
                     for name, weight in weights.items())
         # tokens held by in-flight firings count at their weights

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gtpn import Net, activity_pair, analyze
+from repro.gtpn import Gate, Net, activity_pair, analyze
+from repro.gtpn.packed import packed_build, packed_retime
 from repro.gtpn.sweep import (SkeletonMismatch, SweepSolver, retime,
                               sweep_analyze, traced_build)
 from repro.perf import set_cache_enabled
@@ -29,18 +30,17 @@ def _cache_off():
 
 def _grid_net(f1: float, f2: float, mean: float) -> Net:
     """One structure, three timing knobs: a conflict class (f1 vs f2),
-    a state-dependent frequency, and a geometric activity pair."""
+    a gated member, and a geometric activity pair."""
     net = Net("sweep-grid")
-    ready = net.place("Ready", tokens=1)
+    ready = net.place("Ready", tokens=2)
     a = net.place("A")
     b = net.place("B")
     done = net.place("Done")
     net.transition("Ta", delay=1, frequency=f1,
                    inputs=[ready], outputs=[a])
-    net.transition("Tb", delay=2,
-                   frequency=lambda ctx: f2 if ctx.tokens("Done") == 0
-                   else f1,
-                   inputs=[ready], outputs=[b])
+    net.transition("Tb", delay=2, frequency=f2,
+                   inputs=[ready], outputs=[b],
+                   gate=Gate(inhibitors=["Done"], not_firing=["join"]))
     activity_pair(net, "work", mean, inputs=[a], outputs=[done])
     net.transition("join", delay=1, inputs=[b], outputs=[done])
     net.transition("loop", delay=1, inputs=[done], outputs=[ready],
@@ -52,9 +52,22 @@ def _assert_identical(a, b):
     assert a.throughput() == b.throughput()
     assert (a.pi == b.pi).all()
     assert a.state_count == b.state_count
-    assert a.graph.probabilities == b.graph.probabilities
-    assert all(np.array_equal(x, y) for x, y in
-               zip(a.graph.expected_starts, b.graph.expected_starts))
+    assert (a.graph.matrix != b.graph.matrix).nnz == 0
+    assert np.array_equal(a.graph.matrix.data, b.graph.matrix.data)
+    assert np.array_equal(a.graph.starts_matrix, b.graph.starts_matrix)
+    assert np.array_equal(a.graph.init_vec, b.graph.init_vec)
+
+
+def test_legacy_entry_point_names_are_the_packed_engine():
+    """The old build/retime names resolve to the one engine itself —
+    aliases, not wrappers, so a call through either is one call."""
+    import repro.gtpn.sweep as sweep
+    assert sweep.__dict__["traced_build"] is packed_build
+    assert sweep.__dict__["retime"] is packed_retime
+
+
+def test_sweep_grid_net_matches_object_walk(oracle_identical):
+    oracle_identical(_grid_net(0.5, 0.5, 4.0))
 
 
 # ----------------------------------------------------------------------
@@ -115,20 +128,6 @@ def test_sweep_analyze_parallel_matches_pointwise():
         _assert_identical(swept, analyze(_grid_net(*point)))
 
 
-def test_object_retime_reuses_csr_plan_across_points():
-    """The CSR replay plan (successor targets, program gather indices)
-    is a pure function of the skeleton, so an object-path sweep must
-    build it once on the first replay and reuse it for every later
-    point of the same structure."""
-    solver = SweepSolver(cache=None)
-    for f2 in (0.3, 0.4, 0.5, 0.6):
-        solver.analyze(_grid_net(0.5, f2, 3.0))
-    assert solver.stats.skeleton_builds == 1
-    assert solver.stats.points_retimed == 3
-    assert solver.stats.csr_plans_built == 1
-    assert solver.stats.csr_plan_reuses == 2
-
-
 # ----------------------------------------------------------------------
 # rebuild fallback: timing changes that invalidate the skeleton
 # ----------------------------------------------------------------------
@@ -139,7 +138,7 @@ def _delay_net(d: int, f: float = 0.5) -> Net:
     done = net.place("Done")
     net.transition("Ta", delay=2, frequency=f,
                    inputs=[ready], outputs=[done])
-    net.transition("Tb", delay=lambda ctx: d,
+    net.transition("Tb", delay=d,
                    frequency=1.0 - f if f < 1.0 else 0.5,
                    inputs=[ready], outputs=[done])
     net.transition("loop", delay=1, inputs=[done], outputs=[ready],
@@ -147,29 +146,31 @@ def _delay_net(d: int, f: float = 0.5) -> Net:
     return net
 
 
-def test_retime_rejects_changed_dynamic_delay():
+def test_retime_rejects_changed_static_delay():
+    """Delays sit in the timing half of the key, but remaining-tick
+    counters live inside the states: a changed delay must rebuild."""
     net = _delay_net(2)
-    _graph, skeleton = traced_build(net)
+    _graph, skeleton = traced_build(net, max_states=1_000)
     changed = _delay_net(3)
     assert fingerprint_net(changed).structure == \
         fingerprint_net(net).structure
     with pytest.raises(SkeletonMismatch):
-        retime(skeleton, changed)
+        retime(skeleton, changed, max_states=1_000)
 
 
 def test_retime_rejects_frequency_mask_flip():
     net = _grid_net(0.5, 0.5, 4.0)
-    _graph, skeleton = traced_build(net)
+    _graph, skeleton = traced_build(net, max_states=1_000)
     # Ta's frequency drops to zero: the conflict class resolves to a
     # different member set, so the recorded branches no longer apply
     with pytest.raises(SkeletonMismatch):
-        retime(skeleton, _grid_net(0.0, 0.5, 4.0))
+        retime(skeleton, _grid_net(0.0, 0.5, 4.0), max_states=1_000)
 
 
 def test_solver_falls_back_to_rebuild_on_mismatch():
     solver = SweepSolver(cache=None)
     first = solver.analyze(_delay_net(2))
-    second = solver.analyze(_delay_net(3))     # dynamic delay changed
+    second = solver.analyze(_delay_net(3))     # delay changed
     assert solver.stats.mismatches == 1
     assert solver.stats.skeleton_builds == 2
     _assert_identical(first, analyze(_delay_net(2)))

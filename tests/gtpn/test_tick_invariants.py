@@ -29,7 +29,7 @@ def test_branch_probabilities_sum_to_one_everywhere(net):
     graph = build_reachability_graph(net)
     engine = TickEngine(net)
     resolver = ExhaustiveResolver()
-    for state in graph.states:
+    for state in graph.packed_layout.unpack_all(graph.packed_table):
         branches = engine.tick(state, resolver)
         total = sum(branch.probability for branch in branches)
         assert total == pytest.approx(1.0, abs=1e-9)

@@ -113,3 +113,79 @@ class TestIterativeSolution:
         assert len(solution.history) == solution.iterations
         assert solution.round_trip_time == pytest.approx(
             2 / solution.throughput)
+
+
+class TestMonteCarloIdentity:
+    """Seeded Monte Carlo streams of the gated nets, pinned exactly.
+
+    The interrupt gates are evaluated by the tick engine during every
+    sampled settle round; these figures were recorded before the gates
+    became declarative net structure, so any change to which members a
+    gate admits, or to the order of the weighted choices, shifts the
+    random stream and fails here (and would move the ``repro
+    validate`` Monte Carlo figures).
+    """
+
+    def test_client_stream(self):
+        from repro.gtpn import simulate, simulate_with_confidence
+        ci = simulate_with_confidence(
+            build_nonlocal_client_net(Architecture.II, 2, 3000.0),
+            resource="lambda", batches=3, batch_ticks=20_000,
+            warmup=2_000, seed=7)
+        assert ci.batch_means == [0.00025, 0.0003, 0.00025]
+        assert ci.mean == 0.0002666666666666666
+        assert ci.half_width == 7.171666666666663e-05
+        run = simulate(build_nonlocal_client_net(Architecture.II, 2,
+                                                 3000.0),
+                       ticks=20_000, seed=7)
+        assert {name: run._starts.get(run.net.transition_index(name), 0)
+                for name in ("send.loop", "process_send.loop",
+                             "dma_out.loop", "server_delay.loop",
+                             "dma_in.loop", "cleanup.loop", "dispatch",
+                             "send")} == {
+            "send.loop": 4062, "process_send.loop": 11941,
+            "dma_out.loop": 975, "server_delay.loop": 8176,
+            "dma_in.loop": 1587, "cleanup.loop": 2976, "dispatch": 5,
+            "send": 6}
+
+    def test_server_stream(self):
+        from repro.gtpn import simulate, simulate_with_confidence
+        ci = simulate_with_confidence(
+            build_nonlocal_server_net(Architecture.II, 2, 3000.0),
+            resource="lambda_in", batches=3, batch_ticks=20_000,
+            warmup=2_000, seed=7)
+        assert ci.batch_means == [0.00025, 0.0003, 0.0002]
+        assert ci.mean == 0.00024999999999999995
+        assert ci.half_width == 0.00012421691041614795
+        run = simulate(build_nonlocal_server_net(Architecture.II, 2,
+                                                 3000.0),
+                       ticks=20_000, seed=7)
+        assert {name: run._starts.get(run.net.transition_index(name), 0)
+                for name in ("receive.loop", "process_receive.loop",
+                             "client_wait.loop", "match.loop",
+                             "serve.loop", "process_reply.loop",
+                             "process_reply")} == {
+            "receive.loop": 2269, "process_receive.loop": 2325,
+            "client_wait.loop": 12784, "match.loop": 6349,
+            "serve.loop": 4980, "process_reply.loop": 2852,
+            "process_reply": 4}
+
+
+def test_fixed_point_span_carries_convergence_attributes():
+    from repro import obs
+    with obs.recording() as recorder:
+        solution = solve_nonlocal(Architecture.II, 2, 0.0)
+    (span,) = [s for s in recorder.spans
+               if s.name == "models.fixed_point"]
+    assert span.attrs["architecture"] == "II"
+    assert span.attrs["conversations"] == 2
+    assert span.attrs["iterations"] == solution.iterations
+    last = solution.history[-1]
+    assert span.attrs["sd_step"] == pytest.approx(
+        abs(last.new_server_delay - last.server_delay)
+        / last.server_delay)
+    assert span.attrs["sd_step"] <= 1e-3
+    # both sides' solves, every iteration, nest inside the fixed point
+    inner = [s for s in recorder.spans if s.name == "gtpn.solve"]
+    assert len(inner) == 2 * solution.iterations
+    assert {s.parent_id for s in inner} == {span.span_id}

@@ -37,9 +37,11 @@ def test_nonlocal_client_table_gates_marked():
     """Table 6.7 (arch I client): syscall send inhibited during
     interrupt processing."""
     rows = {r.name: r for r in model_transition_rows("table-6.7")}
-    assert rows["send"].frequency == "<gate> -> 1/1314.9, 0"
+    assert rows["send"].frequency == (
+        "(NetIntr = 0) & (IntrSvc = 0) & !cleanup & !cleanup.loop "
+        "-> 1/1314.9, 0")
     assert rows["cleanup"].frequency == "1/982"
-    assert rows["dma_in"].frequency.startswith("<gate>")
+    assert rows["dma_in"].frequency.startswith("(NetIntr = 0)")
 
 
 def test_server_table_has_interrupt_dispatch():
@@ -47,7 +49,7 @@ def test_server_table_has_interrupt_dispatch():
     assert rows["dispatch"].delay == "0"
     assert rows["match"].frequency == "1/1812.5"
     assert rows["process_reply"].frequency == \
-        "<gate> -> 1/1124, 0"
+        "(NetIntr = 0) & (IntrSvc = 0) & !match & !match.loop -> 1/1124, 0"
 
 
 def test_every_table_renders_nonempty():
@@ -65,7 +67,7 @@ def test_exit_loop_frequencies_complementary():
             if name.endswith(".loop"):
                 base = rows[name[:-5]]
                 expected = base.frequency.replace("1/", "1 - 1/") \
-                    if not base.frequency.startswith("<gate>") else \
+                    if "->" not in base.frequency else \
                     base.frequency.replace("-> 1/", "-> 1 - 1/")
                 assert row.frequency == expected, name
 

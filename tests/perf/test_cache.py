@@ -71,38 +71,38 @@ def test_fingerprint_distinguishes_initial_marking():
     assert fingerprint_net(net) != fingerprint_net(other)
 
 
-def test_fingerprint_covers_closure_values():
-    def freq_net(rate):
-        net = Net("freq")
+def test_fingerprint_structure_covers_gates():
+    """Two nets differing only in a gate — an inhibitor place or a
+    not-firing transition — must never share a skeleton or payload."""
+    from repro.gtpn import Gate
+
+    def gated_net(gate):
+        net = Net("gated")
         ready = net.place("Ready", tokens=1)
         done = net.place("Done")
-        net.transition("go", delay=1,
-                       frequency=lambda ctx: rate,
-                       inputs=[ready], outputs=[done],
-                       resource="lambda")
+        net.place("Block")
+        net.transition("go", delay=1, frequency=0.5, inputs=[ready],
+                       outputs=[done], resource="lambda", gate=gate)
+        net.transition("wait", delay=2, frequency=0.5, inputs=[ready],
+                       outputs=[done])
         net.transition("back", delay=1, inputs=[done], outputs=[ready])
         return net
 
-    same = fingerprint_net(freq_net(0.5))
-    assert fingerprint_net(freq_net(0.5)) == same
-    assert fingerprint_net(freq_net(0.25)) != same
-
-
-def test_uncacheable_callable_yields_none():
-    import functools
-    net = Net("partial")
-    ready = net.place("Ready", tokens=1)
-    done = net.place("Done")
-    net.transition("go", delay=1,
-                   frequency=functools.partial(lambda ctx, v: v, v=1.0),
-                   inputs=[ready], outputs=[done])
-    net.transition("back", delay=1, inputs=[done], outputs=[ready])
-    assert fingerprint_net(net) is None
-    # the analyzer must still solve it (no cache participation)
+    plain = fingerprint_net(gated_net(None))
+    inhibited = fingerprint_net(gated_net(Gate(inhibitors=["Block"])))
+    by_place = fingerprint_net(gated_net(Gate(inhibitors=["Done"])))
+    not_firing = fingerprint_net(gated_net(Gate(not_firing=["wait"])))
+    by_transition = fingerprint_net(gated_net(Gate(not_firing=["back"])))
+    structures = {fp.structure for fp in (plain, inhibited, by_place,
+                                          not_firing, by_transition)}
+    assert len(structures) == 5
+    # the timing half is blind to gates: only structure tells them apart
+    assert len({fp.timing for fp in (plain, inhibited, not_firing)}) == 1
+    # ... and the analyzer keys on it: no cross-gate payload hit
     cache = AnalysisCache()
-    result = analyze(net, cache=cache)
-    assert result.state_count > 0
-    assert len(cache) == 0
+    analyze(gated_net(Gate(not_firing=["wait"])), cache=cache)
+    analyze(gated_net(Gate(not_firing=["back"])), cache=cache)
+    assert cache.hits == 0 and cache.misses == 2
 
 
 def test_disk_tier_shares_solves(tmp_path):
