@@ -5,14 +5,16 @@ prints it (run with ``-s`` to see the artifacts inline); timing is
 recorded by pytest-benchmark.  Heavy experiments run a single round.
 
 Benchmarks may additionally call the ``perf_record`` fixture to log a
-timing record (state counts, wall times, speedups); at session end all
-records are written to ``BENCH_perf.json`` at the repo root, giving
-each PR a comparable snapshot of the perf trajectory.
+timing record (state counts, wall times, speedups); at session end the
+session's records are merged by ``bench`` name into ``BENCH_perf.json``
+at the repo root, so running one bench file refreshes its own records
+and keeps every other bench's.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 from pathlib import Path
 
@@ -61,13 +63,34 @@ def perf_record():
     return recorder
 
 
+def merge_bench_records(path: Path, records: list[dict]) -> dict:
+    """The ``BENCH_perf.json`` payload after merging in *records*.
+
+    A stored record whose ``bench`` name one of *records* carries is
+    replaced in place, new names are appended, and every other stored
+    record is kept as it was.  A missing or unreadable file starts
+    fresh.  Each new record is stamped with this machine's ``nproc``.
+    """
+    try:
+        stored = json.loads(path.read_text())["records"]
+        if not all(isinstance(record, dict) for record in stored):
+            raise TypeError("records are not a list of objects")
+    except (OSError, ValueError, KeyError, TypeError):
+        stored = []
+    fresh = {record["bench"]: dict(record, nproc=os.cpu_count())
+             for record in records}
+    merged = [fresh.pop(record.get("bench"), record) for record in stored]
+    merged.extend(fresh.values())
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "records": merged,
+    }
+
+
 def pytest_sessionfinish(session, exitstatus):
     if not _PERF_RECORDS:
         return
-    payload = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "records": _PERF_RECORDS,
-    }
+    payload = merge_bench_records(PERF_JSON_PATH, _PERF_RECORDS)
     PERF_JSON_PATH.write_text(json.dumps(payload, indent=2,
                                          sort_keys=True) + "\n")

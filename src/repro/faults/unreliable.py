@@ -8,14 +8,16 @@ schedule that cannot fault short-circuits to the wrapped wire, so the
 reliable ring is the exact zero-fault special case — same events,
 same order, same packet log.
 
-All packets (including dropped and duplicate ones) are recorded in
-the underlying wire's packet log with a ``status`` annotation, so
-loss accounting is inspectable through the usual
-``system.wire.packets`` / ``counts_by_*`` interfaces.
+All packets (including dropped and duplicate ones) are recorded
+through the underlying wire's ``record`` with a ``status``
+annotation, so loss accounting is inspectable through the usual
+``system.wire.packets`` (a bounded recent window) and the exact
+``packet_count`` / ``counts_by_*`` interfaces.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,7 +59,7 @@ class UnreliableNetwork:
         return self.wire.latency_us
 
     @property
-    def packets(self) -> list[PacketRecord]:
+    def packets(self) -> deque[PacketRecord]:
         return self.wire.packets
 
     @property
@@ -90,9 +92,7 @@ class UnreliableNetwork:
         delay = self.wire.latency_us + fate.extra_delay_us
 
         def record(status: str) -> None:
-            self.wire.packets.append(PacketRecord(
-                source=source, destination=destination, kind=kind,
-                sent_at=now, status=status))
+            self.wire.record(source, destination, kind, status)
 
         if self.schedule.is_down(source, now) or \
                 self.schedule.is_down(destination, now + delay):

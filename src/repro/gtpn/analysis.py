@@ -161,7 +161,7 @@ def analyze(net: Net, *, method: str = "auto",
     with obs.span("gtpn.analyze", net=net.name, method=method) as root:
         store = cache if cache is not None else (
             get_cache() if cache_enabled() else None)
-        closed = None
+        closed = plan = None
         if store is not None:
             fingerprint = fingerprint_net(net)
             key = (fingerprint.structure, fingerprint.timing, method,
@@ -176,9 +176,11 @@ def analyze(net: Net, *, method: str = "auto",
             # change that alters branch resolution rebuilds)
             from repro.gtpn.sweep import acquire_graph
             with obs.span("gtpn.build"):
-                graph, closed = acquire_graph(net, fingerprint.structure,
-                                              max_states, store,
-                                              reduction=reduction)
+                graph, skeleton = acquire_graph(net, fingerprint.structure,
+                                                max_states, store,
+                                                reduction=reduction)
+            closed = skeleton.closed_class_count()
+            plan = skeleton.solve_plan()
         else:
             with obs.span("gtpn.build"):
                 graph = build_reachability_graph(net,
@@ -186,7 +188,7 @@ def analyze(net: Net, *, method: str = "auto",
                                                  reduction=reduction)
         with obs.span("gtpn.solve", states=graph.state_count):
             pi = stationary_distribution(graph, method=method,
-                                         closed_classes=closed)
+                                         closed_classes=closed, plan=plan)
         result = AnalysisResult(net=net, graph=graph, pi=pi)
         if store is not None:
             store.put(key, _payload(result))

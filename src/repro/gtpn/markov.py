@@ -7,7 +7,11 @@ the vector only if it passes a fixed-point residual gate.  The
 architecture models of chapter 6 produce irreducible chains (every
 conversation cycles forever); anything the gate rejects, such as a
 chain whose pinned state is transient, falls back to power iteration,
-which is counted (``markov.solve_fallback``).  Each accepted direct
+which is counted (``markov.solve_fallback``).  The structural half of
+that solve (fill-reducing column order, block assembly gathers) is a
+:class:`SolvePlan`, a function of the sparsity pattern alone, which
+the sweep skeleton builds once per structure (``markov.plan.build``)
+and every re-timed solve reuses.  Each accepted direct
 solve counts its method (``markov.method.lu`` or
 ``markov.method.ilu_gmres``) and records its residual
 (``markov.residual``).
@@ -20,6 +24,8 @@ path, which settles into exactly one of the closed classes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -28,6 +34,7 @@ from scipy.sparse.csgraph import connected_components
 from repro import obs
 from repro.errors import AnalysisError
 from repro.gtpn.reachability import ReachabilityGraph
+from repro.obs.clock import perf_now
 
 
 def transition_matrix(graph: ReachabilityGraph) -> sp.csr_matrix:
@@ -40,6 +47,7 @@ def stationary_distribution(graph: ReachabilityGraph,
                             tol: float = 1e-12,
                             max_iterations: int = 2_000_000,
                             closed_classes: int | None = None,
+                            plan: SolvePlan | None = None,
                             ) -> np.ndarray:
     """Stationary distribution pi of the embedded chain.
 
@@ -48,7 +56,10 @@ def stationary_distribution(graph: ReachabilityGraph,
     caller that already knows the chain's closed communicating class
     count (the sweep skeleton computes it once per structure) skip the
     strongly-connected-components pass; the reducibility refusal is
-    identical either way.
+    identical either way.  ``plan`` is the chain's cached
+    :class:`SolvePlan` (the skeleton keeps one per structure); without
+    one the direct solve plans from the matrix's own pattern, which
+    gives the same vector.
     """
     matrix = transition_matrix(graph)
     if method not in ("auto", "linear", "power"):
@@ -61,7 +72,7 @@ def stationary_distribution(graph: ReachabilityGraph,
             "classes); the stationary distribution is not unique")
     if method in ("auto", "linear"):
         try:
-            pi = _solve_linear(matrix)
+            pi = _solve_linear(matrix, plan)
             if pi is not None:
                 return pi
         except (np.linalg.LinAlgError, ValueError):
@@ -103,39 +114,127 @@ def _closed_class_count(matrix: sp.csr_matrix) -> int:
 _GMRES_THRESHOLD = 10_000
 
 
-def _solve_linear(matrix: sp.csr_matrix) -> np.ndarray | None:
+@dataclass(frozen=True, eq=False)
+class SolvePlan:
+    """The value-free structure of one chain's deflated solve.
+
+    Built by :func:`build_solve_plan` from the CSR pattern of P alone,
+    so every chain with that pattern (a sweep re-times one skeleton
+    many times) shares it: the fill-reducing column order of the
+    block, and gathers that assemble the block's CSC data (columns
+    already in that order) and the right-hand side straight from
+    ``P.data``.  Structure arrays only, never factors: about 14 bytes
+    per nonzero of P.
+    """
+
+    n: int                      # states
+    nnz: int                    # stored entries of P
+    order: np.ndarray           # block column k is column order[k]
+    indptr: np.ndarray          # CSC pattern of the ordered block
+    indices: np.ndarray
+    gather: np.ndarray          # block data <- P.data, nnz is a 0 slot
+    diagonal: np.ndarray        # block data slots of the -1 diagonal
+    rhs_index: np.ndarray       # rhs[rhs_index] = -P.data[rhs_source]
+    rhs_source: np.ndarray
+
+
+def build_solve_plan(indptr: np.ndarray, indices: np.ndarray,
+                     ) -> SolvePlan:
+    """Plan the deflated solve of every chain with this CSR pattern.
+
+    Column j of the block (P^T - I)[:m, :m], m = n - 1, is row j of P
+    restricted to columns below m, plus the diagonal, which is
+    structural even where P has no self-loop.  The column order is
+    SuperLU's MMD on A^T A (post-ordered), read off an incomplete
+    factorization of a synthetic matrix with the block's pattern:
+    strictly diagonally dominant, so it never meets a zero pivot, and
+    free of values, so the order is a function of the pattern alone.
+    Factoring the ordered block with ``NATURAL`` then repeats the
+    ``MMD_ATA`` factorization without recomputing the order per solve.
+    """
+    indptr = np.asarray(indptr)
+    indices = np.asarray(indices)
+    n = len(indptr) - 1
+    m = n - 1
+    nnz = int(indptr[-1])
+    src_row = np.repeat(np.arange(n), np.diff(indptr))
+    inner = np.flatnonzero((src_row < m) & (indices < m))
+    loops = inner[src_row[inner] == indices[inner]]
+    no_loop = np.ones(m, dtype=bool)
+    no_loop[src_row[loops]] = False
+    missing = np.flatnonzero(no_loop)
+    # block entries (row, col, source slot), sorted column-major
+    rows = np.concatenate([indices[inner], missing])
+    cols = np.concatenate([src_row[inner], missing])
+    source = np.concatenate([inner, np.full(len(missing), nnz)])
+    by_col = np.lexsort((rows, cols))
+    rows, cols, source = rows[by_col], cols[by_col], source[by_col]
+    counts = np.bincount(cols, minlength=m)
+    col_ptr = np.concatenate([[0], np.cumsum(counts)])
+
+    started = perf_now()
+    synthetic = np.ones(len(rows))
+    synthetic[rows == cols] = -(len(rows) + 1.0)
+    pattern = sp.csc_matrix((synthetic, rows, col_ptr), shape=(m, m))
+    order = np.argsort(spla.spilu(pattern, drop_tol=1.0, fill_factor=1.0,
+                                  permc_spec="MMD_ATA").perm_c)
+    obs.add("markov.plan.build")
+    obs.gauge("markov.plan.order_s", perf_now() - started)
+
+    lengths = counts[order]
+    ordered_ptr = np.concatenate([[0], np.cumsum(lengths)])
+    take = np.arange(len(rows)) + np.repeat(
+        col_ptr[order] - ordered_ptr[:-1], lengths)
+    last = np.arange(indptr[m], nnz)
+    last = last[indices[last] < m]
+    # every solve's block wraps these two arrays: keep them immutable
+    block_ptr = ordered_ptr.astype(np.intc)
+    block_rows = rows[take].astype(np.intc)
+    block_ptr.flags.writeable = block_rows.flags.writeable = False
+    return SolvePlan(
+        n=n, nnz=nnz, order=order, indptr=block_ptr, indices=block_rows,
+        gather=source[take],
+        diagonal=np.flatnonzero(rows[take] == cols[take]),
+        rhs_index=indices[last], rhs_source=last)
+
+
+def _solve_linear(matrix: sp.csr_matrix,
+                  plan: SolvePlan | None = None) -> np.ndarray | None:
     """Deflated direct solve of pi (P - I) = 0.
 
     Pinning pi[n-1] = 1 leaves the order-(n-1) principal block of
-    P^T - I with right-hand side -(P^T)[:n-1, n-1], assembled straight
-    from the coordinate form of P.  The block is as sparse as the chain
-    itself (no dense normalization row to wreck the fill-reducing
-    ordering) and column diagonally dominant, so SuperLU's diagonal
-    pivots are stable; MMD on A^T A gave the least fill on the chapter-6
-    chains.  Chains above ``_GMRES_THRESHOLD`` first try ILU-GMRES on a
-    bounded budget and fall through to the same LU when it does not
-    converge.  The vector is accepted only if it is a non-negative
-    fixed point (max |pi P - pi| <= 1e-8); ``None`` hands the chain to
-    the counted power-iteration fallback.
+    P^T - I with right-hand side -(P^T)[:n-1, n-1], both gathered from
+    ``P.data`` by the chain's :class:`SolvePlan` (a throwaway one when
+    the caller has none cached).  The block is as sparse as the chain
+    itself and column diagonally dominant, so SuperLU's pivots are
+    stable; its columns arrive in the plan's fill-reducing order and
+    are factored with ``NATURAL``.  Chains above ``_GMRES_THRESHOLD``
+    first try ILU-GMRES on a bounded budget and fall through to the
+    same LU when it does not converge.  The vector is accepted only if
+    it is a non-negative fixed point (max |pi P - pi| <= 1e-8);
+    ``None`` hands the chain to the counted power-iteration fallback.
     """
+    if plan is None:
+        if not matrix.has_canonical_format:
+            matrix = matrix.copy()
+            matrix.sum_duplicates()
+        plan = build_solve_plan(matrix.indptr, matrix.indices)
     n = matrix.shape[0]
+    if n != plan.n or matrix.nnz != plan.nnz:
+        raise AnalysisError("solve plan does not match the chain's "
+                            "sparsity pattern")
     m = n - 1
-    coo = matrix.tocoo()
-    inner = (coo.row < m) & (coo.col < m)
-    last = (coo.row == m) & (coo.col < m)
-    # transposed entries plus a -1 diagonal; duplicate coordinates sum
-    block = sp.csc_matrix(
-        (np.concatenate([coo.data[inner], -np.ones(m)]),
-         (np.concatenate([coo.col[inner], np.arange(m)]),
-          np.concatenate([coo.row[inner], np.arange(m)]))),
-        shape=(m, m))
-    rhs = -np.bincount(coo.col[last], weights=coo.data[last], minlength=m)
-    x, method = None, "lu"
+    data = np.append(matrix.data, 0.0)[plan.gather]
+    data[plan.diagonal] -= 1.0
+    block = sp.csc_matrix((data, plan.indices, plan.indptr), shape=(m, m))
+    rhs = np.zeros(m)
+    rhs[plan.rhs_index] = -matrix.data[plan.rhs_source]
+    y, method = None, "lu"
     if n > _GMRES_THRESHOLD:
         try:
             ilu = spla.spilu(block, drop_tol=0.05, fill_factor=2.0)
             precond = spla.LinearOperator(block.shape, ilu.solve)
-            x, info = spla.gmres(block, rhs, M=precond, rtol=1e-12,
+            y, info = spla.gmres(block, rhs, M=precond, rtol=1e-12,
                                  atol=0.0, restart=50, maxiter=2)
         except RuntimeError:
             # spilu raises on an exactly singular factor
@@ -143,15 +242,17 @@ def _solve_linear(matrix: sp.csr_matrix) -> np.ndarray | None:
         if info == 0:
             method = "ilu_gmres"
         else:
-            x = None
+            y = None
             obs.add("markov.gmres_unconverged")
-    if x is None:
+    if y is None:
         try:
-            x = spla.splu(block, permc_spec="MMD_ATA").solve(rhs)
+            y = spla.splu(block, permc_spec="NATURAL").solve(rhs)
         except RuntimeError:
             # SuperLU reports an exactly singular block this way
             return None
-    pi = np.append(x, 1.0)
+    pi = np.empty(n)
+    pi[plan.order] = y
+    pi[m] = 1.0
     total = pi.sum()
     if not np.isfinite(total) or total <= 0:
         return None

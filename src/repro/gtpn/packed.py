@@ -61,6 +61,7 @@ from scipy.sparse.csgraph import connected_components
 
 from repro import obs
 from repro.errors import AnalysisError, StateSpaceLimitError
+from repro.gtpn.markov import SolvePlan, build_solve_plan
 from repro.gtpn.net import Net
 from repro.gtpn.state import MAX_IMMEDIATE_ROUNDS, State
 
@@ -537,10 +538,9 @@ class _EvalData:
     item_pid: np.ndarray        # per work item, its program
     item_branch: np.ndarray     # per work item, its deduped branch
     n_branches: int
-    b_src: np.ndarray           # (n_branches,) source state id
     b_entry: np.ndarray         # (n_branches,) CSR entry index
     s_branch: np.ndarray        # sparse starts: branch index,
-    s_t: np.ndarray             # transition, count
+    s_cell: np.ndarray          # flat (state, transition) cell, count
     s_cnt: np.ndarray
     i_item_pid: np.ndarray      # initial-distribution items/branches
     i_item_branch: np.ndarray
@@ -555,10 +555,10 @@ def _evaluate(ev: _EvalData, freqs: np.ndarray, n_states: int,
 
     Replays the tick engine's float order exactly: per-factor totals
     are left folds over enabled members, per-item probabilities are
-    per-round products folded round by round, and every ``np.add.at``
-    accumulates in the same first-seen order the dict-based build used.
-    Build and retime both call this — their outputs are bit-identical
-    by construction.
+    per-round products folded round by round, and every weighted
+    ``np.bincount`` accumulates sequentially in the same first-seen
+    order the dict-based build used.  Build and retime both call this
+    — their outputs are bit-identical by construction.
     """
     freqs_ext = np.append(freqs, 0.0)
     n_factors = len(ev.f_chosen)
@@ -577,18 +577,20 @@ def _evaluate(ev: _EvalData, freqs: np.ndarray, n_states: int,
             round_p = round_p * fvals_ext[ev.prog_fids[:, r, c]]
         prog_values = round_p if r == 0 else prog_values * round_p
 
-    branch_vals = np.zeros(ev.n_branches)
-    np.add.at(branch_vals, ev.item_branch, prog_values[ev.item_pid])
-    data = np.zeros(n_entries)
-    np.add.at(data, ev.b_entry, branch_vals)
-    starts_matrix = np.zeros((n_states, n_transitions))
-    np.add.at(starts_matrix, (ev.b_src[ev.s_branch], ev.s_t),
-              branch_vals[ev.s_branch] * ev.s_cnt)
-    init_branch_vals = np.zeros(ev.n_i_branches)
-    np.add.at(init_branch_vals, ev.i_item_branch,
-              prog_values[ev.i_item_pid])
-    init_vec = np.zeros(n_states)
-    np.add.at(init_vec, ev.i_dst, init_branch_vals)
+    branch_vals = np.bincount(ev.item_branch,
+                              weights=prog_values[ev.item_pid],
+                              minlength=ev.n_branches)
+    data = np.bincount(ev.b_entry, weights=branch_vals,
+                       minlength=n_entries)
+    starts_matrix = np.bincount(
+        ev.s_cell, weights=branch_vals[ev.s_branch] * ev.s_cnt,
+        minlength=n_states * n_transitions,
+    ).reshape(n_states, n_transitions)
+    init_branch_vals = np.bincount(ev.i_item_branch,
+                                   weights=prog_values[ev.i_item_pid],
+                                   minlength=ev.n_i_branches)
+    init_vec = np.bincount(ev.i_dst, weights=init_branch_vals,
+                           minlength=n_states)
     return data, starts_matrix, init_vec
 
 
@@ -627,6 +629,7 @@ class PackedSkeleton:
     place_orbits: tuple
     transition_orbits: tuple
     folded_states: int
+    plan: SolvePlan | None = None   # None until first demanded
 
     @property
     def full_state_count(self) -> int:
@@ -668,6 +671,24 @@ class PackedSkeleton:
                     if len(kept) < n_states:
                         self.kept = kept
         return self.closed_classes
+
+    def solve_plan(self) -> SolvePlan:
+        """The stationary solve's plan for this structure (lazy, cached).
+
+        Built over the pattern of the matrix the solver sees: the elim
+        slice when transients were removed, the full chain otherwise.
+        """
+        if self.plan is None:
+            self.closed_class_count()   # may populate the elim slice
+            indptr, indices = self.indptr, self.indices
+            if self.kept is not None:
+                n_states = self.full_state_count
+                pattern = sp.csr_matrix(
+                    (np.ones(len(indices)), indices, indptr),
+                    shape=(n_states, n_states))[self.kept][:, self.kept]
+                indptr, indices = pattern.indptr, pattern.indices
+            self.plan = build_solve_plan(indptr, indices)
+        return self.plan
 
 
 def _lump_canonicalize(pnet: PackedNet, rows: np.ndarray,
@@ -1172,23 +1193,27 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
     ekey = b_src * np.int64(n_states + 1) + b_dst
     entries, b_entry = np.unique(ekey, return_inverse=True)
     e_src = entries // (n_states + 1)
-    indices = (entries % (n_states + 1)).astype(np.int64)
-    indptr = np.cumsum(np.bincount(e_src + 1,
-                                   minlength=n_states + 1)
-                       .astype(np.int64))
+    # in the index dtype scipy would pick, so every re-timed matrix
+    # wraps these arrays instead of converting a copy
+    idx_dtype = np.int32 if len(entries) <= np.iinfo(np.int32).max \
+        else np.int64
+    indices = (entries % (n_states + 1)).astype(idx_dtype)
+    indptr = np.cumsum(np.bincount(e_src + 1, minlength=n_states + 1),
+                       dtype=idx_dtype)
+    indices.flags.writeable = indptr.flags.writeable = False
 
+    s_branch = np.concatenate(books.s_branch) if books.s_branch \
+        else np.zeros(0, dtype=np.int64)
+    s_t = np.concatenate(books.s_t) if books.s_t \
+        else np.zeros(0, dtype=np.int64)
     ev = _EvalData(
         f_chosen=f_chosen, f_members=f_members, prog_fids=prog_fids,
         item_pid=np.concatenate(books.item_pid) if books.item_pid
         else np.zeros(0, dtype=np.int64),
         item_branch=np.concatenate(books.item_branch)
         if books.item_branch else np.zeros(0, dtype=np.int64),
-        n_branches=books.n_branches,
-        b_src=b_src, b_entry=b_entry,
-        s_branch=np.concatenate(books.s_branch) if books.s_branch
-        else np.zeros(0, dtype=np.int64),
-        s_t=np.concatenate(books.s_t) if books.s_t
-        else np.zeros(0, dtype=np.int64),
+        n_branches=books.n_branches, b_entry=b_entry,
+        s_branch=s_branch, s_cell=b_src[s_branch] * n_t + s_t,
         s_cnt=np.concatenate(books.s_cnt) if books.s_cnt
         else np.zeros(0, dtype=np.int64),
         i_item_pid=books.i_item_pid, i_item_branch=books.i_item_branch,
@@ -1303,7 +1328,7 @@ def _check_stochastic_csr(net: Net, matrix: sp.csr_matrix) -> None:
         raise AnalysisError(
             f"net {net.name!r}: state {int(empty[0])} is absorbing "
             "with no successors; the embedded chain is not well formed")
-    sums = np.asarray(matrix.sum(axis=1)).ravel()
+    sums = np.add.reduceat(matrix.data, matrix.indptr[:-1])
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
     if len(bad):
         i = int(bad[0])

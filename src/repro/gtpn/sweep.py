@@ -42,8 +42,8 @@ from typing import Any, Callable, Iterable
 
 from repro import obs
 from repro.gtpn.net import Net
-from repro.gtpn.packed import (SkeletonMismatch, compile_packed,
-                               packed_build, packed_retime)
+from repro.gtpn.packed import (PackedSkeleton, SkeletonMismatch,
+                               compile_packed, packed_build, packed_retime)
 from repro.gtpn.reachability import DEFAULT_MAX_STATES, ReachabilityGraph
 from repro.obs.clock import perf_now
 from repro.perf.cache import cache_enabled, fingerprint_net, get_cache
@@ -62,10 +62,11 @@ _USE_GLOBAL = object()      # sentinel: "global cache when enabled"
 
 def acquire_graph(net: Net, structure: str, max_states: int, store,
                   reduction: str = "none",
-                  ) -> tuple[ReachabilityGraph, int]:
+                  ) -> tuple[ReachabilityGraph, PackedSkeleton]:
     """Graph for *net* through the skeleton tier of *store*.
 
-    Returns ``(graph, closed_class_count)``.  Used by
+    Returns ``(graph, skeleton)``; the skeleton carries the chain's
+    closed-class count and solve plan.  Used by
     :func:`repro.gtpn.analyze` so plain per-point analyses share
     structure work with sweeps through the same cache.
     """
@@ -73,15 +74,15 @@ def acquire_graph(net: Net, structure: str, max_states: int, store,
     skeleton = store.get_structure(structure, kind=kind)
     if skeleton is not None:
         try:
-            graph = packed_retime(skeleton, net, max_states=max_states)
-            return graph, skeleton.closed_class_count()
+            return packed_retime(skeleton, net,
+                                 max_states=max_states), skeleton
         except SkeletonMismatch:
             pass
     graph, skeleton = packed_build(net, compile_packed(net, reduction),
                                    max_states=max_states,
                                    structure=structure, reduction=reduction)
     store.put_structure(structure, skeleton, kind=kind)
-    return graph, skeleton.closed_class_count()
+    return graph, skeleton
 
 
 # ----------------------------------------------------------------------
@@ -143,11 +144,13 @@ class SweepSolver:
                 net.validate()
                 self.stats.payload_hits += 1
                 return self._analysis._rebind(net, payload)
-        graph, closed = self._graph_for(net, fingerprint.structure)
+        graph, skeleton = self._graph_for(net, fingerprint.structure)
         started = perf_now()
         with obs.span("gtpn.solve", states=graph.state_count):
             pi = self._analysis.stationary_distribution(
-                graph, method=self.method, closed_classes=closed)
+                graph, method=self.method,
+                closed_classes=skeleton.closed_class_count(),
+                plan=skeleton.solve_plan())
         result = self._analysis.AnalysisResult(net=net, graph=graph,
                                                pi=pi)
         self.stats.solve_s += perf_now() - started
@@ -156,7 +159,7 @@ class SweepSolver:
         return result
 
     def _graph_for(self, net: Net, structure: str,
-                   ) -> tuple[ReachabilityGraph, int]:
+                   ) -> tuple[ReachabilityGraph, PackedSkeleton]:
         kind = f"packed:{self.reduction}"
         skeleton = self._skeletons.get(structure)
         if skeleton is None and self.cache is not None:
@@ -170,7 +173,7 @@ class SweepSolver:
                 self.stats.retime_s += perf_now() - started
                 self.stats.points_retimed += 1
                 self._skeletons[structure] = skeleton
-                return graph, skeleton.closed_class_count()
+                return graph, skeleton
             except SkeletonMismatch:
                 self.stats.mismatches += 1
         started = perf_now()
@@ -184,7 +187,7 @@ class SweepSolver:
         self._skeletons[structure] = skeleton
         if self.cache is not None:
             self.cache.put_structure(structure, skeleton, kind=kind)
-        return graph, skeleton.closed_class_count()
+        return graph, skeleton
 
 
 #: per-worker-process solvers, keyed by (method, max_states,

@@ -10,11 +10,18 @@ modelled as processors in :mod:`repro.kernel.processors`.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import KernelError
 from repro.kernel.sim import Simulator
+
+#: Most recent packets kept in :attr:`Wire.packets` (the oldest drops
+#: out when it is full); the packet counters cover every packet.  An
+#: open run offers packets without bound, so the log must not grow
+#: with it.
+PACKET_LOG_WINDOW = 4096
 
 
 @dataclass
@@ -36,11 +43,20 @@ class PacketRecord:
 
 @dataclass
 class Wire:
-    """Constant-latency reliable interconnect."""
+    """Constant-latency reliable interconnect.
+
+    ``packets`` holds the last :data:`PACKET_LOG_WINDOW` packets
+    offered, oldest first; ``packet_count`` and the ``counts_by_*``
+    tallies are exact over every packet.
+    """
 
     sim: Simulator
     latency_us: float = 0.0
-    packets: list[PacketRecord] = field(default_factory=list)
+    packets: deque[PacketRecord] = field(
+        default_factory=lambda: deque(maxlen=PACKET_LOG_WINDOW))
+    #: (destination, kind, status) -> packets, in first-seen order
+    _tally: defaultdict[tuple[str, str, str], int] = field(
+        default_factory=lambda: defaultdict(int), init=False, repr=False)
 
     def __post_init__(self):
         if self.latency_us < 0:
@@ -49,36 +65,39 @@ class Wire:
     def transmit(self, source: str, destination: str, kind: str,
                  deliver: Callable[[], None]) -> None:
         """Carry a packet; invoke *deliver* at the destination."""
+        self.record(source, destination, kind)
+        self.sim.after(self.latency_us, deliver)
+
+    def record(self, source: str, destination: str, kind: str,
+               status: str = "delivered") -> None:
+        """Log one packet offered now and count it."""
         self.packets.append(PacketRecord(
             source=source, destination=destination, kind=kind,
-            sent_at=self.sim.now))
-        self.sim.after(self.latency_us, deliver)
+            sent_at=self.sim.now, status=status))
+        self._tally[destination, kind, status] += 1
 
     @property
     def packet_count(self) -> int:
-        return len(self.packets)
+        return sum(self._tally.values())
 
     # ------------------------------------------------------------------
     # packet accounting
     # ------------------------------------------------------------------
+    def _counts(self, field_index: int) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for key, count in self._tally.items():
+            name = key[field_index]
+            counts[name] = counts.get(name, 0) + count
+        return counts
+
     def counts_by_destination(self) -> dict[str, int]:
         """Packets recorded per destination node."""
-        counts: dict[str, int] = {}
-        for packet in self.packets:
-            counts[packet.destination] = \
-                counts.get(packet.destination, 0) + 1
-        return counts
+        return self._counts(0)
 
     def counts_by_kind(self) -> dict[str, int]:
         """Packets recorded per kind (``send``/``reply``/``ack``...)."""
-        counts: dict[str, int] = {}
-        for packet in self.packets:
-            counts[packet.kind] = counts.get(packet.kind, 0) + 1
-        return counts
+        return self._counts(1)
 
     def counts_by_status(self) -> dict[str, int]:
         """Packets recorded per delivery status."""
-        counts: dict[str, int] = {}
-        for packet in self.packets:
-            counts[packet.status] = counts.get(packet.status, 0) + 1
-        return counts
+        return self._counts(2)

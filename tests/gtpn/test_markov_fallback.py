@@ -33,7 +33,7 @@ def cycle_graph():
 
 
 def test_numerical_failure_falls_back_and_counts(monkeypatch):
-    def numerically_doomed(matrix):
+    def numerically_doomed(matrix, plan=None):
         raise np.linalg.LinAlgError("singular")
 
     monkeypatch.setattr(markov, "_solve_linear", numerically_doomed)
@@ -46,7 +46,7 @@ def test_numerical_failure_falls_back_and_counts(monkeypatch):
 
 
 def test_linear_method_re_raises_numerical_failure(monkeypatch):
-    def numerically_doomed(matrix):
+    def numerically_doomed(matrix, plan=None):
         raise np.linalg.LinAlgError("singular")
 
     monkeypatch.setattr(markov, "_solve_linear", numerically_doomed)
@@ -56,7 +56,7 @@ def test_linear_method_re_raises_numerical_failure(monkeypatch):
 
 def test_non_numerical_error_propagates(monkeypatch):
     """A defect in the solver must surface, not fall back silently."""
-    def buggy(matrix):
+    def buggy(matrix, plan=None):
         raise TypeError("a programming error, not a numerical one")
 
     monkeypatch.setattr(markov, "_solve_linear", buggy)

@@ -66,3 +66,20 @@ def test_empty_wire_counts_are_empty():
     assert wire.counts_by_kind() == {}
     assert wire.counts_by_status() == {}
     assert wire.packet_count == 0
+
+
+def test_packet_log_keeps_a_window_and_exact_counts():
+    from repro.kernel.network import PACKET_LOG_WINDOW
+    sim = Simulator()
+    wire = Wire(sim)
+    extra = 10
+    for i in range(PACKET_LOG_WINDOW + extra):
+        sim.after(float(i), lambda: wire.transmit("clients", "servers",
+                                                  "send", lambda: None))
+    sim.run()
+    assert wire.packet_count == PACKET_LOG_WINDOW + extra
+    assert len(wire.packets) == PACKET_LOG_WINDOW
+    assert wire.packets[0].sent_at == float(extra)
+    assert wire.counts_by_destination() == {"servers": wire.packet_count}
+    assert wire.counts_by_kind() == {"send": wire.packet_count}
+    assert wire.counts_by_status() == {"delivered": wire.packet_count}

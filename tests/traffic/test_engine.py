@@ -247,3 +247,31 @@ def test_population_cycles_client_ids_over_bounded_pool():
     tasks = [name for name in bench.system.all_task_names()
              if name.startswith("open")]
     assert len(tasks) == 2
+
+
+# ----------------------------------------------------------------------
+# a long non-local run: exact packet counters, bounded packet log
+# ----------------------------------------------------------------------
+
+def test_long_nonlocal_open_run_keeps_a_bounded_packet_log():
+    """Every admitted non-local message is one send and one reply
+    packet; the counters stay exact while the log keeps only a window."""
+    from repro.kernel.network import PACKET_LOG_WINDOW
+    horizon = 40_000_000.0
+    bench = build_open_system(
+        ARCH, Mode.NONLOCAL, PoissonArrivals(0.0002), servers=2,
+        pool_size=8, queue_limit=8, policy="drop", seed=0,
+        horizon_us=horizon)
+    bench.system.run_for(horizon)
+    bench.system.sim.run()
+    wire, counts = bench.system.wire, bench.meter.measured
+    assert counts.dropped > 0
+    assert wire.packet_count == 2 * counts.admitted
+    assert wire.packet_count > 2 * PACKET_LOG_WINDOW
+    assert len(wire.packets) == PACKET_LOG_WINDOW
+    assert wire.counts_by_kind() == {"send": counts.admitted,
+                                     "reply": counts.admitted}
+    assert sum(wire.counts_by_destination().values()) == wire.packet_count
+    assert wire.counts_by_status() == {"delivered": wire.packet_count}
+    sent = [p.sent_at for p in wire.packets]
+    assert sent == sorted(sent)
