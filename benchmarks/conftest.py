@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,13 +64,26 @@ def perf_record():
     return recorder
 
 
+def _git_sha() -> str | None:
+    """The checked-out commit, suffixed ``-dirty`` when the working
+    tree has uncommitted changes; None outside a git checkout."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=PERF_JSON_PATH.parent, capture_output=True, text=True,
+            check=True).stdout.strip() or None
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
 def merge_bench_records(path: Path, records: list[dict]) -> dict:
     """The ``BENCH_perf.json`` payload after merging in *records*.
 
     A stored record whose ``bench`` name one of *records* carries is
     replaced in place, new names are appended, and every other stored
     record is kept as it was.  A missing or unreadable file starts
-    fresh.  Each new record is stamped with this machine's ``nproc``.
+    fresh.  Each new record is stamped with this machine's ``nproc``
+    and the ``git_sha`` of the measured tree.
     """
     try:
         stored = json.loads(path.read_text())["records"]
@@ -77,7 +91,9 @@ def merge_bench_records(path: Path, records: list[dict]) -> dict:
             raise TypeError("records are not a list of objects")
     except (OSError, ValueError, KeyError, TypeError):
         stored = []
-    fresh = {record["bench"]: dict(record, nproc=os.cpu_count())
+    git_sha = _git_sha()
+    fresh = {record["bench"]: dict(record, nproc=os.cpu_count(),
+                                   git_sha=git_sha)
              for record in records}
     merged = [fresh.pop(record.get("bench"), record) for record in stored]
     merged.extend(fresh.values())

@@ -230,18 +230,24 @@ _NONLOCAL_POINT = dict(architecture=Architecture.II, conversations=2,
                        load=0.6)
 
 
-def test_bench_nonlocal_fixed_point(perf_record):
+def test_bench_nonlocal_fixed_point(perf_record, monkeypatch):
     """One figure-6.19 point's client/server fixed point, split by
     stage from its own trace: net builds, reachability builds, skeleton
-    re-times and stationary solves.  The gated client and server nets
-    ride the packed engine, so each side builds once and re-times on
-    every later iteration."""
-    from repro.models import Mode, solve_nonlocal
+    re-times and stationary solves.  Each side's net is built once per
+    fixed point; every later iteration re-times the side's skeleton
+    from the new surrogate delay alone."""
+    from repro.models import Mode, iterate, solve_nonlocal
     from repro.models.solve import server_time_for_offered_load
 
     point = _NONLOCAL_POINT
     compute = server_time_for_offered_load(Architecture.I, Mode.NONLOCAL,
                                            point["load"])
+    net_builds = []
+    for name in ("build_nonlocal_client_net", "build_nonlocal_server_net"):
+        def counted(*args, _build=getattr(iterate, name), **kwargs):
+            net_builds.append(_build)
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(iterate, name, counted)
     set_cache_enabled(False)
     try:
         with obs.recording() as recorder:
@@ -265,12 +271,14 @@ def test_bench_nonlocal_fixed_point(perf_record):
                 iterations=solution.iterations,
                 client_states=solution.client_result.state_count,
                 server_states=solution.server_result.state_count,
+                net_builds=len(net_builds),
                 builds=len(builds), retimes=len(retimes),
                 build_s=stage_s("gtpn.build"),
                 retime_s=stage_s("gtpn.retime"),
                 solve_s=stage_s("gtpn.solve"),
                 total_s=total_s, throughput=solution.throughput)
     assert fixed_point.attrs["iterations"] == solution.iterations
+    assert len(net_builds) == 2
     assert len(builds) == 2
     assert len(retimes) == 2 * (solution.iterations - 1)
 

@@ -10,7 +10,7 @@ server computation is comparable to communication.
 Run:  python examples/profiling_study.py
 """
 
-from repro.experiments import run_experiment
+from repro.api import run_experiment
 from repro.profiling import (ALL_SYSTEMS, CHARLOTTE_NONLOCAL,
                              UNIX_SERVICE_TIMES_MS, copy_percent,
                              offered_load_range,
@@ -20,7 +20,7 @@ from repro.profiling import (ALL_SYSTEMS, CHARLOTTE_NONLOCAL,
 def tables() -> None:
     for experiment_id in ("table-3.1", "table-3.2", "table-3.3",
                           "table-3.4", "table-3.5"):
-        print(run_experiment(experiment_id).render())
+        print(run_experiment(experiment_id).artifact.render())
         print()
 
 

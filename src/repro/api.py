@@ -33,10 +33,6 @@ exports: a Chrome-trace JSON at *PATH* and the versioned JSONL stream
 next to it.  The resolved configuration snapshot rides in both
 headers.  Tracing never changes computed values (the bit-identity
 contract of :mod:`repro.obs`).
-
-The historical entry point
-:func:`repro.experiments.registry.run_experiment` still works but
-emits a :class:`DeprecationWarning` and delegates here.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
 """Every table and figure of the evaluation, as runnable experiments.
 
-``run_experiment("table-6.24")`` or ``run_experiment("figure-6.17a")``
-recomputes the artifact from the library's own machinery and returns a
-renderable :class:`Table`/:class:`Figure`.
+``repro.api.run_experiment("table-6.24").artifact`` recomputes the
+artifact from the library's own machinery and returns a renderable
+:class:`Table`/:class:`Figure`.
 """
 
 from repro.experiments.registry import (REGISTRY, Experiment,
                                         all_experiment_ids,
                                         get_experiment,
                                         register_experiment,
-                                        run_experiment,
                                         temporary_experiment,
                                         unregister_experiment)
 from repro.experiments.reporting import Figure, Series, Table
@@ -23,7 +22,6 @@ __all__ = [
     "all_experiment_ids",
     "get_experiment",
     "register_experiment",
-    "run_experiment",
     "temporary_experiment",
     "unregister_experiment",
 ]

@@ -211,6 +211,7 @@ def _payload(result: AnalysisResult) -> dict:
         "table": graph.packed_table,
         "layout": graph.packed_layout,
         "reduction": graph.reduction,
+        "structure": graph.structure,
         "pi": result.pi,
     }
 
@@ -224,5 +225,6 @@ def _rebind(net: Net, payload: dict) -> AnalysisResult:
         inflight_matrix=payload["inflight_matrix"],
         packed_table=payload["table"],
         packed_layout=payload["layout"],
-        reduction=payload["reduction"])
+        reduction=payload["reduction"],
+        structure=payload.get("structure", ""))
     return AnalysisResult(net=net, graph=graph, pi=payload["pi"])

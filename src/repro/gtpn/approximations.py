@@ -27,6 +27,26 @@ def geometric_frequency(mean: float) -> float:
     return 1.0 / mean
 
 
+def pair_frequencies(mean: float) -> tuple[float, float]:
+    """``(exit, loop)`` frequencies of an activity pair of *mean* ticks.
+
+    A loop frequency of zero (a mean of exactly one tick) means the
+    pair has no loop transition.  :func:`activity_pair` and
+    :meth:`repro.gtpn.sweep.SweepSolver.retime_pairs` both time pairs
+    through this function, so a re-timed pair carries bit for bit the
+    floats a fresh build would.
+    """
+    p_exit = geometric_frequency(mean)
+    return p_exit, 1.0 - p_exit
+
+
+def _pair_labels(mean: float, gate: Gate | None) -> tuple[str, str]:
+    labels = (f"1/{mean:g}", f"1 - 1/{mean:g}")
+    if gate is None:
+        return labels
+    return gate.render(labels[0]), gate.render(labels[1])
+
+
 def activity_pair(net: Net, name: str, mean_delay: float, *,
                   inputs: Iterable[Place] | Mapping[Place, int],
                   outputs: Iterable[Place] | Mapping[Place, int],
@@ -61,26 +81,21 @@ def activity_pair(net: Net, name: str, mean_delay: float, *,
     A ``mean_delay`` of exactly 1 produces only the exit transition
     (the loop frequency would be zero).
     """
-    p_exit = geometric_frequency(mean_delay)
+    p_exit, p_loop = pair_frequencies(mean_delay)
     holds = list(holds)
     in_arcs = _merge_arcs(inputs, holds)
     out_arcs = _merge_arcs(outputs, holds)
     extra = (occupancy,) if occupancy else ()
-
-    exit_label = f"1/{mean_delay:g}"
-    loop_label = f"1 - 1/{mean_delay:g}"
-    if gate is not None:
-        exit_label = gate.render(exit_label)
-        loop_label = gate.render(loop_label)
+    exit_label, loop_label = _pair_labels(mean_delay, gate)
 
     exit_t = net.transition(name, delay=1, frequency=p_exit,
                             resource=resource, extra_resources=extra,
                             inputs=in_arcs, outputs=out_arcs,
                             frequency_label=exit_label, gate=gate)
-    if p_exit >= 1.0:
+    if p_loop <= 0.0:
         return exit_t, exit_t
     loop_t = net.transition(f"{name}.loop", delay=1,
-                            frequency=1.0 - p_exit, extra_resources=extra,
+                            frequency=p_loop, extra_resources=extra,
                             inputs=in_arcs, outputs=in_arcs,
                             frequency_label=loop_label, gate=gate)
     return exit_t, loop_t

@@ -1291,31 +1291,38 @@ def _materialize(skeleton: PackedSkeleton, net: Net,
         net=net, matrix=matrix, starts_matrix=starts_matrix,
         init_vec=init_vec, inflight_matrix=inflight_matrix,
         packed_table=table, packed_layout=skeleton.layout,
-        reduction=reduction)
+        reduction=reduction, structure=skeleton.structure)
 
 
 def packed_retime(skeleton: PackedSkeleton, net: Net, *,
-                  max_states: int):
+                  max_states: int, freqs: np.ndarray | None = None):
     """Re-evaluate a packed skeleton under *net*'s frequencies.
 
     Bit-identical to a fresh :func:`packed_build` of *net* (both end in
     the same :func:`_evaluate` over the same arrays).  Raises
     :class:`SkeletonMismatch` when the skeleton does not apply; the
     caller falls back to a full build.
+
+    ``freqs`` is *net*'s frequency vector, passed when *net* is a
+    frequency-only variant of a validated net of the skeleton's
+    structure: validation and the gate check, which a frequency change
+    cannot fail, are skipped; the shape, delay and support checks
+    still run.
     """
     if (len(net.places) != skeleton.n_places
             or len(net.transitions) != skeleton.n_transitions):
         raise SkeletonMismatch("net shape differs")
     if skeleton.full_state_count > max_states:
         raise SkeletonMismatch("skeleton exceeds max_states")
-    net.validate()
+    if freqs is None:
+        net.validate()
+        if tuple(net.gate_indices(t) for t in net.transitions) \
+                != skeleton.gates:
+            raise SkeletonMismatch("gates differ")
+        freqs = np.array([float(t.frequency) for t in net.transitions])
     delays = tuple(int(t.delay) for t in net.transitions)
     if delays != skeleton.static_delays:
         raise SkeletonMismatch("static delays differ")
-    if tuple(net.gate_indices(t) for t in net.transitions) \
-            != skeleton.gates:
-        raise SkeletonMismatch("gates differ")
-    freqs = np.array([float(t.frequency) for t in net.transitions])
     if tuple(bool(f > 0) for f in freqs) != skeleton.freq_positive:
         raise SkeletonMismatch("frequency support changed")
     return _materialize(skeleton, net, freqs)

@@ -71,6 +71,9 @@ class ReachabilityGraph:
       ``packed_layout`` (:class:`repro.gtpn.packed.PackedLayout`).
     * ``reduction``: a :class:`ReductionInfo` when a reduction was
       requested.
+    * ``structure``: the structure fingerprint of the packed skeleton
+      the graph was evaluated from (empty when the build was not keyed
+      or the graph was re-bound from a cached payload).
     """
 
     net: Net
@@ -81,6 +84,7 @@ class ReachabilityGraph:
     packed_table: np.ndarray
     packed_layout: PackedLayout
     reduction: ReductionInfo | None = None
+    structure: str = ""
 
     @property
     def state_count(self) -> int:

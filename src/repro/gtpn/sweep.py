@@ -30,17 +30,24 @@ Entry points:
   skeleton once per structure and re-timing per point; fans out over
   :func:`repro.perf.backends.map_sweep` when worker processes pay off.
 * :class:`SweepSolver` — the underlying per-structure solver, with
-  per-stage timing stats (build / re-time / solve) for the benchmarks.
+  per-stage timing stats (build / re-time / solve) for the benchmarks;
+  :meth:`SweepSolver.retime_pairs` re-solves one of its results with
+  named activity pairs re-timed, without building a net.
 * :func:`acquire_graph` — used by :func:`repro.gtpn.analyze` so even
   single-point analyses share skeletons through the analysis cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Iterable
+import copy
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Callable, Iterable, Mapping
+
+import numpy as np
 
 from repro import obs
+from repro.errors import ModelError
+from repro.gtpn.approximations import _pair_labels, pair_frequencies
 from repro.gtpn.net import Net
 from repro.gtpn.packed import (PackedSkeleton, SkeletonMismatch,
                                compile_packed, packed_build, packed_retime)
@@ -145,37 +152,85 @@ class SweepSolver:
                 self.stats.payload_hits += 1
                 return self._analysis._rebind(net, payload)
         graph, skeleton = self._graph_for(net, fingerprint.structure)
+        result = self._solve(net, graph, skeleton)
+        if self.cache is not None:
+            self.cache.put(key, self._analysis._payload(result))
+        return result
+
+    def retime_pairs(self, result, means: Mapping[str, float]):
+        """Re-solve *result* with activity pairs re-timed to new means.
+
+        *means* maps the name of each
+        :func:`~repro.gtpn.approximations.activity_pair` of
+        ``result.net`` to re-time to its new mean.  The pairs' exit and
+        loop entries of the frequency vector are overwritten and the
+        skeleton of *result*'s structure (this solver's, or the cache's
+        structure tier) is re-timed under it: no net is built,
+        validated or fingerprinted, and the payload cache is not
+        consulted.  The returned result's net is a shallow copy of
+        ``result.net`` carrying the new frequencies, and its values are
+        bit-identical to :meth:`analyze` of a net freshly built at the
+        same means.
+
+        A mean that changes which frequencies are zero (a mean of
+        exactly one tick) cannot be replayed and falls back to an
+        ordinary build.  An unknown pair name raises
+        :class:`~repro.errors.ModelError`.  A pair built at one tick
+        has no loop transition, so re-timing it to a longer mean raises
+        :class:`SkeletonMismatch`: the caller must rebuild its net.
+        """
+        net, freqs = _retimed_net(result.net, means)
+        # re-timing keeps the structure; a graph not built under a
+        # structure key gets one the ordinary way
+        structure = result.graph.structure \
+            or fingerprint_net(net).structure
+        graph, skeleton = self._graph_for(net, structure, freqs)
+        return self._solve(net, graph, skeleton)
+
+    def _solve(self, net: Net, graph: ReachabilityGraph,
+               skeleton: PackedSkeleton):
         started = perf_now()
         with obs.span("gtpn.solve", states=graph.state_count):
             pi = self._analysis.stationary_distribution(
                 graph, method=self.method,
                 closed_classes=skeleton.closed_class_count(),
                 plan=skeleton.solve_plan())
-        result = self._analysis.AnalysisResult(net=net, graph=graph,
-                                               pi=pi)
         self.stats.solve_s += perf_now() - started
-        if self.cache is not None:
-            self.cache.put(key, self._analysis._payload(result))
-        return result
+        return self._analysis.AnalysisResult(net=net, graph=graph, pi=pi)
 
     def _graph_for(self, net: Net, structure: str,
+                   freqs: np.ndarray | None = None,
                    ) -> tuple[ReachabilityGraph, PackedSkeleton]:
-        kind = f"packed:{self.reduction}"
+        """Re-time the structure's skeleton under *net*, else build.
+
+        ``freqs`` marks *net* as a frequency-only variant of a
+        validated net of this structure (see :func:`packed_retime`).
+        """
         skeleton = self._skeletons.get(structure)
         if skeleton is None and self.cache is not None:
-            skeleton = self.cache.get_structure(structure, kind=kind)
+            skeleton = self.cache.get_structure(
+                structure, kind=f"packed:{self.reduction}")
         if skeleton is not None:
             try:
-                started = perf_now()
-                with obs.span("gtpn.retime"):
-                    graph = packed_retime(skeleton, net,
-                                          max_states=self.max_states)
-                self.stats.retime_s += perf_now() - started
-                self.stats.points_retimed += 1
+                graph = self._retime(skeleton, net, freqs)
                 self._skeletons[structure] = skeleton
                 return graph, skeleton
             except SkeletonMismatch:
                 self.stats.mismatches += 1
+        return self._build(net, structure)
+
+    def _retime(self, skeleton: PackedSkeleton, net: Net,
+                freqs: np.ndarray | None) -> ReachabilityGraph:
+        started = perf_now()
+        with obs.span("gtpn.retime"):
+            graph = packed_retime(skeleton, net,
+                                  max_states=self.max_states, freqs=freqs)
+        self.stats.retime_s += perf_now() - started
+        self.stats.points_retimed += 1
+        return graph
+
+    def _build(self, net: Net, structure: str,
+               ) -> tuple[ReachabilityGraph, PackedSkeleton]:
         started = perf_now()
         with obs.span("gtpn.build"):
             graph, skeleton = packed_build(
@@ -186,8 +241,43 @@ class SweepSolver:
         self.stats.skeleton_builds += 1
         self._skeletons[structure] = skeleton
         if self.cache is not None:
-            self.cache.put_structure(structure, skeleton, kind=kind)
+            self.cache.put_structure(structure, skeleton,
+                                     kind=f"packed:{self.reduction}")
         return graph, skeleton
+
+
+def _retimed_net(net: Net, means: Mapping[str, float],
+                 ) -> tuple[Net, np.ndarray]:
+    """Shallow copy of *net* with the named activity pairs re-timed.
+
+    Returns the copy and its frequency vector.  Only the re-timed
+    transitions are new objects; places, arcs, gates and the derived
+    conflict classes are shared with *net*, whose structure is
+    unchanged.
+    """
+    transitions = list(net.transitions)
+    freqs = np.array([float(t.frequency) for t in transitions])
+    for name, mean in means.items():
+        exit_t = net.get_transition(name)       # ModelError if unknown
+        if exit_t.delay != 1:
+            raise ModelError(f"transition {name!r} of net {net.name!r} "
+                             "is not an activity pair")
+        loop_name = f"{name}.loop"
+        pair = (exit_t, net.get_transition(loop_name)) \
+            if net.has_transition(loop_name) else (exit_t,)
+        frequencies = pair_frequencies(mean)
+        if len(pair) == 1 and frequencies[1] > 0.0:
+            raise SkeletonMismatch(f"pair {name!r} was built at one tick "
+                                   "and has no loop transition")
+        for t, frequency, label in zip(pair, frequencies,
+                                       _pair_labels(mean, exit_t.gate)):
+            transitions[t.index] = replace(t, frequency=frequency,
+                                           frequency_label=label)
+            freqs[t.index] = frequency
+    retimed = copy.copy(net)
+    retimed.transitions = transitions
+    retimed._transition_by_name = {t.name: t for t in transitions}
+    return retimed, freqs
 
 
 #: per-worker-process solvers, keyed by (method, max_states,

@@ -21,12 +21,16 @@ the thesis:
    request/reply DMA times (section 6.6.4);
 5. repeat until successive S_d values agree within tolerance.
 
-Only the surrogate delays change between iterations, so the client and
-server nets keep their structure throughout: each side solves through a
-:class:`repro.gtpn.sweep.SweepSolver`, which explores the reachability
-graph once on the first iteration and re-times it on every later one —
-bit-identical to per-iteration :func:`repro.gtpn.analyze`, and
-independent of whether the global analysis cache is enabled.
+Only the surrogate delays change between iterations: S_d in the client
+net and C_d in the server net, each one activity pair.  So each side's
+net is built once per fixed point, on the first iteration, and solved
+through a :class:`repro.gtpn.sweep.SweepSolver`.  Every later iteration
+hands the solver only the new surrogate mean
+(:meth:`~repro.gtpn.sweep.SweepSolver.retime_pairs`), which re-times the
+previous iteration's reachability skeleton straight from it: no net is
+rebuilt, re-validated or fingerprinted.  Results are bit-identical to
+rebuilding both nets and calling :func:`repro.gtpn.analyze` on every
+iteration, whether or not the global analysis cache is enabled.
 """
 
 from __future__ import annotations
@@ -36,9 +40,11 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.errors import ConvergenceError
 from repro.gtpn import AnalysisResult
-from repro.gtpn.sweep import SweepSolver
-from repro.models.nonlocal_client import build_nonlocal_client_net
-from repro.models.nonlocal_server import (NONLOCAL_SERVER_PARAMS,
+from repro.gtpn.sweep import SkeletonMismatch, SweepSolver
+from repro.models.nonlocal_client import (SERVER_DELAY_PAIR,
+                                          build_nonlocal_client_net)
+from repro.models.nonlocal_server import (CLIENT_DELAY_PAIR,
+                                          NONLOCAL_SERVER_PARAMS,
                                           build_nonlocal_server_net,
                                           server_population)
 from repro.models.params import (NONLOCAL_CLIENT_PARAMS, Architecture)
@@ -95,6 +101,22 @@ def initial_server_delay(architecture: Architecture,
             + params.dma_out)
 
 
+def _solve_side(solver: SweepSolver, previous: AnalysisResult | None,
+                pair: str, mean: float, build) -> AnalysisResult:
+    """Solve one side's net with its surrogate pair at *mean*.
+
+    Re-times *previous*, this side's last result; builds the net on the
+    first iteration, and when the pair was built at one tick and so has
+    no loop transition to re-time.
+    """
+    if previous is not None:
+        try:
+            return solver.retime_pairs(previous, {pair: mean})
+        except SkeletonMismatch:
+            pass
+    return solver.analyze(build(mean))
+
+
 def solve_nonlocal(architecture: Architecture, conversations: int,
                    compute_time: float = 0.0, *,
                    tolerance: float = DEFAULT_TOLERANCE,
@@ -125,20 +147,28 @@ def solve_nonlocal(architecture: Architecture, conversations: int,
     server_delay = initial_server_delay(architecture, compute_time)
     history: list[IterationStep] = []
     client_result = server_result = None
-    # one solver per side: iterations re-time the first iteration's
-    # reachability skeleton instead of rebuilding it (see module
-    # docstring); results are bit-identical to plain analyze()
+    # one solver per side: the first iteration builds the net, later
+    # ones re-time its skeleton from the new surrogate mean alone (see
+    # module docstring)
     client_solver = SweepSolver()
     server_solver = SweepSolver()
+
+    def build_client(mean: float):
+        return build_nonlocal_client_net(architecture, conversations,
+                                         mean, hosts=hosts,
+                                         params=client_params)
+
+    def build_server(mean: float):
+        return build_nonlocal_server_net(architecture, conversations,
+                                         mean, compute_time, hosts=hosts,
+                                         params=server_params)
 
     with obs.span("models.fixed_point", architecture=architecture.name,
                   conversations=conversations) as span:
         for iteration in range(1, max_iterations + 1):
-            client_net = build_nonlocal_client_net(
-                architecture, conversations,
-                max(server_delay, _MIN_DELAY), hosts=hosts,
-                params=client_params)
-            client_result = client_solver.analyze(client_net)
+            client_result = _solve_side(
+                client_solver, client_result, SERVER_DELAY_PAIR,
+                max(server_delay, _MIN_DELAY), build_client)
             throughput = client_result.throughput("lambda")
             if throughput <= 0:
                 raise ConvergenceError(f"{architecture}: client model "
@@ -146,10 +176,9 @@ def solve_nonlocal(architecture: Architecture, conversations: int,
             cycle = conversations / throughput
             client_delay = max(cycle - server_delay - s_c, _MIN_DELAY)
 
-            server_net = build_nonlocal_server_net(
-                architecture, conversations, client_delay, compute_time,
-                hosts=hosts, params=server_params)
-            server_result = server_solver.analyze(server_net)
+            server_result = _solve_side(
+                server_solver, server_result, CLIENT_DELAY_PAIR,
+                client_delay, build_server)
             arrival_rate = server_result.resource_usage("lambda_in")
             if arrival_rate <= 0:
                 raise ConvergenceError(f"{architecture}: server model "

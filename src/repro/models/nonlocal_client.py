@@ -21,6 +21,9 @@ from repro.gtpn import Gate, Net, activity_pair
 from repro.models.params import (NONLOCAL_CLIENT_PARAMS, Architecture,
                                  NonlocalClientParams)
 
+#: Activity pair carrying the surrogate server delay S_d.
+SERVER_DELAY_PAIR = "server_delay"
+
 
 def build_nonlocal_client_net(architecture: Architecture,
                               conversations: int,
@@ -91,7 +94,7 @@ def build_nonlocal_client_net(architecture: Architecture,
 
     # T8/T9 or T10/T11 — surrogate server delay; every waiting client
     # progresses independently (infinite-server behaviour)
-    activity_pair(net, "server_delay", server_delay,
+    activity_pair(net, SERVER_DELAY_PAIR, server_delay,
                   inputs=[server_wait], outputs=[reply_arrived])
 
     # T11/T12 or T13/T14 — DMA of the reply packet; the interface

@@ -28,6 +28,9 @@ from repro.models.params import (NONLOCAL_SERVER_PARAMS, Architecture,
 #: Resource name measuring the in-service population.
 OCCUPANCY = "population"
 
+#: Activity pair carrying the surrogate client delay C_d.
+CLIENT_DELAY_PAIR = "client_wait"
+
 
 def build_nonlocal_server_net(architecture: Architecture,
                               conversations: int,
@@ -87,7 +90,7 @@ def build_nonlocal_server_net(architecture: Architecture,
 
     # T3/T4 or T2/T3 — surrogate client delay (infinite server); each
     # exit is one request arriving at this node.
-    activity_pair(net, "client_wait", client_delay,
+    activity_pair(net, CLIENT_DELAY_PAIR, client_delay,
                   inputs=[client_wait], outputs=[net_intr],
                   resource="lambda_in")
 

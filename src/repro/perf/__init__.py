@@ -16,8 +16,6 @@ the two scalable-offload levers are
 
 Both are policy-free utilities: they know nothing about GTPN
 internals beyond the duck-typed net attributes the fingerprint reads.
-The historical import path :mod:`repro.perf.pool` still works but
-warns with :class:`DeprecationWarning`.
 """
 
 from repro.perf.backends import (ExecutorBackend, MapInfo,

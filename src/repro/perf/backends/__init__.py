@@ -22,9 +22,6 @@ and scheduling, never values.  Any backend failure — no fork support,
 unpicklable work, a worker death mid-task — degrades the sweep to the
 serial path with the reason recorded in :func:`last_map_info`, so
 callers never special-case broken environments.
-
-The historical module :mod:`repro.perf.pool` re-exports this API and
-warns with :class:`DeprecationWarning` on import.
 """
 
 from __future__ import annotations

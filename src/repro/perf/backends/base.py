@@ -30,9 +30,7 @@ touching a single sweep call site:
 
 :class:`MapInfo` (how the most recent sweep actually executed) and
 :func:`plan_jobs` (the serial-fallback policy) live here too because
-every backend shares them; the historical import path
-``repro.perf.pool`` re-exports everything with a
-:class:`DeprecationWarning`.
+every backend shares them.
 """
 
 from __future__ import annotations

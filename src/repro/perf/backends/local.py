@@ -1,7 +1,6 @@
 """The persistent local process pool, now one backend among several.
 
-:class:`LocalPoolBackend` is the executor PR 1/PR 3 grew inline in
-``perf/pool.py``: one persistent
+:class:`LocalPoolBackend` keeps one persistent
 :class:`~concurrent.futures.ProcessPoolExecutor` per (worker count,
 cache configuration, trace spill directory), reused across sweeps so
 later grids skip process start-up entirely.  Its initializer primes

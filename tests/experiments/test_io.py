@@ -84,8 +84,8 @@ def test_bad_payload_rejected():
 
 
 def test_real_experiment_roundtrips(tmp_path):
-    from repro.experiments import run_experiment
-    table = run_experiment("table-5.1")
+    from repro.api import run_experiment
+    table = run_experiment("table-5.1").artifact
     save_artifact(table, tmp_path)
     restored = load_artifact(tmp_path / "table-5.1.json")
     assert restored.rows == table.rows

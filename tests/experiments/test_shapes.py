@@ -7,14 +7,14 @@ the win region lies.
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.api import run_experiment
 from repro.models import (Architecture, Mode, solve,
                           server_time_for_offered_load)
 
 
 class TestFigure617:
     def test_local_max_load_shapes(self):
-        figure = run_experiment("figure-6.17a")
+        figure = run_experiment("figure-6.17a").artifact
         arch1 = figure.get_series("arch I")
         arch2 = figure.get_series("arch II")
         arch3 = figure.get_series("arch III")
@@ -34,7 +34,7 @@ class TestFigure617:
 
 class TestFigure620:
     def test_partitioned_bus_no_significant_gain_local(self):
-        figure = run_experiment("figure-6.20")
+        figure = run_experiment("figure-6.20").artifact
         arch3 = figure.get_series("arch III")
         arch4 = figure.get_series("arch IV")
         for y3, y4 in zip(arch3.y, arch4.y):
@@ -74,7 +74,7 @@ class TestRealisticWorkloadRegion:
 
 class TestOfferedLoadTables:
     def test_table_6_24_renders_all_architectures(self):
-        table = run_experiment("table-6.24")
+        table = run_experiment("table-6.24").artifact
         assert table.headers == ["Server Time (ms)", "I", "II", "III",
                                  "IV"]
         assert len(table.rows) == 13

@@ -179,3 +179,73 @@ def test_solver_falls_back_to_rebuild_on_mismatch():
     third = solver.analyze(_delay_net(3))
     assert solver.stats.points_retimed == 1
     _assert_identical(third, second)
+
+
+# ----------------------------------------------------------------------
+# re-timing named activity pairs of a solved result
+# ----------------------------------------------------------------------
+
+def test_retime_pairs_matches_fresh_build_and_its_fingerprint():
+    solver = SweepSolver(cache=None)
+    first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
+    retimed = solver.retime_pairs(first, {"work": 9.0})
+    fresh = _grid_net(0.5, 0.5, 9.0)
+    _assert_identical(retimed, analyze(fresh))
+    assert fingerprint_net(retimed.net) == fingerprint_net(fresh)
+    assert [t.frequency_label for t in retimed.net.transitions] \
+        == [t.frequency_label for t in fresh.transitions]
+    # the solved-at net is a copy: the first result keeps its timing
+    assert fingerprint_net(first.net) == \
+        fingerprint_net(_grid_net(0.5, 0.5, 4.0))
+    assert solver.stats.skeleton_builds == 1
+    assert solver.stats.points_retimed == 1
+
+
+def test_retime_pairs_to_one_tick_falls_back_to_a_build():
+    """A mean of exactly one tick zeroes the loop frequency, so the
+    support changes and the solver builds instead of replaying."""
+    solver = SweepSolver(cache=None)
+    first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
+    retimed = solver.retime_pairs(first, {"work": 1.0})
+    assert solver.stats.mismatches == 1
+    assert solver.stats.skeleton_builds == 2
+    assert retimed.net.get_transition("work.loop").frequency == 0.0
+    oracle = analyze(_grid_net(0.5, 0.5, 1.0))     # built without a loop
+    assert retimed.throughput() == oracle.throughput()
+    assert (retimed.pi == oracle.pi).all()
+    assert np.array_equal(retimed.graph.matrix.data,
+                          oracle.graph.matrix.data)
+
+
+def test_retime_pairs_cannot_add_a_loop_transition():
+    solver = SweepSolver(cache=None)
+    first = solver.analyze(_grid_net(0.5, 0.5, 1.0))
+    with pytest.raises(SkeletonMismatch):
+        solver.retime_pairs(first, {"work": 4.0})
+
+
+def test_retime_pairs_rejects_unknown_or_non_pair_names():
+    from repro.errors import ModelError
+    solver = SweepSolver(cache=None)
+    first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
+    with pytest.raises(ModelError):
+        solver.retime_pairs(first, {"no-such-pair": 4.0})
+    with pytest.raises(ModelError):
+        solver.retime_pairs(first, {"Tb": 4.0})     # delay 2: no pair
+
+
+def test_retime_pairs_rechecks_delays_of_a_shared_skeleton():
+    """Delays are timing, not structure: when the structure's skeleton
+    was last built for other delays, re-timing a pair must rebuild."""
+    def net_with(delay: int, mean: float) -> Net:
+        net = _delay_net(delay)
+        ready = net.get_place("Ready")
+        activity_pair(net, "work", mean, inputs=[ready], outputs=[ready])
+        return net
+
+    solver = SweepSolver(cache=None)
+    first = solver.analyze(net_with(2, 4.0))
+    solver.analyze(net_with(3, 4.0))            # replaces the skeleton
+    retimed = solver.retime_pairs(first, {"work": 6.0})
+    assert solver.stats.mismatches == 2
+    _assert_identical(retimed, analyze(net_with(2, 6.0)))

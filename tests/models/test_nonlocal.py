@@ -1,5 +1,7 @@
 """Tests for the split non-local models and their iterative solution."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ModelError
@@ -7,6 +9,9 @@ from repro.gtpn import analyze
 from repro.models import (Architecture, build_nonlocal_client_net,
                           build_nonlocal_server_net, initial_server_delay,
                           server_population, solve_nonlocal)
+from repro.models.params import (NONLOCAL_CLIENT_PARAMS,
+                                 NONLOCAL_SERVER_PARAMS)
+from repro.perf import set_cache_enabled
 
 
 class TestClientNet:
@@ -173,8 +178,14 @@ class TestMonteCarloIdentity:
 
 def test_fixed_point_span_carries_convergence_attributes():
     from repro import obs
-    with obs.recording() as recorder:
-        solution = solve_nonlocal(Architecture.II, 2, 0.0)
+    # a cold solve: a payload-cache hit left by an earlier test would
+    # skip a side's first-iteration solve
+    set_cache_enabled(False)
+    try:
+        with obs.recording() as recorder:
+            solution = solve_nonlocal(Architecture.II, 2, 0.0)
+    finally:
+        set_cache_enabled(True)
     (span,) = [s for s in recorder.spans
                if s.name == "models.fixed_point"]
     assert span.attrs["architecture"] == "II"
@@ -189,3 +200,118 @@ def test_fixed_point_span_carries_convergence_attributes():
     inner = [s for s in recorder.spans if s.name == "gtpn.solve"]
     assert len(inner) == 2 * solution.iterations
     assert {s.parent_id for s in inner} == {span.span_id}
+
+
+# ----------------------------------------------------------------------
+# differential test: the re-timing fixed point against net rebuilding
+# ----------------------------------------------------------------------
+
+def _rebuilding_fixed_point(architecture, conversations, compute_time=0.0,
+                            *, hosts=1, client_params=None,
+                            server_params=None, tolerance=1e-3,
+                            max_iterations=60, damping=0.5):
+    """The section 6.6.3 iteration, rebuilding both nets every round.
+
+    The oracle for ``solve_nonlocal``: each iteration builds the client
+    and server nets from the model builders and solves them with a
+    plain :func:`repro.gtpn.analyze` (the caller turns the analysis
+    cache off).  Returns ``(throughput, server_delay, client_delay,
+    iterations, history)`` with history rows as tuples.
+    """
+    if client_params is None:
+        client_params = NONLOCAL_CLIENT_PARAMS[architecture]
+    if server_params is None:
+        server_params = NONLOCAL_SERVER_PARAMS[architecture]
+    s_c = server_params.receive_path
+    dma_constant = server_params.dma_in + server_params.dma_out
+    server_delay = initial_server_delay(architecture, compute_time)
+    history = []
+    for iteration in range(1, max_iterations + 1):
+        client = analyze(build_nonlocal_client_net(
+            architecture, conversations, max(server_delay, 1.0),
+            hosts=hosts, params=client_params))
+        throughput = client.throughput("lambda")
+        cycle = conversations / throughput
+        client_delay = max(cycle - server_delay - s_c, 1.0)
+        server = analyze(build_nonlocal_server_net(
+            architecture, conversations, client_delay, compute_time,
+            hosts=hosts, params=server_params))
+        arrival_rate = server.resource_usage("lambda_in")
+        population = server_population(server)
+        new_server_delay = population / arrival_rate + dma_constant
+        history.append((server_delay, throughput, cycle, client_delay,
+                        arrival_rate, population, new_server_delay))
+        if abs(new_server_delay - server_delay) \
+                <= tolerance * max(server_delay, 1.0):
+            return (throughput, new_server_delay, client_delay, iteration,
+                    history)
+        server_delay = (damping * new_server_delay
+                        + (1.0 - damping) * server_delay)
+    raise AssertionError("oracle did not converge")
+
+
+def _assert_matches_rebuilding(architecture, conversations, compute_time,
+                               **kwargs):
+    solution = solve_nonlocal(architecture, conversations, compute_time,
+                              **kwargs)
+    set_cache_enabled(False)
+    try:
+        expected = _rebuilding_fixed_point(architecture, conversations,
+                                           compute_time, **kwargs)
+    finally:
+        set_cache_enabled(True)
+    history = [dataclasses.astuple(step) for step in solution.history]
+    assert (solution.throughput, solution.server_delay,
+            solution.client_delay, solution.iterations, history) \
+        == expected
+
+
+@pytest.mark.parametrize("architecture", list(Architecture),
+                         ids=lambda a: a.name)
+@pytest.mark.parametrize("conversations", [1, 2, 3, 4])
+def test_fixed_point_bit_identical_to_net_rebuilding(architecture,
+                                                     conversations):
+    """Re-timing each side from S_d / C_d alone gives the same floats,
+    iteration by iteration, as rebuilding and re-analyzing both nets."""
+    for compute_time in (0.0, 3000.0, 20000.0):
+        _assert_matches_rebuilding(architecture, conversations,
+                                   compute_time)
+
+
+def test_fixed_point_bit_identical_with_two_hosts():
+    _assert_matches_rebuilding(Architecture.II, 2, 3000.0, hosts=2)
+
+
+def test_fixed_point_bit_identical_with_syncmodel_params():
+    from repro.models.syncmodel import (nonlocal_client_params,
+                                        nonlocal_server_params)
+    _assert_matches_rebuilding(
+        Architecture.II, 3, 3000.0,
+        client_params=nonlocal_client_params("cas"),
+        server_params=nonlocal_server_params("cas"))
+
+
+def test_fixed_point_builds_each_net_once(monkeypatch):
+    """Later iterations re-time the first iteration's nets: two net
+    builds per fixed point, and every returned net carries the
+    surrogate delay it was solved at."""
+    from repro.gtpn.approximations import pair_frequencies
+    from repro.models import iterate
+    calls = []
+    for name in ("build_nonlocal_client_net", "build_nonlocal_server_net"):
+        original = getattr(iterate, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(iterate, name, counted)
+    solution = solve_nonlocal(Architecture.II, 2, 3000.0)
+    assert solution.iterations > 1
+    assert len(calls) == 2
+    last = solution.history[-1]
+    exit_f, _loop_f = pair_frequencies(last.server_delay)
+    assert solution.client_result.net.get_transition(
+        "server_delay").frequency == exit_f
+    exit_f, _loop_f = pair_frequencies(last.client_delay)
+    assert solution.server_result.net.get_transition(
+        "client_wait").frequency == exit_f

@@ -154,16 +154,3 @@ class TestSubmitExperiment:
         finally:
             service.shutdown()
 
-
-class TestLegacyShim:
-    @pytest.mark.parametrize("experiment_id", PARITY_IDS)
-    def test_legacy_run_experiment_deprecated_but_identical(
-            self, experiment_id):
-        fresh = api.run_experiment(experiment_id).artifact
-        with pytest.deprecated_call():
-            legacy = registry.run_experiment(experiment_id)
-        if hasattr(fresh, "rows"):
-            assert legacy.rows == fresh.rows
-        else:
-            assert [s.y for s in legacy.series] \
-                == [s.y for s in fresh.series]

@@ -7,11 +7,9 @@ bit-identical whichever backend ran the sweep.
 
 from __future__ import annotations
 
-import importlib
 import inspect
 import os
 import signal
-import sys
 import time
 
 import pytest
@@ -216,17 +214,3 @@ def test_sharded_shard_plan_covers_all_items():
             for index in range(start, stop))
         assert covered == list(range(n_items))
 
-
-# ----------------------------------------------------------------------
-# the deprecated import path
-# ----------------------------------------------------------------------
-
-def test_pool_module_warns_and_reexports():
-    sys.modules.pop("repro.perf.pool", None)
-    with pytest.warns(DeprecationWarning, match="repro.perf.pool is "
-                                                "deprecated"):
-        pool = importlib.import_module("repro.perf.pool")
-    assert pool.map_sweep is backends.map_sweep
-    assert pool.plan_jobs is backends.plan_jobs
-    assert pool.last_map_info is backends.last_map_info
-    assert pool.MapInfo is backends.MapInfo
