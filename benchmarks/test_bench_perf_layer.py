@@ -192,9 +192,10 @@ _REPLICATED_N4_FULL_STATES = 376_400
 def test_bench_packed_scaling_arch2(perf_record):
     """Scaling records for the array-native engine: one packed build +
     exact solve per conversation count, recording the build/solve split,
-    the states-per-second build rate, and which stationary-solver
-    branch produced the vector (sparse LU, or the bounded ILU-GMRES
-    attempt above the markov size threshold)."""
+    the states-per-second build rate, the order of the advance-class
+    quotient the solve factored, and which stationary-solver branch
+    produced the vector (sparse LU, or the bounded ILU-GMRES attempt
+    above the markov size threshold)."""
     from repro.gtpn.markov import stationary_distribution
     from repro.gtpn.packed import compile_packed, packed_build
 
@@ -215,7 +216,8 @@ def test_bench_packed_scaling_arch2(perf_record):
                            if name.startswith("markov.method.")]
         states_per_s = graph.state_count / build_s
         perf_record(bench=f"scaling-arch2-n{n}",
-                    state_count=graph.state_count, reduction="none",
+                    state_count=graph.state_count,
+                    quotient_order=graph.quotient_order, reduction="none",
                     build_s=build_s, solve_s=solve_s,
                     solve_method=solve_method,
                     gmres_unconverged=int(recorder.counters.get(
@@ -308,7 +310,9 @@ def test_bench_lumped_flagship_point(perf_record):
         assert full_states == _REPLICATED_N4_FULL_STATES
 
     perf_record(bench="lumped-arch2-replicated-n4",
-                state_count=result.state_count, reduction="lump",
+                state_count=result.state_count,
+                quotient_order=result.graph.quotient_order,
+                reduction="lump",
                 pre_lump_states=full_states, total_s=total_s,
                 throughput=result.throughput())
     assert full_states >= 100_000

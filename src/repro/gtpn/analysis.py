@@ -186,7 +186,8 @@ def analyze(net: Net, *, method: str = "auto",
                 graph = build_reachability_graph(net,
                                                  max_states=max_states,
                                                  reduction=reduction)
-        with obs.span("gtpn.solve", states=graph.state_count):
+        with obs.span("gtpn.solve", states=graph.state_count,
+                      order=graph.quotient_order):
             pi = stationary_distribution(graph, method=method,
                                          closed_classes=closed, plan=plan)
         result = AnalysisResult(net=net, graph=graph, pi=pi)
@@ -212,6 +213,7 @@ def _payload(result: AnalysisResult) -> dict:
         "layout": graph.packed_layout,
         "reduction": graph.reduction,
         "structure": graph.structure,
+        "advance_class": graph.advance_class,
         "pi": result.pi,
     }
 
@@ -226,5 +228,6 @@ def _rebind(net: Net, payload: dict) -> AnalysisResult:
         packed_table=payload["table"],
         packed_layout=payload["layout"],
         reduction=payload["reduction"],
-        structure=payload.get("structure", ""))
+        structure=payload.get("structure", ""),
+        advance_class=payload.get("advance_class"))
     return AnalysisResult(net=net, graph=graph, pi=payload["pi"])

@@ -1,20 +1,30 @@
 """Stationary solution of the embedded Markov chain of a GTPN.
 
 Solves pi P = pi, sum(pi) = 1 over the reachable state space with one
-deflated sparse direct solve (``_solve_linear``): pin the last
-component, factor the remaining principal block of P^T - I, and accept
-the vector only if it passes a fixed-point residual gate.  The
+deflated sparse direct solve (``_solve_linear``).  A tick first
+advances the in-flight firings deterministically (completions deposit,
+the rest count down) and only then draws the conflict resolutions, so
+a state's row of P is a function of its *post-completion
+configuration*: the states of one advance class
+(``ReachabilityGraph.advance_class``) have equal rows, and P = R S
+with R mapping states to classes and S holding one row per class.
+The solve factors the class chain Q = S R, of order k (574 for the
+6,336 states of arch II n=4): pin the last class, factor the remaining
+principal block of Q^T - I, lift nu to pi = nu S, and accept pi only
+if it passes a fixed-point residual gate on the full P.  A graph
+without classes solves with k = n through the same code.  The
 architecture models of chapter 6 produce irreducible chains (every
 conversation cycles forever); anything the gate rejects, such as a
-chain whose pinned state is transient, falls back to power iteration,
+chain whose pinned class is transient, falls back to power iteration,
 which is counted (``markov.solve_fallback``).  The structural half of
-that solve (fill-reducing column order, block assembly gathers) is a
-:class:`SolvePlan`, a function of the sparsity pattern alone, which
-the sweep skeleton builds once per structure (``markov.plan.build``)
-and every re-timed solve reuses.  Each accepted direct
-solve counts its method (``markov.method.lu`` or
+that solve (the quotient map, fill-reducing column order, block
+assembly gathers) is a :class:`SolvePlan`, a function of the sparsity
+pattern and the advance classes, which the sweep skeleton builds once
+per structure (``markov.plan.build``) and every re-timed solve reuses.
+Each accepted direct solve counts its method (``markov.method.lu`` or
 ``markov.method.ilu_gmres``) and records its residual
-(``markov.residual``).
+(``markov.residual``) and the order it factored
+(``markov.quotient_order``).
 
 Chains with more than one closed communicating class are refused
 (``AnalysisError``): their stationary distribution is not unique, so
@@ -58,8 +68,8 @@ def stationary_distribution(graph: ReachabilityGraph,
     strongly-connected-components pass; the reducibility refusal is
     identical either way.  ``plan`` is the chain's cached
     :class:`SolvePlan` (the skeleton keeps one per structure); without
-    one the direct solve plans from the matrix's own pattern, which
-    gives the same vector.
+    one the direct solve plans from the matrix's own pattern and the
+    graph's ``advance_class``, which gives the same vector.
     """
     matrix = transition_matrix(graph)
     if method not in ("auto", "linear", "power"):
@@ -71,6 +81,9 @@ def stationary_distribution(graph: ReachabilityGraph,
             f"embedded chain is reducible ({closed} closed communicating "
             "classes); the stationary distribution is not unique")
     if method in ("auto", "linear"):
+        if plan is None:
+            matrix, plan = _plan_for(
+                matrix, getattr(graph, "advance_class", None))
         try:
             pi = _solve_linear(matrix, plan)
             if pi is not None:
@@ -105,12 +118,14 @@ def _closed_class_count(matrix: sp.csr_matrix) -> int:
     return n_components - len(open_components)
 
 
-# Above this many states a bounded ILU-preconditioned GMRES attempt
-# runs before the sparse LU: on the large chains of the replicated and
-# n >= 5 models its incomplete factorization is much cheaper than a
-# full LU.  Below it the LU wins outright, and on high-load chains
-# (min pi below ~1e-11) GMRES stalls at the exactness tolerance
-# anyway, so an unbounded attempt would only burn iterations.
+# Above this many advance classes (the order of the quotient chain
+# the solve factors) a bounded ILU-preconditioned GMRES attempt runs
+# before the sparse LU.  Below it the LU wins outright, and on
+# high-load chains (min pi below ~1e-11) GMRES stalls at the exactness
+# tolerance anyway, so an unbounded attempt would only burn
+# iterations.  Every chapter-6/7 chain measured so far quotients to
+# far fewer classes (arch II n=7: 5,874 classes of 107,058 states), so
+# the branch only serves chains solved without advance classes.
 _GMRES_THRESHOLD = 10_000
 
 
@@ -118,57 +133,94 @@ _GMRES_THRESHOLD = 10_000
 class SolvePlan:
     """The value-free structure of one chain's deflated solve.
 
-    Built by :func:`build_solve_plan` from the CSR pattern of P alone,
-    so every chain with that pattern (a sweep re-times one skeleton
-    many times) shares it: the fill-reducing column order of the
-    block, and gathers that assemble the block's CSC data (columns
-    already in that order) and the right-hand side straight from
-    ``P.data``.  Structure arrays only, never factors: about 14 bytes
-    per nonzero of P.
+    Built by :func:`build_solve_plan` from the CSR pattern of P and
+    the chain's advance classes, so every chain with that pattern and
+    those classes (a sweep re-times one skeleton many times) shares
+    it.  With P = R S (``R`` maps each state to its class, ``S`` holds
+    one representative row of P per class) the solve factors the class
+    chain Q = S R of order ``k`` and lifts its stationary vector nu to
+    pi = nu S.  The plan holds the slots of S in ``P.data`` and where
+    each lands in ``Q.data`` and in pi; the fill-reducing column order
+    of Q's deflated block; and gathers that assemble the block's CSC
+    data (columns already in that order) and the right-hand side
+    straight from ``Q.data``.  Structure arrays only, never factors.
+    Identity classes (``k == n``) make Q = P.
     """
 
     n: int                      # states
     nnz: int                    # stored entries of P
-    order: np.ndarray           # block column k is column order[k]
+    k: int                      # advance classes: the order of Q
+    source: np.ndarray          # P.data slots of the rows of S
+    row: np.ndarray             # class of each such slot (row of S)
+    column: np.ndarray          # state of each such slot (column of S)
+    merge: np.ndarray           # Q.data slot of each such slot
+    order: np.ndarray           # block column i is column order[i]
     indptr: np.ndarray          # CSC pattern of the ordered block
     indices: np.ndarray
-    gather: np.ndarray          # block data <- P.data, nnz is a 0 slot
+    gather: np.ndarray          # block data <- Q.data, its nnz a 0 slot
     diagonal: np.ndarray        # block data slots of the -1 diagonal
-    rhs_index: np.ndarray       # rhs[rhs_index] = -P.data[rhs_source]
+    rhs_index: np.ndarray       # rhs[rhs_index] = -Q.data[rhs_source]
     rhs_source: np.ndarray
 
 
 def build_solve_plan(indptr: np.ndarray, indices: np.ndarray,
-                     ) -> SolvePlan:
+                     classes: np.ndarray | None = None) -> SolvePlan:
     """Plan the deflated solve of every chain with this CSR pattern.
 
-    Column j of the block (P^T - I)[:m, :m], m = n - 1, is row j of P
+    ``classes`` labels each state with its advance class (``None``:
+    every state is its own class).  Rows of P in one class must be
+    equal: class c's first state represents it, and each entry of Q
+    sums the entries of that row falling into one class.  The residual
+    gate on the full P refuses the vector of a plan whose classes are
+    wrong.
+
+    Column j of the block (Q^T - I)[:m, :m], m = k - 1, is row j of Q
     restricted to columns below m, plus the diagonal, which is
-    structural even where P has no self-loop.  The column order is
+    structural even where Q has no self-loop.  The column order is
     SuperLU's MMD on A^T A (post-ordered), read off an incomplete
     factorization of a synthetic matrix with the block's pattern:
     strictly diagonally dominant, so it never meets a zero pivot, and
-    free of values, so the order is a function of the pattern alone.
-    Factoring the ordered block with ``NATURAL`` then repeats the
-    ``MMD_ATA`` factorization without recomputing the order per solve.
+    free of values, so the order is a function of the pattern and the
+    classes alone.  Factoring the ordered block with ``NATURAL`` then
+    repeats the ``MMD_ATA`` factorization without recomputing the
+    order per solve.
     """
     indptr = np.asarray(indptr)
     indices = np.asarray(indices)
     n = len(indptr) - 1
-    m = n - 1
     nnz = int(indptr[-1])
-    src_row = np.repeat(np.arange(n), np.diff(indptr))
-    inner = np.flatnonzero((src_row < m) & (indices < m))
-    loops = inner[src_row[inner] == indices[inner]]
+    if classes is None:
+        classes = np.arange(n)
+    _, reps, classes = np.unique(classes, return_index=True,
+                                 return_inverse=True)
+    k = len(reps)
+    # S: the representative rows of P, slot by slot
+    lengths = np.diff(indptr)[reps]
+    row = np.repeat(np.arange(k), lengths)
+    source = np.arange(len(row)) + np.repeat(
+        indptr[reps] - (np.cumsum(lengths) - lengths), lengths)
+    column = indices[source]
+    # Q = S R: one entry per (row, class of column), CSR-sorted
+    entries, merge = np.unique(row * np.int64(k) + classes[column],
+                               return_inverse=True)
+    q_indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(entries // k, minlength=k))])
+    q_indices = entries % k
+    q_nnz = len(entries)
+
+    m = k - 1
+    src_row = np.repeat(np.arange(k), np.diff(q_indptr))
+    inner = np.flatnonzero((src_row < m) & (q_indices < m))
+    loops = inner[src_row[inner] == q_indices[inner]]
     no_loop = np.ones(m, dtype=bool)
     no_loop[src_row[loops]] = False
     missing = np.flatnonzero(no_loop)
-    # block entries (row, col, source slot), sorted column-major
-    rows = np.concatenate([indices[inner], missing])
+    # block entries (row, col, Q.data slot), sorted column-major
+    rows = np.concatenate([q_indices[inner], missing])
     cols = np.concatenate([src_row[inner], missing])
-    source = np.concatenate([inner, np.full(len(missing), nnz)])
+    slots = np.concatenate([inner, np.full(len(missing), q_nnz)])
     by_col = np.lexsort((rows, cols))
-    rows, cols, source = rows[by_col], cols[by_col], source[by_col]
+    rows, cols, slots = rows[by_col], cols[by_col], slots[by_col]
     counts = np.bincount(cols, minlength=m)
     col_ptr = np.concatenate([[0], np.cumsum(counts)])
 
@@ -185,52 +237,66 @@ def build_solve_plan(indptr: np.ndarray, indices: np.ndarray,
     ordered_ptr = np.concatenate([[0], np.cumsum(lengths)])
     take = np.arange(len(rows)) + np.repeat(
         col_ptr[order] - ordered_ptr[:-1], lengths)
-    last = np.arange(indptr[m], nnz)
-    last = last[indices[last] < m]
+    last = np.arange(q_indptr[m], q_nnz)
+    last = last[q_indices[last] < m]
     # every solve's block wraps these two arrays: keep them immutable
     block_ptr = ordered_ptr.astype(np.intc)
     block_rows = rows[take].astype(np.intc)
     block_ptr.flags.writeable = block_rows.flags.writeable = False
     return SolvePlan(
-        n=n, nnz=nnz, order=order, indptr=block_ptr, indices=block_rows,
-        gather=source[take],
+        n=n, nnz=nnz, k=k, source=source, row=row, column=column,
+        merge=merge, order=order, indptr=block_ptr, indices=block_rows,
+        gather=slots[take],
         diagonal=np.flatnonzero(rows[take] == cols[take]),
-        rhs_index=indices[last], rhs_source=last)
+        rhs_index=q_indices[last], rhs_source=last)
+
+
+def _plan_for(matrix: sp.csr_matrix, classes: np.ndarray | None = None,
+              ) -> tuple[sp.csr_matrix, SolvePlan]:
+    """A throwaway plan for *matrix*, and the matrix it applies to."""
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    return matrix, build_solve_plan(matrix.indptr, matrix.indices,
+                                    classes)
 
 
 def _solve_linear(matrix: sp.csr_matrix,
                   plan: SolvePlan | None = None) -> np.ndarray | None:
-    """Deflated direct solve of pi (P - I) = 0.
+    """Deflated direct solve of pi (P - I) = 0 through the class chain.
 
-    Pinning pi[n-1] = 1 leaves the order-(n-1) principal block of
-    P^T - I with right-hand side -(P^T)[:n-1, n-1], both gathered from
-    ``P.data`` by the chain's :class:`SolvePlan` (a throwaway one when
-    the caller has none cached).  The block is as sparse as the chain
-    itself and column diagonally dominant, so SuperLU's pivots are
-    stable; its columns arrive in the plan's fill-reducing order and
-    are factored with ``NATURAL``.  Chains above ``_GMRES_THRESHOLD``
-    first try ILU-GMRES on a bounded budget and fall through to the
-    same LU when it does not converge.  The vector is accepted only if
-    it is a non-negative fixed point (max |pi P - pi| <= 1e-8);
+    The plan's classes write P = R S; the class chain Q = S R has the
+    stationary vector nu, and pi = nu S is exactly P's.  ``Q.data`` is
+    a ``bincount`` of the representative rows' slots of ``P.data``
+    (a plan-less call plans with identity classes, so Q = P).  Pinning
+    nu[k-1] = 1 leaves the order-(k-1) principal block of Q^T - I with
+    right-hand side -(Q^T)[:k-1, k-1], both gathered from ``Q.data``.
+    The block is as sparse as the chain itself and column diagonally
+    dominant, so SuperLU's pivots are stable; its columns arrive in the
+    plan's fill-reducing order and are factored with ``NATURAL``.
+    Quotients above ``_GMRES_THRESHOLD`` classes first try ILU-GMRES on
+    a bounded budget and fall through to the same LU when it does not
+    converge.  The lifted vector is accepted only if nu is non-negative
+    and pi is a fixed point of the full P (max |pi P - pi| <= 1e-8), so
+    a plan with wrong classes costs a fallback, never a wrong answer;
     ``None`` hands the chain to the counted power-iteration fallback.
     """
     if plan is None:
-        if not matrix.has_canonical_format:
-            matrix = matrix.copy()
-            matrix.sum_duplicates()
-        plan = build_solve_plan(matrix.indptr, matrix.indices)
+        matrix, plan = _plan_for(matrix)
     n = matrix.shape[0]
     if n != plan.n or matrix.nnz != plan.nnz:
         raise AnalysisError("solve plan does not match the chain's "
                             "sparsity pattern")
-    m = n - 1
-    data = np.append(matrix.data, 0.0)[plan.gather]
+    m = plan.k - 1
+    s_data = matrix.data[plan.source]
+    q_data = np.bincount(plan.merge, weights=s_data)
+    data = np.append(q_data, 0.0)[plan.gather]
     data[plan.diagonal] -= 1.0
     block = sp.csc_matrix((data, plan.indices, plan.indptr), shape=(m, m))
     rhs = np.zeros(m)
-    rhs[plan.rhs_index] = -matrix.data[plan.rhs_source]
+    rhs[plan.rhs_index] = -q_data[plan.rhs_source]
     y, method = None, "lu"
-    if n > _GMRES_THRESHOLD:
+    if plan.k > _GMRES_THRESHOLD:
         try:
             ilu = spla.spilu(block, drop_tol=0.05, fill_factor=2.0)
             precond = spla.LinearOperator(block.shape, ilu.solve)
@@ -250,21 +316,24 @@ def _solve_linear(matrix: sp.csr_matrix,
         except RuntimeError:
             # SuperLU reports an exactly singular block this way
             return None
-    pi = np.empty(n)
-    pi[plan.order] = y
-    pi[m] = 1.0
-    total = pi.sum()
+    nu = np.empty(plan.k)
+    nu[plan.order] = y
+    nu[m] = 1.0
+    total = nu.sum()
     if not np.isfinite(total) or total <= 0:
         return None
-    pi /= total
-    if np.any(pi < -1e-9):
+    nu /= total
+    if np.any(nu < -1e-9):
         return None
-    pi = np.clip(pi, 0.0, None)
+    nu = np.clip(nu, 0.0, None)
+    pi = np.bincount(plan.column, weights=nu[plan.row] * s_data,
+                     minlength=n)
     pi /= pi.sum()
     residual = np.abs(pi @ matrix - pi).max()
     obs.gauge("markov.residual", float(residual))
     if residual > 1e-8:
         return None
+    obs.gauge("markov.quotient_order", plan.k)
     obs.add(f"markov.method.{method}")
     return pi
 

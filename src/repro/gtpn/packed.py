@@ -310,6 +310,20 @@ class PackedNet:
         #: per transition: its gate as (place, transition) index tuples
         self.gates = tuple(gates)
 
+    def advance(self, rows: np.ndarray) -> np.ndarray:
+        """State rows -> their post-advance (post-completion) rows.
+
+        Slots at remaining == 1 complete and deposit their outputs;
+        the rest count down one tick.  A state's successors, and so
+        its row of P, are a function of this row alone.
+        """
+        n_p = self.n_places
+        adv = np.zeros((len(rows), self.layout.width), dtype=np.int32)
+        adv[:, :n_p] = rows[:, :n_p] \
+            + rows[:, self.complete_cols] @ self.complete_out
+        adv[:, self.shift_dst] = rows[:, self.shift_src]
+        return adv
+
     def settle_rows(self, rows: np.ndarray) -> np.ndarray:
         """Post-advance full-width rows -> their settle rows."""
         n_p = self.n_places
@@ -606,7 +620,11 @@ class PackedSkeleton:
     factor/program bookkeeping; :func:`packed_retime` re-evaluates the
     probabilities for new frequencies in-place on this structure.
     Shared (cached, possibly across processes): treat every field as
-    read-only.
+    read-only.  ``advance_class`` labels each table row with the
+    first-seen rank of its post-advance row (see
+    :meth:`PackedNet.advance`; canonicalized under lumping); rows of P
+    in one class are equal, which is what lets the stationary solve
+    factor the class chain.
     """
 
     structure: str              # structure fingerprint
@@ -620,6 +638,7 @@ class PackedSkeleton:
     table: np.ndarray           # (n_full, width) canonical state rows
     indptr: np.ndarray
     indices: np.ndarray
+    advance_class: np.ndarray | None    # per table row, first-seen
     ev: _EvalData
     inflight_matrix: np.ndarray
     closed_classes: int | None  # None until first demanded
@@ -672,11 +691,29 @@ class PackedSkeleton:
                         self.kept = kept
         return self.closed_classes
 
+    def __setstate__(self, state: dict) -> None:
+        # a skeleton pickled before advance classes existed carries a
+        # plan over every state: drop it, so it solves with k = n
+        if "advance_class" not in state:
+            state = dict(state, advance_class=None, plan=None)
+        self.__dict__.update(state)
+
+    def solve_classes(self) -> np.ndarray | None:
+        """Advance classes of the states the solver sees.
+
+        The elim slice keeps the labels of the kept states, relabelled
+        first-seen so they stay ``0..k-1``.
+        """
+        if self.kept is None or self.advance_class is None:
+            return self.advance_class
+        return _unique_scalars_first_seen(self.advance_class[self.kept])[1]
+
     def solve_plan(self) -> SolvePlan:
         """The stationary solve's plan for this structure (lazy, cached).
 
-        Built over the pattern of the matrix the solver sees: the elim
-        slice when transients were removed, the full chain otherwise.
+        Built over the pattern and advance classes of the matrix the
+        solver sees: the elim slice when transients were removed, the
+        full chain otherwise.
         """
         if self.plan is None:
             self.closed_class_count()   # may populate the elim slice
@@ -687,7 +724,8 @@ class PackedSkeleton:
                     (np.ones(len(indices)), indices, indptr),
                     shape=(n_states, n_states))[self.kept][:, self.kept]
                 indptr, indices = pattern.indptr, pattern.indices
-            self.plan = build_solve_plan(indptr, indices)
+            self.plan = build_solve_plan(indptr, indices,
+                                         self.solve_classes())
         return self.plan
 
 
@@ -1102,14 +1140,8 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
     explored = 0
     while explored < interner.n:
         hi = min(interner.n, explored + WAVE_CHUNK)
-        wave = interner._table[explored:hi]
-        n_src = hi - explored
-        obs.add("gtpn.frontier", n_src)
-        # advance: deposit completions, count down the rest
-        adv = np.zeros((n_src, width), dtype=np.int32)
-        adv[:, :n_p] = wave[:, :n_p] \
-            + wave[:, pnet.complete_cols] @ pnet.complete_out
-        adv[:, pnet.shift_dst] = wave[:, pnet.shift_src]
+        obs.add("gtpn.frontier", hi - explored)
+        adv = pnet.advance(interner._table[explored:hi])
         dst, src, gidx = expand_wave(adv, explored, hi)
         explored = hi
         firsts, item_branch = _dedup_branches(dst, src,
@@ -1222,6 +1254,15 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
     table = interner.table()
     inflight_matrix = table[:, pnet.n_places:].astype(float) \
         @ pnet.slot_to_t
+    # states with one post-advance row have one expansion, hence equal
+    # rows of P: label them by the row the wave loop expanded.  Under
+    # lumping, advanced rows one replica permutation apart settle to
+    # permuted outcomes, which canonicalize to the same successors with
+    # the same probabilities, so the canonical advanced row labels them
+    advanced = pnet.advance(table)
+    if pnet.sym_blocks:
+        advanced, _ = _lump_canonicalize(pnet, advanced)
+    _, advance_class = _unique_rows_first_seen(advanced)
 
     place_orbits: tuple = ()
     transition_orbits: tuple = ()
@@ -1239,7 +1280,8 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
         freq_positive=tuple(bool(f > 0) for f in pnet.freqs),
         gates=pnet.gates,
         layout=pnet.layout, table=table, indptr=indptr,
-        indices=indices, ev=ev, inflight_matrix=inflight_matrix,
+        indices=indices, advance_class=advance_class, ev=ev,
+        inflight_matrix=inflight_matrix,
         closed_classes=None, kept=None, reduction=reduction,
         lumped=bool(pnet.sym_blocks), place_orbits=place_orbits,
         transition_orbits=transition_orbits, folded_states=0)
@@ -1291,7 +1333,8 @@ def _materialize(skeleton: PackedSkeleton, net: Net,
         net=net, matrix=matrix, starts_matrix=starts_matrix,
         init_vec=init_vec, inflight_matrix=inflight_matrix,
         packed_table=table, packed_layout=skeleton.layout,
-        reduction=reduction, structure=skeleton.structure)
+        reduction=reduction, structure=skeleton.structure,
+        advance_class=skeleton.solve_classes())
 
 
 def packed_retime(skeleton: PackedSkeleton, net: Net, *,

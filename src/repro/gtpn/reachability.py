@@ -74,6 +74,11 @@ class ReachabilityGraph:
     * ``structure``: the structure fingerprint of the packed skeleton
       the graph was evaluated from (empty when the build was not keyed
       or the graph was re-bound from a cached payload).
+    * ``advance_class[i]``: the advance class of state i, ``0..k-1``:
+      states whose post-completion configurations (marking after
+      completions, plus the slots still counting down) are equal have
+      equal rows of P, so the stationary solve factors the order-k
+      class chain.  ``None`` makes every state its own class.
     """
 
     net: Net
@@ -85,10 +90,18 @@ class ReachabilityGraph:
     packed_layout: PackedLayout
     reduction: ReductionInfo | None = None
     structure: str = ""
+    advance_class: np.ndarray | None = None
 
     @property
     def state_count(self) -> int:
         return len(self.packed_table)
+
+    @property
+    def quotient_order(self) -> int:
+        """Order of the chain the stationary solve factors."""
+        if self.advance_class is None:
+            return self.state_count
+        return int(self.advance_class.max()) + 1
 
 
 def build_reachability_graph(net: Net,

@@ -190,7 +190,8 @@ class SweepSolver:
     def _solve(self, net: Net, graph: ReachabilityGraph,
                skeleton: PackedSkeleton):
         started = perf_now()
-        with obs.span("gtpn.solve", states=graph.state_count):
+        with obs.span("gtpn.solve", states=graph.state_count,
+                      order=graph.quotient_order):
             pi = self._analysis.stationary_distribution(
                 graph, method=self.method,
                 closed_classes=skeleton.closed_class_count(),
