@@ -1,11 +1,12 @@
-"""Benches for the perf layer: sweep parallelism and analysis caching.
+"""Benches for the perf layer: sweep parallelism and the skeleton store.
 
-Records serial-vs-parallel, cold-vs-warm-cache, and structure-sharing
-sweep wall times to ``BENCH_perf.json`` (via the ``perf_record``
-fixture), and asserts the headline guarantees: values are bit-identical
-on every path, the cache fast path delivers at least a 1.5x wall-clock
-improvement, and the structure-sharing sweep engine beats per-point
-analysis by at least 4x on a cold 18-point grid.
+Records serial-vs-parallel, cold-vs-held-skeleton, and
+structure-sharing sweep wall times to ``BENCH_perf.json`` (via the
+``perf_record`` fixture), and asserts the headline guarantees: values
+are bit-identical on every path, a skeleton-store hit delivers at
+least a 1.5x wall-clock improvement over a cold build, and the
+structure-sharing sweep engine beats per-point analysis on a cold
+18-point grid.
 
 The parallel timings are recorded unconditionally but only asserted
 against when the machine actually has more than one CPU — on a
@@ -26,8 +27,8 @@ from repro.gtpn.sweep import SweepSolver
 from repro.models import Architecture, build_local_net
 from repro.models.solve import _solve_cached
 from repro.obs.clock import perf_now
-from repro.perf import AnalysisCache, set_cache_enabled
-from repro.perf.backends import last_map_info
+from repro.perf import AnalysisCache, configure_cache
+from repro.perf.backends import last_map_info, shutdown_pool
 
 #: Required wall-clock improvement of the winning fast path.
 MIN_SPEEDUP = 1.5
@@ -57,20 +58,18 @@ def _timed(fn, *args, **kwargs):
 def test_bench_sweep_vs_pointwise_analyze(perf_record):
     """Tentpole guarantee: a cold parameter sweep through
     ``SweepSolver`` builds the reachability graph once and re-times it
-    per point, beating cold per-point ``analyze`` by ``>= 4x`` with
-    bit-identical results.  Both paths run with caching off (private
-    cold state), so the win measured is structure sharing alone."""
-    set_cache_enabled(False)
-    try:
-        pointwise, pointwise_s = _timed(lambda: [
-            analyze(build_local_net(Architecture.II, 3, x))
-            for x in _SWEEP_COMPUTE_TIMES])
-        solver = SweepSolver(cache=None)
-        swept, sweep_s = _timed(lambda: [
-            solver.analyze(build_local_net(Architecture.II, 3, x))
-            for x in _SWEEP_COMPUTE_TIMES])
-    finally:
-        set_cache_enabled(True)
+    per point, beating cold per-point ``analyze`` by
+    ``MIN_SWEEP_SPEEDUP`` with bit-identical results.  Each pointwise
+    solve gets its own fresh store and the sweep one fresh store of its
+    own, so the win measured is structure sharing alone."""
+    pointwise, pointwise_s = _timed(lambda: [
+        analyze(build_local_net(Architecture.II, 3, x),
+                cache=AnalysisCache())
+        for x in _SWEEP_COMPUTE_TIMES])
+    solver = SweepSolver(cache=AnalysisCache())
+    swept, sweep_s = _timed(lambda: [
+        solver.analyze(build_local_net(Architecture.II, 3, x))
+        for x in _SWEEP_COMPUTE_TIMES])
 
     speedup = pointwise_s / sweep_s
     perf_record(bench="sweep-vs-pointwise-arch2-local-n3",
@@ -90,7 +89,8 @@ def test_bench_sweep_vs_pointwise_analyze(perf_record):
 
 def test_bench_exact_analysis_cold_vs_warm(perf_record):
     """Same workload as ``test_bench_exact_analysis_arch2_local``,
-    solved cold and then through the content-addressed cache."""
+    solved cold (a reachability build) and then again through the
+    skeleton the first solve left in the store (a re-time)."""
     cache = AnalysisCache()
     cold_result, cold_s = _timed(
         analyze, build_local_net(Architecture.II, 3, 1000.0),
@@ -110,29 +110,30 @@ def test_bench_exact_analysis_cold_vs_warm(perf_record):
 def test_bench_figure_6_18_serial_parallel_warm(perf_record):
     """One realistic-workload figure timed on every execution path.
 
-    The three runs — serial cold, parallel cold, serial warm-cache —
-    must produce bit-identical figure values; speed is the only
-    degree of freedom.
+    The three runs — serial cold, parallel cold, serial over held
+    skeletons — must produce bit-identical figure values; speed is the
+    only degree of freedom.  Each cold leg starts from an empty
+    skeleton store (and the parallel leg from a fresh pool, whose
+    workers start from that empty store).
     """
     # always *request* the full fan-out; the pool planner decides
     # whether it can pay off, and the record reports its decision
     jobs = 4
 
-    set_cache_enabled(False)
-    try:
+    def cold():
+        configure_cache()
         _solve_cached.cache_clear()
-        serial, serial_s = _timed(figure_6_18, jobs=1, **_FIGURE_GRID)
-        _solve_cached.cache_clear()
-        parallel, parallel_s = _timed(figure_6_18, jobs=jobs,
-                                      **_FIGURE_GRID)
-        pool_info = last_map_info()
-    finally:
-        set_cache_enabled(True)
 
-    from repro.perf import configure_cache
-    configure_cache()               # fresh global cache
-    _solve_cached.cache_clear()
-    figure_6_18(jobs=1, **_FIGURE_GRID)          # populate the cache
+    cold()
+    serial, serial_s = _timed(figure_6_18, jobs=1, **_FIGURE_GRID)
+    cold()
+    shutdown_pool()
+    parallel, parallel_s = _timed(figure_6_18, jobs=jobs,
+                                  **_FIGURE_GRID)
+    pool_info = last_map_info()
+
+    cold()
+    figure_6_18(jobs=1, **_FIGURE_GRID)          # hold the skeletons
     _solve_cached.cache_clear()
     warm, warm_s = _timed(figure_6_18, jobs=1, **_FIGURE_GRID)
 
@@ -250,14 +251,11 @@ def test_bench_nonlocal_fixed_point(perf_record, monkeypatch):
             net_builds.append(_build)
             return _build(*args, **kwargs)
         monkeypatch.setattr(iterate, name, counted)
-    set_cache_enabled(False)
-    try:
-        with obs.recording() as recorder:
-            solution, total_s = _timed(
-                solve_nonlocal, point["architecture"],
-                point["conversations"], compute)
-    finally:
-        set_cache_enabled(True)
+    configure_cache()               # cold: both sides build once
+    with obs.recording() as recorder:
+        solution, total_s = _timed(
+            solve_nonlocal, point["architecture"],
+            point["conversations"], compute)
 
     def stage_s(name):
         return sum(s.duration_s for s in recorder.spans if s.name == name)
@@ -292,13 +290,10 @@ def test_bench_lumped_flagship_point(perf_record):
     solve) inside the wall budget when lumping is enabled."""
     from repro.models import build_replicated_local_net
 
-    set_cache_enabled(False)
-    try:
-        result, total_s = _timed(
-            lambda: analyze(build_replicated_local_net(Architecture.II, 4),
-                            max_states=5_000_000, reduction="lump"))
-    finally:
-        set_cache_enabled(True)
+    result, total_s = _timed(
+        lambda: analyze(build_replicated_local_net(Architecture.II, 4),
+                        max_states=5_000_000, reduction="lump",
+                        cache=AnalysisCache()))
 
     full_states = _REPLICATED_N4_FULL_STATES
     if os.environ.get("REPRO_BENCH_HEAVY"):

@@ -11,8 +11,7 @@ registered experiment:
     result.obs_summary["counters"]
 
 Keyword arguments mirror the CLI flags exactly (``seed`` ↔ ``--seed``,
-``jobs`` ↔ ``--jobs``, ``cache=False`` ↔ ``--no-cache``, ``backend`` ↔
-``--backend``) and are applied through scoped
+``jobs`` ↔ ``--jobs``) and are applied through scoped
 :func:`repro.config.overrides`, so the run sees the same precedence as
 a CLI invocation and nothing leaks afterwards.  ``fault_plan``
 installs a default :class:`~repro.faults.plan.FaultPlan` every
@@ -145,7 +144,6 @@ def run_traced(label: str, fn: Callable[[], Any], *,
 
 
 def _run_overrides(*, seed: int | None = None, jobs: int | None = None,
-                   cache: bool | None = None, backend: str | None = None,
                    fault_plan=None, duration: float | None = None,
                    arrival_rate: float | None = None,
                    deadline: float | None = None,
@@ -158,10 +156,6 @@ def _run_overrides(*, seed: int | None = None, jobs: int | None = None,
         kwargs["seed"] = seed
     if jobs is not None:
         kwargs["jobs"] = jobs
-    if cache is not None:
-        kwargs["cache_enabled"] = cache
-    if backend is not None:
-        kwargs["backend"] = backend
     if fault_plan is not None:
         kwargs["fault_plan"] = fault_plan
     if duration is not None:
@@ -211,8 +205,7 @@ def _execute_run(experiment_id: str, run_kwargs: dict,
 
 
 def run_experiment(experiment_id: str, *, seed: int | None = None,
-                   jobs: int | None = None, cache: bool | None = None,
-                   backend: str | None = None, fault_plan=None,
+                   jobs: int | None = None, fault_plan=None,
                    duration: float | None = None,
                    arrival_rate: float | None = None,
                    deadline: float | None = None,
@@ -220,7 +213,7 @@ def run_experiment(experiment_id: str, *, seed: int | None = None,
                    trace: str | Path | None = None) -> ExperimentResult:
     """Run one registered experiment with scoped configuration.
 
-    ``seed``/``jobs``/``cache``/``backend`` default to ``None`` =
+    ``seed``/``jobs`` default to ``None`` =
     "whatever the surrounding CLI/env configuration says"; a
     non-``None`` value takes CLI precedence for this run only.
     ``fault_plan`` makes every kernel-simulator system in the run
@@ -237,8 +230,7 @@ def run_experiment(experiment_id: str, *, seed: int | None = None,
     from repro.service import default_service
     handle = default_service().submit(
         experiment_id, lane="inline", trace=trace,
-        **_run_overrides(seed=seed, jobs=jobs, cache=cache,
-                         backend=backend, fault_plan=fault_plan,
+        **_run_overrides(seed=seed, jobs=jobs, fault_plan=fault_plan,
                          duration=duration, arrival_rate=arrival_rate,
                          deadline=deadline, queue_limit=queue_limit))
     return handle.result()
@@ -246,8 +238,7 @@ def run_experiment(experiment_id: str, *, seed: int | None = None,
 
 def submit_experiment(experiment_id: str, *, tenant: str = "default",
                       service=None, seed: int | None = None,
-                      jobs: int | None = None, cache: bool | None = None,
-                      backend: str | None = None, fault_plan=None,
+                      jobs: int | None = None, fault_plan=None,
                       duration: float | None = None,
                       arrival_rate: float | None = None,
                       deadline: float | None = None,
@@ -269,7 +260,6 @@ def submit_experiment(experiment_id: str, *, tenant: str = "default",
     svc = service if service is not None else default_service()
     return svc.submit(
         experiment_id, tenant=tenant, trace=trace,
-        **_run_overrides(seed=seed, jobs=jobs, cache=cache,
-                         backend=backend, fault_plan=fault_plan,
+        **_run_overrides(seed=seed, jobs=jobs, fault_plan=fault_plan,
                          duration=duration, arrival_rate=arrival_rate,
                          deadline=deadline, queue_limit=queue_limit))

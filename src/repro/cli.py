@@ -6,7 +6,6 @@ Usage::
     python -m repro run table-6.24 figure-6.17a
     python -m repro run --all [--heavy]
     python -m repro --jobs 8 run figure-6.18
-    python -m repro --no-cache run figure-6.7
     python -m repro --trace out.json run figure-6.7
     python -m repro stats out.jsonl
     python -m repro --seed 7 chaos --loss 0.01 0.05
@@ -15,16 +14,12 @@ Usage::
     python -m repro solve --arch II --mode local -n 4 -x 2850
     python -m repro validate --quick
     python -m repro validate --rebaseline
-    python -m repro --backend sharded --jobs 4 run figure-6.18
     python -m repro serve figure-6.7 table-5.1 --repeat 3 --stats
 
 ``--jobs N`` fans the grid points of sweep experiments out over N
-worker processes (``REPRO_JOBS`` sets the same default); ``--backend``
-picks the executor family those workers run under (``serial`` /
-``local`` / ``sharded``, see :mod:`repro.perf.backends`);
-``--no-cache`` disables the content-addressed analysis cache
-(``REPRO_CACHE_DIR`` enables its on-disk tier).  None of these flags
-changes any computed value.  ``repro serve`` drives the async
+processes of the persistent local pool (``REPRO_JOBS`` sets the same
+default; see :mod:`repro.perf.backends`); it changes no computed
+value.  ``repro serve`` drives the async
 experiment service (:mod:`repro.service`): submissions queue, twins
 coalesce, and repeats answer from the content-addressed result store.
 ``--seed N`` sets the default seed of every stochastic component
@@ -452,14 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for sweep experiments (default: "
              "REPRO_JOBS or serial); results are identical at any N")
     parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-addressed GTPN analysis cache")
-    parser.add_argument(
-        "--backend", metavar="NAME", default=None,
-        help="sweep executor backend: serial, local, or sharded "
-             "(default: REPRO_BACKEND or local); results are "
-             "identical on any backend")
-    parser.add_argument(
         "--seed", type=int, default=None, metavar="N",
         help="default seed for every stochastic component (default: "
              "REPRO_SEED or each component's own)")
@@ -693,13 +680,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
         config.set_jobs(args.jobs)
-    if args.no_cache:
-        config.set_cache_enabled(False)
-    if args.backend is not None:
-        try:
-            config.set_backend(args.backend)
-        except ReproError as error:
-            parser.error(str(error))
     if args.seed is not None:
         config.set_seed(args.seed)
     if args.reduction is not None:

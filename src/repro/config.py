@@ -8,10 +8,7 @@ knob             CLI flag            environment        default
 ===============  ==================  =================  =============
 worker count     ``--jobs N``        ``REPRO_JOBS``     1 (serial)
 seed             ``--seed N``        ``REPRO_SEED``     per-component
-analysis cache   ``--no-cache``      ``REPRO_NO_CACHE`` enabled
-cache directory  (none)              ``REPRO_CACHE_DIR``  memory-only
 state reduction  ``--reduction M``   ``REPRO_REDUCTION``  ``none``
-executor backend ``--backend B``     ``REPRO_BACKEND``  ``local``
 sync primitive   ``--sync P``        ``REPRO_SYNC``     ``tas``
 result store     (none)              ``REPRO_RESULT_DIR``  memory-only
 traffic window   ``--duration US``   ``REPRO_DURATION`` per-experiment
@@ -27,8 +24,7 @@ to *unset*: each open-arrival entry point keeps its own documented
 default, and a set knob overrides all of them at once.
 
 The historical entry points (:func:`repro.perf.backends.set_default_jobs`,
-:func:`repro.seeding.set_default_seed`,
-:func:`repro.perf.cache.set_cache_enabled`) delegate to the setters
+:func:`repro.seeding.set_default_seed`) delegate to the setters
 below, so precedence lives in exactly one place; error behaviour is
 unchanged (malformed ``REPRO_JOBS`` raises
 :class:`~repro.errors.ConfigError`, malformed ``REPRO_SEED`` raises
@@ -66,8 +62,6 @@ _scoped_stack: list[tuple] = []
 
 _cli_jobs: int | None = None
 _cli_seed: int | None = None
-#: tri-state: None = not set on the CLI, True/False = CLI decision
-_cli_cache_enabled: bool | None = None
 #: process-wide default fault plan (see ``repro.api.run_experiment``)
 _default_fault_plan = None
 
@@ -167,42 +161,6 @@ def _resolve_seed(cli=_UNSET) -> tuple[int | None, str]:
 
 
 # ----------------------------------------------------------------------
-# analysis cache
-# ----------------------------------------------------------------------
-
-def set_cache_enabled(enabled: bool) -> None:
-    """The CLI cache switch (``--no-cache`` passes ``False``).
-
-    ``REPRO_NO_CACHE=1`` still disables the cache even after
-    ``set_cache_enabled(True)``: both switches are kill switches, and
-    either one disabling wins — the only *enabling* path is the
-    default.
-    """
-    global _cli_cache_enabled
-    _cli_cache_enabled = bool(enabled)
-
-
-def cache_enabled() -> bool:
-    """Resolved cache switch: any disable (CLI or env) wins."""
-    return _resolve_cache()[0]
-
-
-def _resolve_cache() -> tuple[bool, str]:
-    if _cli_cache_enabled is False:
-        return False, "cli"
-    if os.environ.get("REPRO_NO_CACHE", "") == "1":
-        return False, "env"
-    if _cli_cache_enabled is True:
-        return True, "cli"
-    return True, "default"
-
-
-def cache_dir() -> str | None:
-    """The on-disk cache tier directory (``REPRO_CACHE_DIR``), if any."""
-    return os.environ.get("REPRO_CACHE_DIR") or None
-
-
-# ----------------------------------------------------------------------
 # state-space reduction
 # ----------------------------------------------------------------------
 
@@ -259,52 +217,6 @@ def _resolve_reduction(cli=_UNSET) -> tuple[str, str]:
 
 
 # ----------------------------------------------------------------------
-# executor backend (see repro.perf.backends)
-# ----------------------------------------------------------------------
-
-#: Recognized sweep-executor backends.  ``serial`` runs every sweep
-#: in-process, ``local`` is the persistent primed process pool, and
-#: ``sharded`` adds per-worker chunk shards with work stealing.  The
-#: choice never changes computed values — only wall-clock time and
-#: scheduling (the bit-identity contract of ``repro.perf.backends``).
-VALID_BACKENDS = ("serial", "local", "sharded")
-
-_cli_backend: str | None = None
-
-
-def normalize_backend(value, source: str = "backend") -> str:
-    """Canonical backend name, or :class:`ConfigError` for junk."""
-    name = str(value).strip().lower()
-    if name not in VALID_BACKENDS:
-        raise ConfigError(
-            f"{source} must be one of {', '.join(VALID_BACKENDS)}, "
-            f"got {value!r}")
-    return name
-
-
-def set_backend(name: str | None) -> None:
-    """Install the CLI executor backend (``None`` reverts to
-    env/default)."""
-    global _cli_backend
-    _cli_backend = None if name is None \
-        else normalize_backend(name, "backend")
-
-
-def backend() -> str:
-    """Resolved backend: CLI > ``REPRO_BACKEND`` > ``"local"``."""
-    return _resolve_backend()[0]
-
-
-def _resolve_backend() -> tuple[str, str]:
-    if _cli_backend is not None:
-        return _cli_backend, "cli"
-    env = os.environ.get("REPRO_BACKEND", "")
-    if env.strip():
-        return normalize_backend(env, "REPRO_BACKEND"), "env"
-    return "local", "default"
-
-
-# ----------------------------------------------------------------------
 # synchronization primitive (see repro.memory.primitives)
 # ----------------------------------------------------------------------
 
@@ -313,8 +225,8 @@ def _resolve_backend() -> tuple[str, str]:
 #: spinlock baseline (Table 6.1's 60 us + 14 cycles); ``cas``,
 #: ``llsc`` and ``htm`` re-cost the same section 5.1 queue algorithms
 #: under compare-and-swap, load-linked/store-conditional and
-#: speculative (HTM-style) synchronization.  Unlike ``--backend``,
-#: this knob **changes computed values**: the architecture II model
+#: speculative (HTM-style) synchronization.  This knob **changes
+#: computed values**: the architecture II model
 #: parameters are re-derived from the selected primitive's microcoded
 #: cost row, so it is part of a job's identity
 #: (:func:`ambient_config`).
@@ -464,14 +376,12 @@ def default_fault_plan():
 
 def reset() -> None:
     """Drop every CLI-level override (tests and fresh CLI entry)."""
-    global _cli_jobs, _cli_seed, _cli_cache_enabled, _default_fault_plan
-    global _cli_reduction, _cli_backend, _cli_sync
+    global _cli_jobs, _cli_seed, _default_fault_plan
+    global _cli_reduction, _cli_sync
     _cli_jobs = None
     _cli_seed = None
-    _cli_cache_enabled = None
     _default_fault_plan = None
     _cli_reduction = None
-    _cli_backend = None
     _cli_sync = None
     for name in _cli_traffic:
         _cli_traffic[name] = None
@@ -482,10 +392,9 @@ def reset() -> None:
 # ----------------------------------------------------------------------
 
 @contextmanager
-def overrides(*, jobs=_UNSET, seed=_UNSET, cache_enabled=_UNSET,
-              fault_plan=_UNSET, reduction=_UNSET, backend=_UNSET,
-              sync=_UNSET, duration=_UNSET, arrival_rate=_UNSET,
-              deadline=_UNSET, queue_limit=_UNSET):
+def overrides(*, jobs=_UNSET, seed=_UNSET, fault_plan=_UNSET,
+              reduction=_UNSET, sync=_UNSET, duration=_UNSET,
+              arrival_rate=_UNSET, deadline=_UNSET, queue_limit=_UNSET):
     """Apply CLI-level settings for one block, restoring on exit.
 
     ``repro.api.run_experiment`` uses this so its keyword arguments
@@ -494,12 +403,11 @@ def overrides(*, jobs=_UNSET, seed=_UNSET, cache_enabled=_UNSET,
     nothing leaves a knob untouched — including an override already
     installed by the CLI.
     """
-    global _cli_jobs, _cli_seed, _cli_cache_enabled, _default_fault_plan
-    global _cli_reduction, _cli_backend, _cli_sync
+    global _cli_jobs, _cli_seed, _default_fault_plan
+    global _cli_reduction, _cli_sync
     with _scoped_lock:
-        saved = (_cli_jobs, _cli_seed, _cli_cache_enabled,
-                 _default_fault_plan, _cli_reduction, _cli_backend,
-                 _cli_sync, dict(_cli_traffic))
+        saved = (_cli_jobs, _cli_seed, _default_fault_plan,
+                 _cli_reduction, _cli_sync, dict(_cli_traffic))
         _scoped_stack.append(saved)
     try:
         with _scoped_lock:
@@ -507,14 +415,10 @@ def overrides(*, jobs=_UNSET, seed=_UNSET, cache_enabled=_UNSET,
                 set_jobs(jobs)
             if seed is not _UNSET:
                 set_seed(seed)
-            if cache_enabled is not _UNSET and cache_enabled is not None:
-                set_cache_enabled(cache_enabled)
             if fault_plan is not _UNSET:
                 set_default_fault_plan(fault_plan)
             if reduction is not _UNSET:
                 set_reduction(reduction)
-            if backend is not _UNSET:
-                set_backend(backend)
             if sync is not _UNSET:
                 set_sync(sync)
             if duration is not _UNSET:
@@ -528,9 +432,8 @@ def overrides(*, jobs=_UNSET, seed=_UNSET, cache_enabled=_UNSET,
         yield
     finally:
         with _scoped_lock:
-            (_cli_jobs, _cli_seed, _cli_cache_enabled,
-             _default_fault_plan, _cli_reduction, _cli_backend,
-             _cli_sync, traffic_saved) = saved
+            (_cli_jobs, _cli_seed, _default_fault_plan,
+             _cli_reduction, _cli_sync, traffic_saved) = saved
             _cli_traffic.update(traffic_saved)
             _scoped_stack.pop()
 
@@ -551,8 +454,8 @@ def ambient_config() -> dict:
     """
     with _scoped_lock:
         if _scoped_stack:
-            (_jobs_cli, seed_cli, _cache_cli, plan, reduction_cli,
-             _backend_cli, sync_cli, traffic_cli) = _scoped_stack[0]
+            (_jobs_cli, seed_cli, plan, reduction_cli, sync_cli,
+             traffic_cli) = _scoped_stack[0]
         else:
             seed_cli, plan = _cli_seed, _default_fault_plan
             reduction_cli = _cli_reduction
@@ -591,14 +494,9 @@ class ResolvedConfig:
     jobs_source: str
     seed: int | None
     seed_source: str
-    cache_enabled: bool
-    cache_source: str
-    cache_dir: str | None
     fault_plan: str | None      # repr of the active default plan
     reduction: str = "none"
     reduction_source: str = "default"
-    backend: str = "local"
-    backend_source: str = "default"
     sync: str = "tas"
     sync_source: str = "default"
     result_dir: str | None = None
@@ -619,9 +517,7 @@ def resolved_config() -> ResolvedConfig:
     """Snapshot the configuration a run starting now would use."""
     n_jobs, jobs_source = _resolve_jobs()
     seed_value, seed_source = _resolve_seed()
-    cache_on, cache_source = _resolve_cache()
     reduction_mode, reduction_source = _resolve_reduction()
-    backend_name, backend_source = _resolve_backend()
     sync_name, sync_source = _resolve_sync()
     duration_us, duration_source = _resolve_traffic_knob("duration")
     rate_per_ms, rate_source = _resolve_traffic_knob("arrival_rate")
@@ -631,11 +527,8 @@ def resolved_config() -> ResolvedConfig:
     return ResolvedConfig(
         jobs=n_jobs, jobs_source=jobs_source,
         seed=seed_value, seed_source=seed_source,
-        cache_enabled=cache_on, cache_source=cache_source,
-        cache_dir=cache_dir(),
         fault_plan=repr(plan) if plan is not None else None,
         reduction=reduction_mode, reduction_source=reduction_source,
-        backend=backend_name, backend_source=backend_source,
         sync=sync_name, sync_source=sync_source,
         result_dir=result_dir(),
         duration_us=duration_us, duration_source=duration_source,

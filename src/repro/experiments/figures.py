@@ -11,8 +11,8 @@ fans its points out through :func:`repro.perf.backends.map_sweep`
 serial unless configured; the pool plans each sweep and falls back to
 serial when fan-out cannot pay off).  Points return in input order and
 grid points sharing a net structure share one reachability build
-through the structure-keyed analysis cache (:mod:`repro.gtpn.sweep`),
-so the figure values are identical at any job count and cache state.
+through the structure-keyed skeleton store (:mod:`repro.gtpn.sweep`),
+so the figure values are identical at any job count and store state.
 """
 
 from __future__ import annotations

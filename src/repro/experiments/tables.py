@@ -213,7 +213,7 @@ def offered_loads_table(mode: Mode, *, jobs: int | None = None) -> Table:
     is below the pool's fan-out threshold, so it runs serially and
     says so in :func:`repro.perf.backends.last_map_info`).  Each solve
     shares cached reachability skeletons with the figure sweeps
-    through the structure-keyed analysis cache.
+    through the structure-keyed skeleton store.
     """
     table = offered_load_table(mode, jobs=jobs)
     rows = []

@@ -23,12 +23,9 @@ from functools import cached_property
 import numpy as np
 
 from repro import obs
-from repro.gtpn.markov import stationary_distribution
 from repro.gtpn.net import Net
-from repro.gtpn.reachability import (DEFAULT_MAX_STATES, ReachabilityGraph,
-                                     build_reachability_graph)
-from repro.perf.cache import (AnalysisCache, cache_enabled,
-                              fingerprint_net, get_cache)
+from repro.gtpn.reachability import DEFAULT_MAX_STATES, ReachabilityGraph
+from repro.perf.cache import AnalysisCache
 
 
 @dataclass
@@ -137,97 +134,20 @@ def analyze(net: Net, *, method: str = "auto",
             reduction: str | None = None) -> AnalysisResult:
     """Build the reachability graph of *net* and solve it exactly.
 
-    Solves are memoized through the content-addressed analysis cache
-    (:mod:`repro.perf.cache`) under the split ``(structure, timing,
-    method, reduction)`` key: a full hit returns the stored graph and
-    stationary vector re-bound to *net*, skipping both state-space
-    exploration and the Markov solve, while a structure-only hit
-    re-times the cached reachability skeleton (:mod:`repro.gtpn.sweep`)
-    and re-solves just the linear system — bit-identical to a
-    from-scratch build.  Pass ``cache`` to use a private store; the
-    global cache honours ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` and
-    the CLI flags.  Cached payloads are shared — treat results as
-    read-only.
+    The graph comes through the skeleton store (:mod:`repro.perf.cache`)
+    under the ``(structure, reduction)`` key: the first net of a
+    structure builds it, and every later one re-times the held
+    skeleton (:mod:`repro.gtpn.sweep`) and re-solves just the linear
+    system — bit-identical to a from-scratch build.  Pass ``cache`` to
+    use a private store instead of the process-wide one.
 
     ``reduction`` selects opt-in state-space reduction (``"lump"``,
     ``"elim"``, ``"lump+elim"``); ``None`` resolves the configured mode
     (CLI ``--reduction`` > ``REPRO_REDUCTION`` > ``"none"``).
     """
-    from repro import config
-    if reduction is None:
-        reduction = config.reduction()
-    else:
-        reduction = config.normalize_reduction(reduction)
+    from repro.gtpn.sweep import SweepSolver
     with obs.span("gtpn.analyze", net=net.name, method=method) as root:
-        store = cache if cache is not None else (
-            get_cache() if cache_enabled() else None)
-        closed = plan = None
-        if store is not None:
-            fingerprint = fingerprint_net(net)
-            key = (fingerprint.structure, fingerprint.timing, method,
-                   reduction)
-            payload = store.get(key)
-            if payload is not None:
-                net.validate()      # keep error behaviour of a solve
-                root.set(outcome="cache-hit")
-                return _rebind(net, payload)
-            # share the reachability build across every net with this
-            # structure (sweeps re-time the cached skeleton; a timing
-            # change that alters branch resolution rebuilds)
-            from repro.gtpn.sweep import acquire_graph
-            with obs.span("gtpn.build"):
-                graph, skeleton = acquire_graph(net, fingerprint.structure,
-                                                max_states, store,
-                                                reduction=reduction)
-            closed = skeleton.closed_class_count()
-            plan = skeleton.solve_plan()
-        else:
-            with obs.span("gtpn.build"):
-                graph = build_reachability_graph(net,
-                                                 max_states=max_states,
-                                                 reduction=reduction)
-        with obs.span("gtpn.solve", states=graph.state_count,
-                      order=graph.quotient_order):
-            pi = stationary_distribution(graph, method=method,
-                                         closed_classes=closed, plan=plan)
-        result = AnalysisResult(net=net, graph=graph, pi=pi)
-        if store is not None:
-            store.put(key, _payload(result))
-        root.set(outcome="solved", states=graph.state_count)
+        result = SweepSolver(method=method, max_states=max_states,
+                             cache=cache, reduction=reduction).solve(net)
+        root.set(states=result.state_count)
         return result
-
-
-def _payload(result: AnalysisResult) -> dict:
-    """Cacheable view of a result: everything except the net binding.
-
-    Names live only on the net, so a payload computed for one net
-    re-binds cleanly to any net with the same fingerprint.
-    """
-    graph = result.graph
-    return {
-        "matrix": graph.matrix,
-        "starts_matrix": graph.starts_matrix,
-        "init_vec": graph.init_vec,
-        "inflight_matrix": graph.inflight_matrix,
-        "table": graph.packed_table,
-        "layout": graph.packed_layout,
-        "reduction": graph.reduction,
-        "structure": graph.structure,
-        "advance_class": graph.advance_class,
-        "pi": result.pi,
-    }
-
-
-def _rebind(net: Net, payload: dict) -> AnalysisResult:
-    graph = ReachabilityGraph(
-        net=net,
-        matrix=payload["matrix"],
-        starts_matrix=payload["starts_matrix"],
-        init_vec=payload["init_vec"],
-        inflight_matrix=payload["inflight_matrix"],
-        packed_table=payload["table"],
-        packed_layout=payload["layout"],
-        reduction=payload["reduction"],
-        structure=payload.get("structure", ""),
-        advance_class=payload.get("advance_class"))
-    return AnalysisResult(net=net, graph=graph, pi=payload["pi"])

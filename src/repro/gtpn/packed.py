@@ -619,16 +619,15 @@ class PackedSkeleton:
     Stores the interned state table, the CSR sparsity pattern, and the
     factor/program bookkeeping; :func:`packed_retime` re-evaluates the
     probabilities for new frequencies in-place on this structure.
-    Shared (cached, possibly across processes): treat every field as
-    read-only.  ``advance_class`` labels each table row with the
-    first-seen rank of its post-advance row (see
+    Shared through the skeleton store: treat every field as read-only.
+    ``advance_class`` labels each table row with the first-seen rank
+    of its post-advance row (see
     :meth:`PackedNet.advance`; canonicalized under lumping); rows of P
     in one class are equal, which is what lets the stationary solve
     factor the class chain.
     """
 
     structure: str              # structure fingerprint
-    kind: str                   # "packed:<reduction>"
     n_places: int
     n_transitions: int
     static_delays: tuple
@@ -638,7 +637,7 @@ class PackedSkeleton:
     table: np.ndarray           # (n_full, width) canonical state rows
     indptr: np.ndarray
     indices: np.ndarray
-    advance_class: np.ndarray | None    # per table row, first-seen
+    advance_class: np.ndarray   # per table row, first-seen
     ev: _EvalData
     inflight_matrix: np.ndarray
     closed_classes: int | None  # None until first demanded
@@ -691,20 +690,13 @@ class PackedSkeleton:
                         self.kept = kept
         return self.closed_classes
 
-    def __setstate__(self, state: dict) -> None:
-        # a skeleton pickled before advance classes existed carries a
-        # plan over every state: drop it, so it solves with k = n
-        if "advance_class" not in state:
-            state = dict(state, advance_class=None, plan=None)
-        self.__dict__.update(state)
-
-    def solve_classes(self) -> np.ndarray | None:
+    def solve_classes(self) -> np.ndarray:
         """Advance classes of the states the solver sees.
 
         The elim slice keeps the labels of the kept states, relabelled
         first-seen so they stay ``0..k-1``.
         """
-        if self.kept is None or self.advance_class is None:
+        if self.kept is None:
             return self.advance_class
         return _unique_scalars_first_seen(self.advance_class[self.kept])[1]
 
@@ -1274,7 +1266,7 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
             for orbit in g.transition_orbits())
 
     skeleton = PackedSkeleton(
-        structure=structure, kind=f"packed:{reduction}",
+        structure=structure,
         n_places=pnet.n_places, n_transitions=n_t,
         static_delays=tuple(int(d) for d in pnet.delays),
         freq_positive=tuple(bool(f > 0) for f in pnet.freqs),

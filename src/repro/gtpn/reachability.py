@@ -72,8 +72,8 @@ class ReachabilityGraph:
     * ``reduction``: a :class:`ReductionInfo` when a reduction was
       requested.
     * ``structure``: the structure fingerprint of the packed skeleton
-      the graph was evaluated from (empty when the build was not keyed
-      or the graph was re-bound from a cached payload).
+      the graph was evaluated from (empty when the build was not
+      keyed).
     * ``advance_class[i]``: the advance class of state i, ``0..k-1``:
       states whose post-completion configurations (marking after
       completions, plus the slots still counting down) are equal have

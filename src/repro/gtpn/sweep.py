@@ -24,76 +24,49 @@ positive, replay raises :class:`SkeletonMismatch` and the caller falls
 back to a full build.  Delay changes also force a rebuild:
 remaining-tick counters are part of the states themselves.
 
-Entry points:
+Every solve goes through one skeleton table: the process-wide
+:class:`~repro.perf.cache.AnalysisCache`, keyed on ``(structure,
+reduction)``, or a private store a caller passes.  Entry points:
 
-* :func:`sweep_analyze` — analyze a whole parameter grid, building the
-  skeleton once per structure and re-timing per point; fans out over
-  :func:`repro.perf.backends.map_sweep` when worker processes pay off.
-* :class:`SweepSolver` — the underlying per-structure solver, with
-  per-stage timing stats (build / re-time / solve) for the benchmarks;
+* :class:`SweepSolver` — the per-structure solver behind
+  :func:`repro.gtpn.analyze`, with per-stage timing stats (build /
+  re-time / solve) for the benchmarks;
   :meth:`SweepSolver.retime_pairs` re-solves one of its results with
   named activity pairs re-timed, without building a net.
-* :func:`acquire_graph` — used by :func:`repro.gtpn.analyze` so even
-  single-point analyses share skeletons through the analysis cache.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from repro import obs
+from repro import config, obs
 from repro.errors import ModelError
+from repro.gtpn.analysis import AnalysisResult
 from repro.gtpn.approximations import _pair_labels, pair_frequencies
+from repro.gtpn.markov import stationary_distribution
 from repro.gtpn.net import Net
 from repro.gtpn.packed import (PackedSkeleton, SkeletonMismatch,
                                compile_packed, packed_build, packed_retime)
 from repro.gtpn.reachability import DEFAULT_MAX_STATES, ReachabilityGraph
 from repro.obs.clock import perf_now
-from repro.perf.cache import cache_enabled, fingerprint_net, get_cache
+from repro.perf.cache import AnalysisCache, fingerprint_net, get_cache
 
 __all__ = [
-    "SkeletonMismatch", "SweepSolver", "SweepStats", "acquire_graph",
-    "retime", "sweep_analyze", "traced_build",
+    "SkeletonMismatch", "SweepSolver", "SweepStats", "retime",
+    "traced_build",
 ]
 
 # perfbench's layer tracer resolves these names: aliases, not wrappers
 traced_build = packed_build
 retime = packed_retime
 
-_USE_GLOBAL = object()      # sentinel: "global cache when enabled"
-
-
-def acquire_graph(net: Net, structure: str, max_states: int, store,
-                  reduction: str = "none",
-                  ) -> tuple[ReachabilityGraph, PackedSkeleton]:
-    """Graph for *net* through the skeleton tier of *store*.
-
-    Returns ``(graph, skeleton)``; the skeleton carries the chain's
-    closed-class count and solve plan.  Used by
-    :func:`repro.gtpn.analyze` so plain per-point analyses share
-    structure work with sweeps through the same cache.
-    """
-    kind = f"packed:{reduction}"
-    skeleton = store.get_structure(structure, kind=kind)
-    if skeleton is not None:
-        try:
-            return packed_retime(skeleton, net,
-                                 max_states=max_states), skeleton
-        except SkeletonMismatch:
-            pass
-    graph, skeleton = packed_build(net, compile_packed(net, reduction),
-                                   max_states=max_states,
-                                   structure=structure, reduction=reduction)
-    store.put_structure(structure, skeleton, kind=kind)
-    return graph, skeleton
-
 
 # ----------------------------------------------------------------------
-# the sweep solver and grid entry point
+# the sweep solver
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -105,7 +78,6 @@ class SweepStats:
     solve_s: float = 0.0        # stationary solves
     skeleton_builds: int = 0
     points_retimed: int = 0
-    payload_hits: int = 0
     mismatches: int = 0         # replays invalidated by a timing change
 
     def as_dict(self) -> dict:
@@ -115,47 +87,31 @@ class SweepStats:
 class SweepSolver:
     """Analyze a stream of nets, sharing structure work across them.
 
-    Keeps its own skeleton table (so structure sharing works even with
-    the global cache disabled — a cold sweep is still one build plus
-    N-1 replays) and optionally rides an :class:`AnalysisCache` for
-    payload hits and cross-process skeleton sharing.  Results are
-    bit-identical to per-point :func:`repro.gtpn.analyze`.
+    Skeletons live in *cache* (default: the process-wide store), so a
+    cold sweep is one build per structure plus a replay per later
+    point.  Results are bit-identical to a from-scratch build.
     """
 
     def __init__(self, *, method: str = "auto",
                  max_states: int = DEFAULT_MAX_STATES,
-                 cache: Any = _USE_GLOBAL,
+                 cache: AnalysisCache | None = None,
                  reduction: str | None = None):
-        from repro import config
-        from repro.gtpn import analysis as _analysis
-        self._analysis = _analysis
         self.method = method
         self.max_states = max_states
         self.reduction = config.reduction() if reduction is None \
             else config.normalize_reduction(reduction)
-        if cache is _USE_GLOBAL:
-            cache = get_cache() if cache_enabled() else None
-        self.cache = cache
-        #: structure fingerprint -> skeleton (of this solver's reduction)
-        self._skeletons: dict[str, Any] = {}
+        self.cache = get_cache() if cache is None else cache
         self.stats = SweepStats()
 
-    def analyze(self, net: Net):
+    def solve(self, net: Net):
         """Solve one net; identical contract to ``repro.gtpn.analyze``."""
-        fingerprint = fingerprint_net(net)
-        key = (fingerprint.structure, fingerprint.timing, self.method,
-               self.reduction)
-        if self.cache is not None:
-            payload = self.cache.get(key)
-            if payload is not None:
-                net.validate()
-                self.stats.payload_hits += 1
-                return self._analysis._rebind(net, payload)
-        graph, skeleton = self._graph_for(net, fingerprint.structure)
-        result = self._solve(net, graph, skeleton)
-        if self.cache is not None:
-            self.cache.put(key, self._analysis._payload(result))
-        return result
+        graph, skeleton = self._graph_for(net,
+                                          fingerprint_net(net).structure)
+        return self._solve(net, graph, skeleton)
+
+    # perfbench's layer tracer wraps this name; ``repro.gtpn.analyze``
+    # calls ``solve`` so that one solve counts as one analysis
+    analyze = solve
 
     def retime_pairs(self, result, means: Mapping[str, float]):
         """Re-solve *result* with activity pairs re-timed to new means.
@@ -164,13 +120,11 @@ class SweepSolver:
         :func:`~repro.gtpn.approximations.activity_pair` of
         ``result.net`` to re-time to its new mean.  The pairs' exit and
         loop entries of the frequency vector are overwritten and the
-        skeleton of *result*'s structure (this solver's, or the cache's
-        structure tier) is re-timed under it: no net is built,
-        validated or fingerprinted, and the payload cache is not
-        consulted.  The returned result's net is a shallow copy of
-        ``result.net`` carrying the new frequencies, and its values are
-        bit-identical to :meth:`analyze` of a net freshly built at the
-        same means.
+        skeleton of *result*'s structure is re-timed under it: no net
+        is built, validated or fingerprinted.  The returned result's net
+        is a shallow copy of ``result.net`` carrying the new
+        frequencies, and its values are bit-identical to :meth:`analyze`
+        of a net freshly built at the same means.
 
         A mean that changes which frequencies are zero (a mean of
         exactly one tick) cannot be replayed and falls back to an
@@ -192,12 +146,12 @@ class SweepSolver:
         started = perf_now()
         with obs.span("gtpn.solve", states=graph.state_count,
                       order=graph.quotient_order):
-            pi = self._analysis.stationary_distribution(
+            pi = stationary_distribution(
                 graph, method=self.method,
                 closed_classes=skeleton.closed_class_count(),
                 plan=skeleton.solve_plan())
         self.stats.solve_s += perf_now() - started
-        return self._analysis.AnalysisResult(net=net, graph=graph, pi=pi)
+        return AnalysisResult(net=net, graph=graph, pi=pi)
 
     def _graph_for(self, net: Net, structure: str,
                    freqs: np.ndarray | None = None,
@@ -207,15 +161,10 @@ class SweepSolver:
         ``freqs`` marks *net* as a frequency-only variant of a
         validated net of this structure (see :func:`packed_retime`).
         """
-        skeleton = self._skeletons.get(structure)
-        if skeleton is None and self.cache is not None:
-            skeleton = self.cache.get_structure(
-                structure, kind=f"packed:{self.reduction}")
+        skeleton = self.cache.get(structure, self.reduction)
         if skeleton is not None:
             try:
-                graph = self._retime(skeleton, net, freqs)
-                self._skeletons[structure] = skeleton
-                return graph, skeleton
+                return self._retime(skeleton, net, freqs), skeleton
             except SkeletonMismatch:
                 self.stats.mismatches += 1
         return self._build(net, structure)
@@ -240,10 +189,7 @@ class SweepSolver:
                 reduction=self.reduction)
         self.stats.build_s += perf_now() - started
         self.stats.skeleton_builds += 1
-        self._skeletons[structure] = skeleton
-        if self.cache is not None:
-            self.cache.put_structure(structure, skeleton,
-                                     kind=f"packed:{self.reduction}")
+        self.cache.put(structure, self.reduction, skeleton)
         return graph, skeleton
 
 
@@ -279,87 +225,3 @@ def _retimed_net(net: Net, means: Mapping[str, float],
     retimed.transitions = transitions
     retimed._transition_by_name = {t.name: t for t in transitions}
     return retimed, freqs
-
-
-#: per-worker-process solvers, keyed by (method, max_states,
-#: reduction): skeleton reuse persists across the chunks a pooled
-#: worker executes.
-_WORKER_SOLVERS: dict = {}
-
-
-def _worker_solver(method: str, max_states: int,
-                   reduction: str = "none") -> SweepSolver:
-    solver = _WORKER_SOLVERS.get((method, max_states, reduction))
-    if solver is None:
-        solver = SweepSolver(method=method, max_states=max_states,
-                             reduction=reduction)
-        _WORKER_SOLVERS[(method, max_states, reduction)] = solver
-    return solver
-
-
-def _sweep_task(build: Callable, point, star: bool, method: str,
-                max_states: int, reduction: str = "none") -> dict:
-    """One pooled grid point: build, solve, return the unbound payload.
-
-    Runs in a worker process; results do not pickle (net
-    back-references), so the worker ships the same net-free payload
-    the analysis cache stores and the parent re-binds it.
-    """
-    net = build(*point) if star else build(point)
-    result = _worker_solver(method, max_states, reduction).analyze(net)
-    from repro.gtpn.analysis import _payload
-    return _payload(result)
-
-
-def sweep_analyze(build, grid: Iterable | None = None, *,
-                  star: bool = True, method: str = "auto",
-                  max_states: int = DEFAULT_MAX_STATES,
-                  jobs: int | None = None, cache: Any = _USE_GLOBAL,
-                  solver: SweepSolver | None = None,
-                  oversubscribe: bool = False,
-                  reduction: str | None = None) -> list:
-    """Analyze a parameter grid, building each structure once.
-
-    Two call shapes::
-
-        sweep_analyze(nets)                  # iterable of built Nets
-        sweep_analyze(build_fn, grid)        # builder + grid points
-
-    With a builder, each grid point is ``build_fn(*point)`` (or
-    ``build_fn(point)`` when ``star=False``) and the sweep may fan out
-    over worker processes (``jobs`` / ``REPRO_JOBS``, subject to the
-    pool's serial-fallback policy); workers return net-free payloads
-    that are re-bound to parent-built nets, so results — and therefore
-    figure and table values — are bit-identical to a serial run and to
-    per-point :func:`repro.gtpn.analyze`.
-
-    Pass ``solver`` to reuse a :class:`SweepSolver` (and read its
-    per-stage stats afterwards); otherwise one is created with
-    ``cache`` (default: the global analysis cache when enabled).
-    """
-    if solver is None:
-        solver = SweepSolver(method=method, max_states=max_states,
-                             cache=cache, reduction=reduction)
-    if grid is None:
-        return [solver.analyze(net) for net in build]
-    points = list(grid)
-    if not points:
-        return []
-
-    from repro.perf.backends import map_sweep, plan_jobs
-    n_jobs, _reason = plan_jobs(len(points), jobs=jobs,
-                                oversubscribe=oversubscribe)
-    if n_jobs > 1:
-        payloads = map_sweep(
-            _sweep_task,
-            [(build, point, star, method, max_states, solver.reduction)
-             for point in points],
-            jobs=jobs, star=True, oversubscribe=oversubscribe)
-        results = []
-        for point, payload in zip(points, payloads):
-            net = build(*point) if star else build(point)
-            net.validate()
-            results.append(solver._analysis._rebind(net, payload))
-        return results
-    nets = (build(*point) if star else build(point) for point in points)
-    return [solver.analyze(net) for net in nets]

@@ -30,7 +30,7 @@ hands the solver only the new surrogate mean
 previous iteration's reachability skeleton straight from it: no net is
 rebuilt, re-validated or fingerprinted.  Results are bit-identical to
 rebuilding both nets and calling :func:`repro.gtpn.analyze` on every
-iteration, whether or not the global analysis cache is enabled.
+iteration.
 """
 
 from __future__ import annotations

@@ -190,11 +190,11 @@ def solve_grid(points: list[tuple[Architecture, Mode, int, float]], *,
     results in input order — values are identical at any job count.
 
     Points of the same architecture share their reachability structure:
-    with the analysis cache enabled, each solve re-times the cached
-    skeleton (:mod:`repro.gtpn.sweep`) instead of re-exploring the
-    state space, so a grid costs one build per structure plus one
-    linear solve per point.  The persistent worker pool primes workers
-    from the shared cache, so the fan-out shares skeletons too.
+    each solve re-times the skeleton held in the process's skeleton
+    store (:mod:`repro.gtpn.sweep`) instead of re-exploring the state
+    space, so a grid costs one build per structure plus one linear
+    solve per point.  Each pool worker keeps its own store, so a
+    fanned-out grid builds a structure at most once per worker.
 
     Points may carry a fifth element naming the synchronization
     primitive; 4-tuples get the ambient ``--sync`` configuration

@@ -1,44 +1,13 @@
-"""The frozen executor-backend protocol behind every sweep.
-
-:class:`ExecutorBackend` is the seam that makes the executor choice
-configuration instead of code: :func:`repro.perf.backends.map_sweep`
-plans a sweep (:func:`plan_jobs`), then hands the parallel portion to
-whichever backend the run selected (``--backend`` /
-``REPRO_BACKEND``).  The protocol is deliberately tiny and **frozen**
-— exactly three methods, pinned by ``tests/perf/test_backends.py`` —
-so backends can be added (remote workers, a cluster scheduler) without
-touching a single sweep call site:
-
-``submit_map(fn, work, *, n_jobs, star, chunksize)``
-    Execute *fn* over the already-planned *work* items on *n_jobs*
-    workers and return results **in input order**.  Bit-identity is
-    part of the contract: a backend may change wall-clock time and
-    scheduling, never values.  A backend that cannot run (no fork
-    support, unpicklable work) raises; a backend whose workers died
-    mid-task raises :class:`PoolBrokenError` after reaping the pool —
-    either way the orchestrator degrades to the serial path and
-    records why in :class:`MapInfo`.
-
-``shutdown()``
-    Release worker processes and any per-backend state.  Idempotent;
-    also registered via ``atexit`` so abandoned pools never outlive
-    the interpreter.
-
-``describe()``
-    One human-readable line for report notes and ``repro serve
-    --stats``.
-
+"""Sweep planning shared by :func:`repro.perf.backends.map_sweep` and
+the process pool: :func:`plan_jobs` (the serial-fallback policy),
 :class:`MapInfo` (how the most recent sweep actually executed) and
-:func:`plan_jobs` (the serial-fallback policy) live here too because
-every backend shares them.
+:class:`PoolBrokenError` (a worker died and the pool was reaped).
 """
 
 from __future__ import annotations
 
-import abc
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from repro import config
 
@@ -48,9 +17,7 @@ from repro import config
 MIN_ITEMS_PER_JOB = 4
 
 #: Auto chunking aims for this many chunks per worker: big enough to
-#: amortise per-task pickling, small enough to keep workers balanced
-#: (and, for the sharded backend, small enough that stealing has
-#: something to steal).
+#: amortise per-task pickling, small enough to keep workers balanced.
 CHUNK_WAVES = 4
 
 _validate_jobs = config.validate_jobs
@@ -59,7 +26,7 @@ _validate_jobs = config.validate_jobs
 class PoolBrokenError(RuntimeError):
     """A worker process died mid-task and the pool has been reaped.
 
-    Raised by backends *after* tearing the broken pool down, so the
+    Raised by the pool *after* tearing the broken pool down, so the
     orchestrator can degrade to the serial path with a recorded reason
     and the next sweep starts from a fresh pool instead of retrying
     into a hung executor.
@@ -91,22 +58,19 @@ class MapInfo:
     jobs_used: int
     items: int
     chunk_size: int | None      # None on the serial path
-    backend: str = "serial"     # which ExecutorBackend ran the sweep
 
     def as_dict(self) -> dict:
         return {"mode": self.mode, "reason": self.reason,
                 "jobs_requested": self.jobs_requested,
                 "jobs_used": self.jobs_used, "items": self.items,
-                "chunk_size": self.chunk_size, "backend": self.backend}
+                "chunk_size": self.chunk_size}
 
     def describe(self) -> str:
         """Human-readable one-liner for report notes and benchmarks."""
         if self.mode == "serial":
             return f"sweep ran serially ({self.reason})"
-        tag = "" if self.backend == "serial" else \
-            f" [{self.backend} backend]"
         return (f"sweep ran on {self.jobs_used} workers, chunk size "
-                f"{self.chunk_size}{tag}")
+                f"{self.chunk_size}")
 
 
 def plan_jobs(n_items: int, jobs: int | None = None, *,
@@ -132,23 +96,3 @@ def plan_jobs(n_items: int, jobs: int | None = None, *,
                    "threshold")
     return min(n_jobs, fitting, n_items), None
 
-
-class ExecutorBackend(abc.ABC):
-    """Frozen three-method protocol every sweep executor implements."""
-
-    #: Config spelling of this backend (``--backend <name>``).
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def submit_map(self, fn: Callable, work: Sequence, *, n_jobs: int,
-                   star: bool, chunksize: int) -> list:
-        """Run ``fn`` over *work* on *n_jobs* workers, results in
-        input order, bit-identical to a serial pass."""
-
-    @abc.abstractmethod
-    def shutdown(self) -> None:
-        """Release worker processes; idempotent."""
-
-    @abc.abstractmethod
-    def describe(self) -> str:
-        """One line for report notes and service stats."""

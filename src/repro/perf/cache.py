@@ -1,4 +1,4 @@
-"""Content-addressed cache for exact GTPN analyses.
+"""Process-wide store of reachability skeletons, keyed by net structure.
 
 A net is fingerprinted by a *split key* (:class:`NetFingerprint`):
 
@@ -10,45 +10,24 @@ A net is fingerprinted by a *split key* (:class:`NetFingerprint`):
   (firing times and frequency weights).
 
 Names (of the net, its places, and its transitions) stay out of both
-halves: two structurally identical nets share one solve, and the
-cached payload is re-bound to whichever net asked.  The analyzer keys
-full payloads on ``(structure, timing, method)`` and the reusable
-reachability skeleton (:mod:`repro.gtpn.sweep`) on the structure half
-alone, which is what lets a parameter grid rebuild the graph once.
-
-The cache is in-memory (bounded LRU) by default.  Setting the
-``REPRO_CACHE_DIR`` environment variable — or passing ``directory`` to
-:class:`AnalysisCache` — adds an on-disk pickle store so repeated
-benchmark processes share solves.  ``REPRO_NO_CACHE=1`` or
-:func:`set_cache_enabled` turns the layer off globally (the CLI's
-``--no-cache``).
+halves, so two structurally identical nets share one skeleton.  The
+analyzer (:mod:`repro.gtpn.sweep`) keys reachability skeletons on
+``(structure, reduction)``: a parameter grid builds the graph once per
+structure and re-times it for every other point.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
 import threading
 from collections import OrderedDict
-from pathlib import Path
 from typing import Any, NamedTuple
 
-from repro import config, obs
+from repro import obs
 
-#: Default bound on in-memory cached analyses (each holds a full
-#: reachability graph; architecture models run a few MB apiece).
+#: Default bound on held skeletons (each carries a packed state table
+#: and branch program; architecture models run a few MB apiece).
 DEFAULT_MAX_ENTRIES = 256
-
-
-def set_cache_enabled(enabled: bool) -> None:
-    """Globally enable/disable analysis caching (CLI ``--no-cache``)."""
-    config.set_cache_enabled(enabled)
-
-
-def cache_enabled() -> bool:
-    """Resolved cache switch: either disable (CLI or env) wins."""
-    return config.cache_enabled()
 
 
 # ----------------------------------------------------------------------
@@ -102,23 +81,20 @@ def fingerprint_net(net) -> NetFingerprint:
 
 
 # ----------------------------------------------------------------------
-# the cache proper
+# the store proper
 # ----------------------------------------------------------------------
 
 class AnalysisCache:
-    """Thread-safe LRU of analysis payloads, with optional disk tier.
+    """Thread-safe LRU of reachability skeletons.
 
-    Keys are opaque hashables (the analyzer uses ``(fingerprint,
-    method)``); payloads are opaque picklable objects.  ``directory``
-    (or ``REPRO_CACHE_DIR`` for the global cache) enables the on-disk
-    tier; unreadable or corrupt disk entries are treated as misses.
+    Keyed on ``(structure fingerprint, reduction mode)``.  ``hits`` and
+    ``misses`` count :meth:`get` outcomes: a hit means the caller can
+    re-time instead of exploring the state space.
     """
 
-    def __init__(self, directory: str | os.PathLike | None = None,
-                 max_entries: int = DEFAULT_MAX_ENTRIES):
-        self._mem: OrderedDict[Any, Any] = OrderedDict()
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
+        self._mem: OrderedDict[tuple[str, str], Any] = OrderedDict()
         self._max_entries = max_entries
-        self._dir = Path(directory) if directory else None
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -126,111 +102,28 @@ class AnalysisCache:
     def __len__(self) -> int:
         return len(self._mem)
 
-    def clear(self) -> None:
+    def get(self, structure: str, reduction: str):
+        """The held skeleton of *structure* under *reduction*, or
+        ``None``."""
+        key = (structure, reduction)
         with self._lock:
-            self._mem.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def _disk_path(self, key: Any) -> Path | None:
-        if self._dir is None:
-            return None
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-        return self._dir / f"analysis-{digest}.pkl"
-
-    def get(self, key: Any, *, record_stats: bool = True):
-        """The cached payload for *key*, or ``None`` on a miss."""
-        with self._lock:
-            if key in self._mem:
-                self._mem.move_to_end(key)
-                if record_stats:
-                    self.hits += 1
-                    obs.add("cache.hit")
-                return self._mem[key]
-        path = self._disk_path(key)
-        if path is not None:
-            try:
-                with open(path, "rb") as fh:
-                    payload = pickle.load(fh)
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError,
-                    ValueError, TypeError, KeyError):
-                # corrupted/truncated entries are a miss, never an error
-                payload = None
-            if payload is not None:
-                with self._lock:
-                    if record_stats:
-                        self.hits += 1
-                        obs.add("cache.hit")
-                    self._store_mem(key, payload)
-                return payload
-        if record_stats:
-            with self._lock:
+            skeleton = self._mem.get(key)
+            if skeleton is None:
                 self.misses += 1
                 obs.add("cache.miss")
-        return None
+                return None
+            self._mem.move_to_end(key)
+            self.hits += 1
+            obs.add("cache.hit")
+            return skeleton
 
-    def put(self, key: Any, payload: Any) -> None:
+    def put(self, structure: str, reduction: str, skeleton: Any) -> None:
+        key = (structure, reduction)
         with self._lock:
-            self._store_mem(key, payload)
-        self._write_disk(key, payload)
-
-    def get_structure(self, structure_fp: str, kind: str):
-        """Cached sweep skeleton for a structure fingerprint, if any.
-
-        ``kind`` (``"packed:<reduction>"``) separates the skeletons of
-        one structure built under different reduction modes.
-
-        Skeleton lookups ride the same LRU/disk tiers as payloads but
-        stay out of ``hits``/``misses`` — those stats count *solves
-        avoided*, and a skeleton hit still re-times and re-solves.
-        """
-        return self.get(self._structure_key(structure_fp, kind),
-                        record_stats=False)
-
-    def put_structure(self, structure_fp: str, skeleton: Any,
-                      kind: str) -> None:
-        self.put(self._structure_key(structure_fp, kind), skeleton)
-
-    @staticmethod
-    def _structure_key(structure_fp: str, kind: str):
-        return ("skeleton", structure_fp, kind)
-
-    def attach_directory(self, directory: str | os.PathLike) -> None:
-        """Add (or retarget) the disk tier without dropping memory.
-
-        Existing in-memory entries are flushed to the new directory so
-        freshly-forked pool workers can prime from what the parent has
-        already solved (the sweep pool's shared-disk priming).
-        """
-        with self._lock:
-            self._dir = Path(directory)
-            entries = list(self._mem.items())
-        for key, payload in entries:
-            self._write_disk(key, payload)
-
-    @property
-    def directory(self) -> Path | None:
-        return self._dir
-
-    def _write_disk(self, key: Any, payload: Any) -> None:
-        path = self._disk_path(key)
-        if path is not None:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(f".tmp-{os.getpid()}")
-                with open(tmp, "wb") as fh:
-                    pickle.dump(payload, fh,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)     # atomic for concurrent writers
-            except (OSError, pickle.PicklingError, TypeError):
-                pass                      # disk tier is best-effort
-
-    def _store_mem(self, key: Any, payload: Any) -> None:
-        self._mem[key] = payload
-        self._mem.move_to_end(key)
-        while len(self._mem) > self._max_entries:
-            self._mem.popitem(last=False)
+            self._mem[key] = skeleton
+            self._mem.move_to_end(key)
+            while len(self._mem) > self._max_entries:
+                self._mem.popitem(last=False)
 
 
 _global_cache: AnalysisCache | None = None
@@ -238,20 +131,18 @@ _global_lock = threading.Lock()
 
 
 def get_cache() -> AnalysisCache:
-    """The process-wide analysis cache (created on first use)."""
+    """The process-wide skeleton store (created on first use)."""
     global _global_cache
     with _global_lock:
         if _global_cache is None:
-            _global_cache = AnalysisCache(directory=config.cache_dir())
+            _global_cache = AnalysisCache()
         return _global_cache
 
 
-def configure_cache(directory: str | os.PathLike | None = None,
-                    max_entries: int = DEFAULT_MAX_ENTRIES,
-                    ) -> AnalysisCache:
-    """Replace the process-wide cache (tests, CLI) and return it."""
+def configure_cache() -> AnalysisCache:
+    """Replace the process-wide store with an empty one (tests,
+    benchmarks) and return it."""
     global _global_cache
     with _global_lock:
-        _global_cache = AnalysisCache(directory=directory,
-                                      max_entries=max_entries)
+        _global_cache = AnalysisCache()
         return _global_cache

@@ -12,10 +12,10 @@ trusts:
   deadline).  Two
   submissions with equal keys are the same computation — the basis for
   request coalescing and the content-addressed result store.
-  Execution-only knobs (``jobs``, ``cache``, ``backend``, ``trace``)
-  are deliberately **excluded**: they change wall-clock time and
-  scheduling, never values (the bit-identity contract the backends
-  suite pins), so they must not fragment the address space.
+  Execution-only knobs (``jobs``, ``trace``) are deliberately
+  **excluded**: they change wall-clock time and scheduling, never
+  values (the bit-identity contract the backends suite pins), so they
+  must not fragment the address space.
 
 * :class:`JobHandle` — one submission's view of a (possibly shared)
   execution: ``poll()`` for the current :class:`JobStatus`,

@@ -25,7 +25,7 @@ thread-safe; *executions are serialised* by a process-wide re-entrant
 lock (``_EXEC_LOCK``) because :mod:`repro.config` is process-global
 state — the same reason the analysis layer forks worker *processes*
 rather than threads.  Parallelism inside a run still comes from the
-executor backends (:mod:`repro.perf.backends`); the service's worker
+local process pool (:mod:`repro.perf.backends`); the service's worker
 threads exist for overlap of queueing, waiting, and lifecycle
 bookkeeping, not compute.  The **inline lane**
 (``submit(..., lane="inline")``, what ``run_experiment`` uses)
@@ -125,7 +125,7 @@ class ExperimentService:
         """Submit one experiment; returns a handle immediately.
 
         *run_kwargs* are :func:`repro.config.overrides` keywords
-        (``seed=7``, ``backend="sharded"``, ...) — the shape
+        (``seed=7``, ``jobs=2``, ...) — the shape
         :func:`repro.api.submit_experiment` produces.  ``lane`` is
         ``"async"`` (queue) or ``"inline"`` (execute now, in this
         thread, bypassing queue/coalescing/store).
@@ -379,7 +379,7 @@ class ExperimentService:
 
     def stats(self) -> dict:
         """One queryable snapshot: counters, depths, latency, tiers."""
-        from repro.perf.backends import get_backend
+        from repro.perf.backends import local_pool
         with self._lock:
             latency = {"count": self._latency.count}
             if self._latency.count:
@@ -404,5 +404,5 @@ class ExperimentService:
                 "tenants": dict(self._tenant_submitted),
                 "latency": latency,
                 "store": self.store.stats(),
-                "backend": get_backend().describe(),
+                "pool": local_pool().describe(),
             }

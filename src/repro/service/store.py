@@ -140,7 +140,7 @@ class ResultStore:
         return sum(1 for p in self.directory.glob("*.pkl"))
 
     def clear(self) -> None:
-        """Drop every entry, both tiers (tests, ``--no-cache`` serve)."""
+        """Drop every entry, both tiers (tests)."""
         with self._lock:
             self._memory.clear()
             if self.directory is not None:

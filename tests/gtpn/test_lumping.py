@@ -17,16 +17,14 @@ from repro.errors import ModelError
 from repro.gtpn import Net, analyze
 from repro.models.params import Architecture
 from repro.models.symmetric import build_replicated_local_net
-from repro.perf import set_cache_enabled
+from repro.perf import configure_cache
 
 TOL = 1e-9
 
 
 @pytest.fixture(autouse=True)
-def _cache_off():
-    set_cache_enabled(False)
-    yield
-    set_cache_enabled(True)
+def _cold_store():
+    configure_cache()
 
 
 def _operating_points():

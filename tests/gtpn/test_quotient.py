@@ -6,8 +6,8 @@ labels each state with that configuration's first-seen rank
 (``ReachabilityGraph.advance_class``).  The contract under test: rows
 of P in one class are bytewise equal (fresh and re-timed), the solve
 of the class chain agrees with the solve of the full chain, a wrong
-labelling is refused by the residual gate on the full P, and graphs or
-skeletons without labels still solve, with every state its own class.
+labelling is refused by the residual gate on the full P, and graphs
+without labels still solve, with every state its own class.
 """
 
 import numpy as np
@@ -15,21 +15,17 @@ import pytest
 
 from repro import obs
 from repro.gtpn import Net, activity_pair, analyze, markov
-from repro.gtpn.analysis import _payload, _rebind
 from repro.gtpn.packed import compile_packed, packed_build, packed_retime
 from repro.models import (Architecture, build_local_net,
                           build_replicated_local_net)
 from repro.models.nonlocal_client import build_nonlocal_client_net
 from repro.models.nonlocal_server import build_nonlocal_server_net
-from repro.perf import AnalysisCache, set_cache_enabled
-from repro.perf.cache import fingerprint_net
+from repro.perf import configure_cache
 
 
 @pytest.fixture(autouse=True)
-def _cache_off():
-    set_cache_enabled(False)
-    yield
-    set_cache_enabled(True)
+def _cold_store():
+    configure_cache()
 
 
 def _warmup_net(mean):
@@ -191,40 +187,3 @@ def test_unlabelled_graph_solves_every_state_as_a_class():
         unlabelled = markov.stationary_distribution(graph)
     assert recorder.gauges["markov.quotient_order"] == graph.state_count
     assert np.abs(labelled - unlabelled).max() / labelled.max() <= 1e-11
-
-
-def test_skeleton_cached_without_labels_solves_as_k_equals_n(tmp_path):
-    """A skeleton an older checkout pickled to the disk tier has no
-    labels (and possibly a plan over every state): it must re-time and
-    solve with k = n, not raise."""
-    net = build_local_net(Architecture.II, 2, compute_time=1000.0)
-    fresh = analyze(net)
-    writer = AnalysisCache(tmp_path)
-    structure = fingerprint_net(net).structure
-    _, skeleton = _build(net, structure=structure)
-    skeleton.solve_plan()
-    del skeleton.__dict__["advance_class"]
-    writer.put_structure(structure, skeleton, kind="packed:none")
-
-    reader = AnalysisCache(tmp_path)
-    old = reader.get_structure(structure, kind="packed:none")
-    assert old.advance_class is None and old.plan is None
-    with obs.recording() as recorder:
-        result = analyze(build_local_net(Architecture.II, 2,
-                                         compute_time=1000.0),
-                         cache=reader)
-    assert result.graph.advance_class is None
-    assert recorder.gauges["markov.quotient_order"] \
-        == result.graph.state_count
-    assert "markov.solve_fallback" not in recorder.counters
-    assert np.abs(result.pi - fresh.pi).max() / fresh.pi.max() <= 1e-11
-
-
-def test_payload_without_labels_rebinds():
-    net = build_local_net(Architecture.II, 2)
-    payload = _payload(analyze(net))
-    assert payload["advance_class"] is not None
-    del payload["advance_class"]
-    result = _rebind(net, payload)
-    assert result.graph.advance_class is None
-    assert result.graph.quotient_order == result.graph.state_count

@@ -18,22 +18,25 @@ from repro import obs
 from repro.errors import AnalysisError
 from repro.gtpn import Net, activity_pair, analyze, build_reachability_graph
 from repro.gtpn import markov
-from repro.gtpn.sweep import SweepSolver, sweep_analyze
+from repro.gtpn.sweep import SweepSolver
 from repro.models import Architecture, build_local_net
 from repro.models.nonlocal_client import build_nonlocal_client_net
 from repro.models.nonlocal_server import build_nonlocal_server_net
-from repro.perf import set_cache_enabled
-from repro.perf.backends import last_map_info
+from repro.perf import AnalysisCache, configure_cache
+from repro.perf.backends import last_map_info, map_sweep
 
 
 @pytest.fixture(autouse=True)
-def _cache_off():
-    """Per-point analyze takes the plain build path (a throwaway plan)
-    so it is independent of the skeleton-cached plans it is compared
+def _cold_store():
+    """Every test starts from an empty process-wide skeleton store."""
+    configure_cache()
+
+
+def _fresh(net, **kwargs):
+    """Per-point analysis in a private store: a from-scratch build with
+    a throwaway plan, independent of the held plans it is compared
     against."""
-    set_cache_enabled(False)
-    yield
-    set_cache_enabled(True)
+    return analyze(net, cache=AnalysisCache(), **kwargs)
 
 
 def _plan_arrays(plan):
@@ -130,25 +133,33 @@ _GATED_GRIDS = [
 ]
 
 
+def _solved_pi(build, conversations, delay):
+    """One top-level solve, shippable from a pool worker."""
+    return analyze(build(conversations, delay)).pi
+
+
 @pytest.mark.parametrize("build, conversations, delays", _GATED_GRIDS)
 def test_retime_pooled_and_fresh_solves_are_bit_identical(
         build, conversations, delays):
     grid = [(conversations, delay) for delay in delays]
-    solver = SweepSolver(cache=None)
+    solver = SweepSolver()
     swept = [solver.analyze(build(*point)) for point in grid]
     assert solver.stats.skeleton_builds == 1
     assert solver.stats.points_retimed == len(grid) - 1
-    pooled = sweep_analyze(build, grid, cache=None, jobs=2,
-                           oversubscribe=True)
+    for point, a in zip(grid, swept):
+        _assert_identical(a, _fresh(build(*point)))
+    points = [(build, *point) for point in grid]
+    serial = map_sweep(_solved_pi, points, jobs=1, star=True)
+    pooled = map_sweep(_solved_pi, points, jobs=2, star=True,
+                       oversubscribe=True)
     assert last_map_info().jobs_used == 2
-    for point, a, b in zip(grid, swept, pooled):
-        fresh = analyze(build(*point))
-        _assert_identical(a, fresh)
-        _assert_identical(b, fresh)
+    for a, b, fresh in zip(serial, pooled, swept):
+        assert a.tobytes() == fresh.pi.tobytes()
+        assert b.tobytes() == a.tobytes()
 
 
 def test_skeleton_plan_agrees_with_augmented_oracle(augmented_oracle):
-    solver = SweepSolver(cache=None)
+    solver = SweepSolver()
     for delay in (90.0, 600.0):
         result = solver.analyze(_client(3, delay))
         expected = augmented_oracle(result.graph.matrix)
@@ -170,12 +181,14 @@ def _warmup_net(mean):
 
 
 def test_elim_plan_covers_the_kept_slice():
-    solver = SweepSolver(cache=None, reduction="elim")
+    store = AnalysisCache()
+    solver = SweepSolver(cache=store, reduction="elim")
     for mean in (3.0, 12.0):
         swept = solver.analyze(_warmup_net(mean))
-        fresh = analyze(_warmup_net(mean), reduction="elim")
+        fresh = _fresh(_warmup_net(mean), reduction="elim")
         _assert_identical(swept, fresh)
-    (skeleton,) = solver._skeletons.values()
+    assert len(store) == 1
+    skeleton = store.get(swept.graph.structure, "elim")
     assert skeleton.kept is not None
     assert len(skeleton.kept) < skeleton.full_state_count
     assert skeleton.solve_plan().n == swept.graph.state_count
@@ -212,7 +225,7 @@ def test_singular_block_falls_back_and_counts():
 def test_one_structure_sweep_builds_one_plan():
     recorder = obs.install()
     try:
-        solver = SweepSolver(cache=None)
+        solver = SweepSolver()
         for delay in np.linspace(80.0, 800.0, 9):
             solver.analyze(_client(2, float(delay)))
     finally:

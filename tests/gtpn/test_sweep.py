@@ -14,18 +14,22 @@ from hypothesis import strategies as st
 from repro.gtpn import Gate, Net, activity_pair, analyze
 from repro.gtpn.packed import packed_build, packed_retime
 from repro.gtpn.sweep import (SkeletonMismatch, SweepSolver, retime,
-                              sweep_analyze, traced_build)
-from repro.perf import set_cache_enabled
+                              traced_build)
+from repro.perf import AnalysisCache, configure_cache
+from repro.perf.backends import last_map_info, map_sweep
 from repro.perf.cache import fingerprint_net
 
 
 @pytest.fixture(autouse=True)
-def _cache_off():
-    """Isolate from the global cache: per-point analyze must take the
-    plain build path so the comparison is against independent work."""
-    set_cache_enabled(False)
-    yield
-    set_cache_enabled(True)
+def _cold_store():
+    """Every test starts from an empty process-wide skeleton store."""
+    configure_cache()
+
+
+def _fresh(net: Net):
+    """Per-point analysis in a private store: a from-scratch build,
+    independent of the skeletons the solver under test holds."""
+    return analyze(net, cache=AnalysisCache())
 
 
 def _grid_net(f1: float, f2: float, mean: float) -> Net:
@@ -99,33 +103,49 @@ def test_structure_key_tracks_structure():
                           st.floats(2.0, 20.0)),
                 min_size=2, max_size=5))
 def test_property_sweep_matches_pointwise_analyze(grid):
-    solver = SweepSolver(cache=None)
+    # a private store per example: the fixture runs once per test
+    solver = SweepSolver(cache=AnalysisCache())
     for point in grid:
         net = _grid_net(*point)
         swept = solver.analyze(net)
-        fresh = analyze(_grid_net(*point))
+        fresh = _fresh(_grid_net(*point))
         _assert_identical(swept, fresh)
     assert solver.stats.skeleton_builds == 1
     assert solver.stats.points_retimed == len(grid) - 1
     assert solver.stats.mismatches == 0
 
 
-def test_sweep_analyze_builder_grid_matches_pointwise():
+def test_solver_builder_grid_matches_pointwise():
     grid = [(0.5, 0.5, 4.0), (0.3, 0.7, 6.0), (0.9, 0.1, 12.0)]
-    results = sweep_analyze(_grid_net, grid, cache=None)
-    for point, swept in zip(grid, results):
-        _assert_identical(swept, analyze(_grid_net(*point)))
+    solver = SweepSolver()
+    for point in grid:
+        _assert_identical(solver.analyze(_grid_net(*point)),
+                          _fresh(_grid_net(*point)))
+    assert solver.stats.skeleton_builds == 1
 
 
-def test_sweep_analyze_parallel_matches_pointwise():
-    """The pooled path (workers return net-free payloads, the parent
-    re-binds) must be bit-identical to per-point analysis."""
+def _pooled_point(point) -> tuple:
+    """One grid point solved in a pool worker, through the worker's
+    own process-wide store; results hold nets, so ship the arrays."""
+    result = SweepSolver().analyze(_grid_net(*point))
+    graph = result.graph
+    return (result.pi, graph.matrix.data, graph.starts_matrix,
+            graph.init_vec)
+
+
+def test_pooled_solver_matches_pointwise():
+    """Workers re-time their own skeletons; every value they ship back
+    is bit-identical to per-point analysis in the parent."""
     grid = [(0.2 + 0.05 * i, 0.9 - 0.05 * i, 3.0 + i)
             for i in range(8)]
-    results = sweep_analyze(_grid_net, grid, cache=None, jobs=2,
-                            oversubscribe=True)
-    for point, swept in zip(grid, results):
-        _assert_identical(swept, analyze(_grid_net(*point)))
+    pooled = map_sweep(_pooled_point, grid, jobs=2, oversubscribe=True)
+    assert last_map_info().mode == "parallel"
+    for point, (pi, data, starts, init) in zip(grid, pooled):
+        fresh = _fresh(_grid_net(*point))
+        assert np.array_equal(pi, fresh.pi)
+        assert np.array_equal(data, fresh.graph.matrix.data)
+        assert np.array_equal(starts, fresh.graph.starts_matrix)
+        assert np.array_equal(init, fresh.graph.init_vec)
 
 
 # ----------------------------------------------------------------------
@@ -168,13 +188,13 @@ def test_retime_rejects_frequency_mask_flip():
 
 
 def test_solver_falls_back_to_rebuild_on_mismatch():
-    solver = SweepSolver(cache=None)
+    solver = SweepSolver()
     first = solver.analyze(_delay_net(2))
     second = solver.analyze(_delay_net(3))     # delay changed
     assert solver.stats.mismatches == 1
     assert solver.stats.skeleton_builds == 2
-    _assert_identical(first, analyze(_delay_net(2)))
-    _assert_identical(second, analyze(_delay_net(3)))
+    _assert_identical(first, _fresh(_delay_net(2)))
+    _assert_identical(second, _fresh(_delay_net(3)))
     # the rebuilt skeleton serves later points with the new timing
     third = solver.analyze(_delay_net(3))
     assert solver.stats.points_retimed == 1
@@ -186,11 +206,11 @@ def test_solver_falls_back_to_rebuild_on_mismatch():
 # ----------------------------------------------------------------------
 
 def test_retime_pairs_matches_fresh_build_and_its_fingerprint():
-    solver = SweepSolver(cache=None)
+    solver = SweepSolver()
     first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
     retimed = solver.retime_pairs(first, {"work": 9.0})
     fresh = _grid_net(0.5, 0.5, 9.0)
-    _assert_identical(retimed, analyze(fresh))
+    _assert_identical(retimed, _fresh(fresh))
     assert fingerprint_net(retimed.net) == fingerprint_net(fresh)
     assert [t.frequency_label for t in retimed.net.transitions] \
         == [t.frequency_label for t in fresh.transitions]
@@ -204,13 +224,13 @@ def test_retime_pairs_matches_fresh_build_and_its_fingerprint():
 def test_retime_pairs_to_one_tick_falls_back_to_a_build():
     """A mean of exactly one tick zeroes the loop frequency, so the
     support changes and the solver builds instead of replaying."""
-    solver = SweepSolver(cache=None)
+    solver = SweepSolver()
     first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
     retimed = solver.retime_pairs(first, {"work": 1.0})
     assert solver.stats.mismatches == 1
     assert solver.stats.skeleton_builds == 2
     assert retimed.net.get_transition("work.loop").frequency == 0.0
-    oracle = analyze(_grid_net(0.5, 0.5, 1.0))     # built without a loop
+    oracle = _fresh(_grid_net(0.5, 0.5, 1.0))     # built without a loop
     assert retimed.throughput() == oracle.throughput()
     assert (retimed.pi == oracle.pi).all()
     assert np.array_equal(retimed.graph.matrix.data,
@@ -218,7 +238,7 @@ def test_retime_pairs_to_one_tick_falls_back_to_a_build():
 
 
 def test_retime_pairs_cannot_add_a_loop_transition():
-    solver = SweepSolver(cache=None)
+    solver = SweepSolver()
     first = solver.analyze(_grid_net(0.5, 0.5, 1.0))
     with pytest.raises(SkeletonMismatch):
         solver.retime_pairs(first, {"work": 4.0})
@@ -226,7 +246,7 @@ def test_retime_pairs_cannot_add_a_loop_transition():
 
 def test_retime_pairs_rejects_unknown_or_non_pair_names():
     from repro.errors import ModelError
-    solver = SweepSolver(cache=None)
+    solver = SweepSolver()
     first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
     with pytest.raises(ModelError):
         solver.retime_pairs(first, {"no-such-pair": 4.0})
@@ -243,9 +263,9 @@ def test_retime_pairs_rechecks_delays_of_a_shared_skeleton():
         activity_pair(net, "work", mean, inputs=[ready], outputs=[ready])
         return net
 
-    solver = SweepSolver(cache=None)
+    solver = SweepSolver()
     first = solver.analyze(net_with(2, 4.0))
     solver.analyze(net_with(3, 4.0))            # replaces the skeleton
     retimed = solver.retime_pairs(first, {"work": 6.0})
     assert solver.stats.mismatches == 2
-    _assert_identical(retimed, analyze(net_with(2, 6.0)))
+    _assert_identical(retimed, _fresh(net_with(2, 6.0)))

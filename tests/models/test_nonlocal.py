@@ -11,7 +11,7 @@ from repro.models import (Architecture, build_nonlocal_client_net,
                           server_population, solve_nonlocal)
 from repro.models.params import (NONLOCAL_CLIENT_PARAMS,
                                  NONLOCAL_SERVER_PARAMS)
-from repro.perf import set_cache_enabled
+from repro.perf import AnalysisCache
 
 
 class TestClientNet:
@@ -178,14 +178,8 @@ class TestMonteCarloIdentity:
 
 def test_fixed_point_span_carries_convergence_attributes():
     from repro import obs
-    # a cold solve: a payload-cache hit left by an earlier test would
-    # skip a side's first-iteration solve
-    set_cache_enabled(False)
-    try:
-        with obs.recording() as recorder:
-            solution = solve_nonlocal(Architecture.II, 2, 0.0)
-    finally:
-        set_cache_enabled(True)
+    with obs.recording() as recorder:
+        solution = solve_nonlocal(Architecture.II, 2, 0.0)
     (span,) = [s for s in recorder.spans
                if s.name == "models.fixed_point"]
     assert span.attrs["architecture"] == "II"
@@ -213,9 +207,9 @@ def _rebuilding_fixed_point(architecture, conversations, compute_time=0.0,
     """The section 6.6.3 iteration, rebuilding both nets every round.
 
     The oracle for ``solve_nonlocal``: each iteration builds the client
-    and server nets from the model builders and solves them with a
-    plain :func:`repro.gtpn.analyze` (the caller turns the analysis
-    cache off).  Returns ``(throughput, server_delay, client_delay,
+    and server nets from the model builders and solves each from
+    scratch with :func:`repro.gtpn.analyze` in a private skeleton
+    store.  Returns ``(throughput, server_delay, client_delay,
     iterations, history)`` with history rows as tuples.
     """
     if client_params is None:
@@ -229,13 +223,13 @@ def _rebuilding_fixed_point(architecture, conversations, compute_time=0.0,
     for iteration in range(1, max_iterations + 1):
         client = analyze(build_nonlocal_client_net(
             architecture, conversations, max(server_delay, 1.0),
-            hosts=hosts, params=client_params))
+            hosts=hosts, params=client_params), cache=AnalysisCache())
         throughput = client.throughput("lambda")
         cycle = conversations / throughput
         client_delay = max(cycle - server_delay - s_c, 1.0)
         server = analyze(build_nonlocal_server_net(
             architecture, conversations, client_delay, compute_time,
-            hosts=hosts, params=server_params))
+            hosts=hosts, params=server_params), cache=AnalysisCache())
         arrival_rate = server.resource_usage("lambda_in")
         population = server_population(server)
         new_server_delay = population / arrival_rate + dma_constant
@@ -254,12 +248,8 @@ def _assert_matches_rebuilding(architecture, conversations, compute_time,
                                **kwargs):
     solution = solve_nonlocal(architecture, conversations, compute_time,
                               **kwargs)
-    set_cache_enabled(False)
-    try:
-        expected = _rebuilding_fixed_point(architecture, conversations,
-                                           compute_time, **kwargs)
-    finally:
-        set_cache_enabled(True)
+    expected = _rebuilding_fixed_point(architecture, conversations,
+                                       compute_time, **kwargs)
     history = [dataclasses.astuple(step) for step in solution.history]
     assert (solution.throughput, solution.server_delay,
             solution.client_delay, solution.iterations, history) \

@@ -28,22 +28,19 @@ class TestRunExperiment:
             assert set(result.values) == {s.label for s in direct.series}
 
     def test_result_carries_config_and_timing(self):
-        result = api.run_experiment("table-5.1", jobs=3, seed=99,
-                                    cache=False)
+        result = api.run_experiment("table-5.1", jobs=3, seed=99)
         assert result.config["jobs"] == 3
         assert result.config["jobs_source"] == "cli"
         assert result.config["seed"] == 99
-        assert result.config["cache_enabled"] is False
         assert result.elapsed_s >= 0.0
         assert result.obs_summary is None          # untraced run
         assert result.trace_paths == ()
         assert result.render() == result.artifact.render()
 
     def test_overrides_do_not_leak(self):
-        api.run_experiment("table-5.1", jobs=5, seed=123, cache=False)
+        api.run_experiment("table-5.1", jobs=5, seed=123)
         assert config.jobs() == 1
         assert config.seed() is None
-        assert config.cache_enabled() is True
 
     def test_attach_extra_rides_on_result(self):
         from repro.experiments.registry import Experiment, REGISTRY

@@ -57,58 +57,26 @@ class TestSeed:
             config.seed()
 
 
-class TestCache:
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        assert config.cache_enabled() is True
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert config.cache_enabled() is False
-
-    def test_cli_kill_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        config.set_cache_enabled(False)
-        assert config.cache_enabled() is False
-
-    def test_either_switch_disables(self, monkeypatch):
-        # CLI True cannot re-enable past the env kill switch: a cache
-        # disabled anywhere stays disabled.
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        config.set_cache_enabled(True)
-        assert config.cache_enabled() is False
-
-    def test_cache_dir_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
-        assert config.cache_dir() == str(tmp_path / "c")
-        monkeypatch.delenv("REPRO_CACHE_DIR")
-        assert config.cache_dir() is None
-
-
 class TestSnapshot:
     def test_resolved_config_snapshot(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv("REPRO_SEED", raising=False)
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         config.set_jobs(3)
         snap = config.resolved_config()
         assert snap.jobs == 3
         assert snap.jobs_source == "cli"
         assert snap.seed is None and snap.seed_source == "default"
-        assert snap.cache_enabled is True
         d = snap.as_dict()
         assert d["jobs"] == 3 and d["jobs_source"] == "cli"
 
     def test_overrides_scope_and_restore(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         config.set_jobs(2)
-        with config.overrides(jobs=5, seed=42, cache_enabled=False):
+        with config.overrides(jobs=5, seed=42):
             assert config.jobs() == 5
             assert config.seed() == 42
-            assert config.cache_enabled() is False
         assert config.jobs() == 2
         assert config.seed() is None
-        assert config.cache_enabled() is True
 
     def test_overrides_restore_on_exception(self):
         config.set_seed(1)
@@ -120,7 +88,6 @@ class TestSnapshot:
     def test_reset_clears_cli_state(self):
         config.set_jobs(8)
         config.set_seed(5)
-        config.set_cache_enabled(False)
         config.reset()
         assert config.resolved_config().jobs_source != "cli"
         assert config.resolved_config().seed_source != "cli"

@@ -1,13 +1,11 @@
-"""Cache-correctness tests: warm solves must be indistinguishable
-from cold ones, and the fingerprint must key on structure, not names."""
+"""Skeleton-store tests: warm solves must be indistinguishable from
+cold ones, and the fingerprint must key on structure, not names."""
 
 import numpy as np
-import pytest
 
 from repro.gtpn import Net, analyze
 from repro.models import Architecture, build_local_net
-from repro.perf import AnalysisCache, cache_enabled, fingerprint_net, \
-    set_cache_enabled
+from repro.perf import AnalysisCache, fingerprint_net
 
 
 def _cycle_net(name="cycle", delay=5, compute=0):
@@ -73,7 +71,7 @@ def test_fingerprint_distinguishes_initial_marking():
 
 def test_fingerprint_structure_covers_gates():
     """Two nets differing only in a gate — an inhibitor place or a
-    not-firing transition — must never share a skeleton or payload."""
+    not-firing transition — must never share a skeleton."""
     from repro.gtpn import Gate
 
     def gated_net(gate):
@@ -98,54 +96,23 @@ def test_fingerprint_structure_covers_gates():
     assert len(structures) == 5
     # the timing half is blind to gates: only structure tells them apart
     assert len({fp.timing for fp in (plain, inhibited, not_firing)}) == 1
-    # ... and the analyzer keys on it: no cross-gate payload hit
+    # ... and the analyzer keys on it: no cross-gate skeleton hit
     cache = AnalysisCache()
     analyze(gated_net(Gate(not_firing=["wait"])), cache=cache)
     analyze(gated_net(Gate(not_firing=["back"])), cache=cache)
     assert cache.hits == 0 and cache.misses == 2
 
 
-def test_disk_tier_shares_solves(tmp_path):
-    first = AnalysisCache(directory=tmp_path)
-    cold = analyze(_cycle_net(), cache=first)
-    # a fresh cache over the same directory hits the disk tier
-    second = AnalysisCache(directory=tmp_path)
-    warm = analyze(_cycle_net(), cache=second)
-    assert second.hits == 1 and second.misses == 0
-    assert warm.throughput() == cold.throughput()
-    assert np.array_equal(warm.pi, cold.pi)
-
-
-@pytest.mark.parametrize("junk", [b"not a pickle", b"garbage\n", b""])
-def test_corrupt_disk_entry_is_a_miss(tmp_path, junk):
-    # different corruption shapes raise different exceptions from
-    # pickle.load (UnpicklingError, ValueError, EOFError); all must
-    # read as a miss, never an error
-    cache = AnalysisCache(directory=tmp_path)
-    analyze(_cycle_net(), cache=cache)
-    for entry in tmp_path.glob("analysis-*.pkl"):
-        entry.write_bytes(junk)
-    fresh = AnalysisCache(directory=tmp_path)
-    result = analyze(_cycle_net(), cache=fresh)
-    assert result.throughput() > 0
-    assert fresh.misses >= 1
-
-
 def test_lru_bound_evicts_oldest():
+    # one structure per token count: three skeletons, two slots
     cache = AnalysisCache(max_entries=2)
-    for delay in (3, 4, 5):
-        analyze(_cycle_net(delay=delay), cache=cache)
+    nets = []
+    for tokens in (1, 2, 3):
+        net = _cycle_net()
+        net.place("Spare", tokens=tokens)
+        nets.append(net)
+        analyze(net, cache=cache)
     assert len(cache) == 2
-
-
-def test_cache_disable_switch(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    set_cache_enabled(True)
-    assert cache_enabled()
-    set_cache_enabled(False)
-    try:
-        assert not cache_enabled()
-    finally:
-        set_cache_enabled(True)
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    assert not cache_enabled()
+    assert cache.get(fingerprint_net(nets[0]).structure, "none") is None
+    assert cache.get(fingerprint_net(nets[2]).structure, "none") \
+        is not None

@@ -145,10 +145,10 @@ def test_map_info_reports_execution():
 
 
 def test_pool_persists_across_sweeps():
-    from repro.perf.backends import get_backend
+    from repro.perf.backends import local_pool
     items = list(range(4 * MIN_ITEMS_PER_JOB))
     map_sweep(_square, items, jobs=2, oversubscribe=True)
-    first = get_backend("local")._manager.executor
+    first = local_pool().executor
     assert first is not None
     map_sweep(_square, items, jobs=2, oversubscribe=True)
-    assert get_backend("local")._manager.executor is first
+    assert local_pool().executor is first

@@ -69,15 +69,14 @@ def test_different_seed_breaks_the_coalesce_key():
 
 
 def test_execution_knobs_still_coalesce():
-    # jobs/backend change scheduling, not values: twins coalesce
+    # jobs changes scheduling, not values: twins coalesce
     tracker = ToyTracker()
     with temporary_experiment(make_toy(tracker=tracker)):
         service = _gated_service(tracker, workers=2)
         try:
             first = service.submit("toy-exp", seed=3, jobs=1)
             assert tracker.started.acquire(timeout=TIMEOUT)
-            twin = service.submit("toy-exp", seed=3, jobs=4,
-                                  backend="serial")
+            twin = service.submit("toy-exp", seed=3, jobs=4)
             assert twin.coalesced
             tracker.gate.set()
             assert twin.result(timeout=TIMEOUT) is \

@@ -32,11 +32,10 @@ def test_experiment_id_lands_in_structure_half():
 
 
 def test_execution_knobs_do_not_fragment_the_key():
-    # jobs / cache / backend change scheduling, never values (the
-    # backends bit-identity contract) — they must share one address
+    # jobs changes scheduling, never values (the backends
+    # bit-identity contract) — every worker count shares one address
     base = build_job_key("figure-6.7", {"seed": 7})
-    for extra in ({"jobs": 4}, {"cache_enabled": False},
-                  {"backend": "sharded"}):
+    for extra in ({"jobs": 1}, {"jobs": 4}):
         assert build_job_key("figure-6.7",
                              {"seed": 7, **extra}) == base
 
