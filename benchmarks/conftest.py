@@ -57,7 +57,7 @@ def perf_record():
         from repro.config import resolved_config
         record = {"jobs": None, "chunk_size": None,
                   "pool_efficiency": None,
-                  "config": resolved_config().as_dict()}
+                  "config": resolved_config()}
         record.update(fields)
         _PERF_RECORDS.append(record)
 

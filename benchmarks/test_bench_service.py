@@ -27,7 +27,7 @@ _UNIQUE = 100
 
 def _toy_experiment() -> Experiment:
     def runner() -> Table:
-        seed = config.seed()
+        seed = config.get("seed")
         return Table(experiment_id="bench-svc", title="bench",
                      headers=["k", "v"], rows=[["seed", seed]])
     return Experiment("bench-svc", "bench", "table", runner)

@@ -10,8 +10,9 @@ registered experiment:
     result.artifact.render()
     result.obs_summary["counters"]
 
-Keyword arguments mirror the CLI flags exactly (``seed`` ↔ ``--seed``,
-``jobs`` ↔ ``--jobs``) and are applied through scoped
+Keyword arguments are the knobs of :data:`repro.config.KNOBS` and
+mirror the CLI flags exactly (``seed`` ↔ ``--seed``, ``sync`` ↔
+``--sync``); they are applied through scoped
 :func:`repro.config.overrides`, so the run sees the same precedence as
 a CLI invocation and nothing leaks afterwards.  ``fault_plan``
 installs a default :class:`~repro.faults.plan.FaultPlan` every
@@ -136,37 +137,11 @@ def run_traced(label: str, fn: Callable[[], Any], *,
     with obs.recording(recorder):
         with obs.span(label):
             value = fn()
-        snapshot = config.resolved_config().as_dict()
+        snapshot = config.resolved_config()
         write_chrome_trace(recorder, chrome_path, snapshot)
         write_jsonl(recorder, jsonl_path, snapshot)
         summary = recorder.summary()
     return value, summary, (str(chrome_path), str(jsonl_path))
-
-
-def _run_overrides(*, seed: int | None = None, jobs: int | None = None,
-                   fault_plan=None, duration: float | None = None,
-                   arrival_rate: float | None = None,
-                   deadline: float | None = None,
-                   queue_limit: int | None = None) -> dict:
-    """Normalise front-door keywords into :func:`config.overrides`
-    keywords, dropping every ``None`` ("whatever the surrounding
-    configuration says")."""
-    kwargs: dict = {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    if jobs is not None:
-        kwargs["jobs"] = jobs
-    if fault_plan is not None:
-        kwargs["fault_plan"] = fault_plan
-    if duration is not None:
-        kwargs["duration"] = duration
-    if arrival_rate is not None:
-        kwargs["arrival_rate"] = arrival_rate
-    if deadline is not None:
-        kwargs["deadline"] = deadline
-    if queue_limit is not None:
-        kwargs["queue_limit"] = queue_limit
-    return kwargs
 
 
 def _execute_run(experiment_id: str, run_kwargs: dict,
@@ -174,15 +149,15 @@ def _execute_run(experiment_id: str, run_kwargs: dict,
     """Execute one experiment under scoped configuration — the core
     both lanes of the service share.
 
-    *run_kwargs* are :func:`config.overrides` keywords (the shape
-    :func:`_run_overrides` produces).  This is the only place an
+    *run_kwargs* are :func:`config.overrides` keywords, already parsed
+    by :func:`config.parse` at submission.  This is the only place an
     experiment actually runs; everything above it — queueing,
     coalescing, the result store — is routing.
     """
     from repro.experiments.registry import get_experiment
     experiment = get_experiment(experiment_id)
     with config.overrides(**run_kwargs):
-        snapshot = config.resolved_config().as_dict()
+        snapshot = config.resolved_config()
         started = perf_now()
         extras: dict = {}
         stack = getattr(_extras_local, "stack", None)
@@ -204,24 +179,22 @@ def _execute_run(experiment_id: str, run_kwargs: dict,
         trace_paths=trace_paths, extras=extras)
 
 
-def run_experiment(experiment_id: str, *, seed: int | None = None,
-                   jobs: int | None = None, fault_plan=None,
-                   duration: float | None = None,
-                   arrival_rate: float | None = None,
-                   deadline: float | None = None,
-                   queue_limit: int | None = None,
-                   trace: str | Path | None = None) -> ExperimentResult:
+def run_experiment(experiment_id: str, *,
+                   trace: str | Path | None = None,
+                   **knobs) -> ExperimentResult:
     """Run one registered experiment with scoped configuration.
 
-    ``seed``/``jobs`` default to ``None`` =
-    "whatever the surrounding CLI/env configuration says"; a
-    non-``None`` value takes CLI precedence for this run only.
+    *knobs* are the rows of :data:`repro.config.KNOBS` (``seed``,
+    ``jobs``, ``sync``, ``reduction``, ``fault_plan``, the open-arrival
+    traffic knobs ``duration`` / ``arrival_rate`` / ``deadline`` /
+    ``queue_limit``, ...), each ↔ its CLI flag.  A knob left out or
+    passed as ``None`` means "whatever the surrounding CLI/env
+    configuration says"; a value takes CLI precedence for this run
+    only.  An unknown name or a malformed value raises
+    :class:`~repro.errors.ConfigError` before anything runs.
     ``fault_plan`` makes every kernel-simulator system in the run
-    honour the plan (chaos through the front door).  ``duration``/
-    ``arrival_rate``/``deadline``/``queue_limit`` are the open-arrival
-    traffic knobs (↔ ``--duration`` etc.), honoured by the
-    ``traffic-*`` experiments.  ``trace`` writes the Chrome-trace +
-    JSONL pair.
+    honour the plan (chaos through the front door).  ``trace`` writes
+    the Chrome-trace + JSONL pair.
 
     Equivalent to ``submit_experiment(...).result()`` through the
     service's inline lane: synchronous, in this thread, bypassing the
@@ -229,21 +202,13 @@ def run_experiment(experiment_id: str, *, seed: int | None = None,
     """
     from repro.service import default_service
     handle = default_service().submit(
-        experiment_id, lane="inline", trace=trace,
-        **_run_overrides(seed=seed, jobs=jobs, fault_plan=fault_plan,
-                         duration=duration, arrival_rate=arrival_rate,
-                         deadline=deadline, queue_limit=queue_limit))
+        experiment_id, lane="inline", trace=trace, **knobs)
     return handle.result()
 
 
 def submit_experiment(experiment_id: str, *, tenant: str = "default",
-                      service=None, seed: int | None = None,
-                      jobs: int | None = None, fault_plan=None,
-                      duration: float | None = None,
-                      arrival_rate: float | None = None,
-                      deadline: float | None = None,
-                      queue_limit: int | None = None,
-                      trace: str | Path | None = None):
+                      service=None, trace: str | Path | None = None,
+                      **knobs):
     """Submit one experiment to the service; returns a
     :class:`~repro.service.jobs.JobHandle` immediately.
 
@@ -253,13 +218,9 @@ def submit_experiment(experiment_id: str, *, tenant: str = "default",
     control, request coalescing, the content-addressed result store —
     and the handle exposes ``poll()`` / ``result(timeout)`` /
     ``stream_events()``.  Pass ``service=`` to target a specific
-    service instance, ``tenant=`` to attribute the work under
-    per-tenant admission quotas.
+    service instance, ``tenant=`` to attribute the work in the
+    service's stats.
     """
     from repro.service import default_service
     svc = service if service is not None else default_service()
-    return svc.submit(
-        experiment_id, tenant=tenant, trace=trace,
-        **_run_overrides(seed=seed, jobs=jobs, fault_plan=fault_plan,
-                         duration=duration, arrival_rate=arrival_rate,
-                         deadline=deadline, queue_limit=queue_limit))
+    return svc.submit(experiment_id, tenant=tenant, trace=trace, **knobs)

@@ -16,17 +16,18 @@ Usage::
     python -m repro validate --rebaseline
     python -m repro serve figure-6.7 table-5.1 --repeat 3 --stats
 
+The global knob flags (``--jobs``, ``--seed``, ``--reduction``,
+``--sync`` and the traffic knobs) are generated from
+:data:`repro.config.KNOBS`, which also holds their environment
+variables, parsers and help text; a bad value is a parser error.
 ``--jobs N`` fans the grid points of sweep experiments out over N
-processes of the persistent local pool (``REPRO_JOBS`` sets the same
-default; see :mod:`repro.perf.backends`); it changes no computed
-value.  ``repro serve`` drives the async
-experiment service (:mod:`repro.service`): submissions queue, twins
-coalesce, and repeats answer from the content-addressed result store.
-``--seed N`` sets the default seed of every stochastic component
-(``REPRO_SEED`` sets the same default); runs are deterministic either
-way, the seed just selects which deterministic run.  Flag/env/default
-precedence for all of these is resolved in :mod:`repro.config`.
-``--trace PATH`` records the run with :mod:`repro.obs` and writes a
+processes of the persistent local pool (:mod:`repro.perf.backends`);
+it changes no computed value.  ``--seed N`` sets the default seed of
+every stochastic component; runs are deterministic either way, the
+seed just selects which deterministic run.  ``repro serve`` drives the
+async experiment service (:mod:`repro.service`): submissions queue,
+twins coalesce, and repeats answer from the content-addressed result
+store.  ``--trace PATH`` records the run with :mod:`repro.obs` and writes a
 Chrome-trace JSON at PATH plus the versioned JSONL stream next to it;
 ``repro stats`` summarises such a JSONL file afterwards.
 ``--profile`` wraps each experiment in :mod:`cProfile` and writes a
@@ -206,14 +207,14 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     mode = Mode.LOCAL if args.mode == "local" else Mode.NONLOCAL
     capacity = closed_loop_capacity(architecture, mode, args.servers,
                                     args.compute)
-    rate_per_ms = config.arrival_rate()
+    rate_per_ms = config.get("arrival_rate")
     rate_per_us = rate_per_ms / 1e3 if rate_per_ms is not None \
         else args.load * capacity
     process = make_process(args.process, rate_per_us,
                            alpha=args.alpha,
                            burst_ratio=args.burst_ratio)
-    measure_us = config.duration() or 1_000_000.0
-    queue_bound = config.queue_limit() or DEFAULT_QUEUE_LIMIT
+    measure_us = config.get("duration") or 1_000_000.0
+    queue_bound = config.get("queue_limit") or DEFAULT_QUEUE_LIMIT
 
     result, _summary, trace_paths = maybe_profile(
         args, "traffic-point",
@@ -224,7 +225,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
                 mean_compute=args.compute, warmup_us=args.warmup,
                 measure_us=measure_us, pool_size=args.pool,
                 queue_limit=queue_bound, policy=args.policy,
-                deadline_us=config.deadline(),
+                deadline_us=config.get("deadline"),
                 population=args.population),
             trace=args.trace))
     counts = result.counts
@@ -442,42 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Hardware Support for Interprocess Communication "
                     "— reproduction toolkit")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for sweep experiments (default: "
-             "REPRO_JOBS or serial); results are identical at any N")
-    parser.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="default seed for every stochastic component (default: "
-             "REPRO_SEED or each component's own)")
-    parser.add_argument(
-        "--reduction", metavar="MODE", default=None,
-        help="opt-in state-space reduction for exact solves: none, "
-             "lump, elim, or lump+elim (default: REPRO_REDUCTION or "
-             "none; the default exact path is bit-identical)")
-    parser.add_argument(
-        "--sync", metavar="P", default=None,
-        help="synchronization primitive costing the architecture II "
-             "software queue path: tas, cas, llsc, or htm (default: "
-             "REPRO_SYNC or tas; architectures I/III/IV are "
-             "unaffected)")
-    parser.add_argument(
-        "--duration", metavar="US", default=None,
-        help="open-arrival measurement window in simulated us "
-             "(default: REPRO_DURATION or each experiment's own)")
-    parser.add_argument(
-        "--arrival-rate", metavar="R", default=None,
-        help="offered arrival rate in messages per simulated ms "
-             "(default: REPRO_ARRIVAL_RATE or each experiment's own)")
-    parser.add_argument(
-        "--deadline", metavar="US", default=None,
-        help="per-message deadline in simulated us; completions past "
-             "it count as deadline misses (default: REPRO_DEADLINE "
-             "or none)")
-    parser.add_argument(
-        "--queue-limit", metavar="N", default=None,
-        help="bounded MP ingress queue length for open-arrival runs "
-             "(default: REPRO_QUEUE_LIMIT or each experiment's own)")
+    for knob in config.KNOBS:
+        if knob.flag is not None:
+            parser.add_argument(knob.flag, dest=knob.name, default=None,
+                                help=f"{knob.help}; env {knob.env}")
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record the run with repro.obs: Chrome-trace JSON at "
@@ -676,29 +645,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
-        config.set_jobs(args.jobs)
-    if args.seed is not None:
-        config.set_seed(args.seed)
-    if args.reduction is not None:
-        try:
-            config.set_reduction(args.reduction)
-        except ReproError as error:
-            parser.error(str(error))
-    if args.sync is not None:
-        try:
-            config.set_sync(args.sync)
-        except ReproError as error:
-            parser.error(str(error))
-    for value, setter in ((args.duration, config.set_duration),
-                          (args.arrival_rate, config.set_arrival_rate),
-                          (args.deadline, config.set_deadline),
-                          (args.queue_limit, config.set_queue_limit)):
+    for knob in config.KNOBS:
+        value = getattr(args, knob.name, None)
         if value is not None:
             try:
-                setter(value)
+                config.set_cli(knob.name, value)
             except ReproError as error:
                 parser.error(str(error))
     try:

@@ -112,13 +112,13 @@ def build_reachability_graph(net: Net,
 
     Runs the packed array engine (:mod:`repro.gtpn.packed`).
     ``reduction=None`` resolves the configured mode
-    (:func:`repro.config.reduction`).
+    (``repro.config.get("reduction")``).
     """
     from repro import config
     from repro.gtpn import packed
 
     if reduction is None:
-        reduction = config.reduction()
+        reduction = config.get("reduction")
     else:
         reduction = config.normalize_reduction(reduction)
     graph, _skeleton = packed.packed_build(

@@ -98,7 +98,7 @@ class SweepSolver:
                  reduction: str | None = None):
         self.method = method
         self.max_states = max_states
-        self.reduction = config.reduction() if reduction is None \
+        self.reduction = config.get("reduction") if reduction is None \
             else config.normalize_reduction(reduction)
         self.cache = get_cache() if cache is None else cache
         self.stats = SweepStats()

@@ -174,7 +174,7 @@ def build_conversation_system(architecture: Architecture, mode: Mode,
     if conversations < 1:
         raise WorkloadError("need at least one conversation")
     if faults is None:
-        faults = config.default_fault_plan()
+        faults = config.get("fault_plan")
     seed = resolve_seed(seed, fallback=0)
     system = DistributedSystem(architecture, faults=faults)
     meter = ConversationMeter()

@@ -72,7 +72,7 @@ def _resolve_sync(architecture: Architecture,
                   sync: str | None) -> str:
     """Normalize the primitive; only architecture II is sensitive."""
     from repro import config
-    name = config.sync() if sync is None else \
+    name = config.get("sync") if sync is None else \
         config.normalize_sync(sync, source="sync")
     return name if architecture is Architecture.II else "tas"
 
@@ -202,7 +202,7 @@ def solve_grid(points: list[tuple[Architecture, Mode, int, float]], *,
     CLI configuration, so the primitive always ships inside the point.
     """
     from repro import config
-    default_sync = config.sync()
+    default_sync = config.get("sync")
     expanded = [point if len(point) >= 5 else (*point, default_sync)
                 for point in points]
     return map_sweep(solve, expanded, jobs=jobs, star=True)
@@ -221,7 +221,7 @@ def solve_offered_load_grid(
     element overrides it per point).
     """
     from repro import config
-    default_sync = config.sync()
+    default_sync = config.get("sync")
     expanded = [point if len(point) >= 6 else (*point, default_sync)
                 for point in points]
     return map_sweep(solve_at_offered_load, expanded, jobs=jobs,

@@ -16,9 +16,8 @@ Both are policy-free utilities: they know nothing about GTPN
 internals beyond the duck-typed net attributes the fingerprint reads.
 """
 
-from repro.perf.backends import (MapInfo, default_jobs, last_map_info,
-                                 map_sweep, plan_jobs, set_default_jobs,
-                                 shutdown_pool)
+from repro.perf.backends import (MapInfo, last_map_info, map_sweep,
+                                 plan_jobs, shutdown_pool)
 from repro.perf.cache import (AnalysisCache, configure_cache,
                               fingerprint_net, get_cache)
 
@@ -26,12 +25,10 @@ __all__ = [
     "AnalysisCache",
     "MapInfo",
     "configure_cache",
-    "default_jobs",
     "fingerprint_net",
     "get_cache",
     "last_map_info",
     "map_sweep",
     "plan_jobs",
-    "set_default_jobs",
     "shutdown_pool",
 ]

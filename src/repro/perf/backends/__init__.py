@@ -23,8 +23,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from repro import config, obs
 from repro.perf.backends.base import (CHUNK_WAVES, MIN_ITEMS_PER_JOB,
                                       MapInfo, PoolBrokenError,
-                                      default_jobs, plan_jobs,
-                                      set_default_jobs)
+                                      plan_jobs)
 from repro.perf.backends.local import LocalPoolBackend
 
 __all__ = [
@@ -33,12 +32,10 @@ __all__ = [
     "LocalPoolBackend",
     "MapInfo",
     "PoolBrokenError",
-    "default_jobs",
     "last_map_info",
     "local_pool",
     "map_sweep",
     "plan_jobs",
-    "set_default_jobs",
     "shutdown_pool",
 ]
 
@@ -94,18 +91,19 @@ def map_sweep(fn: Callable[..., R], items: Iterable[T], *,
 
     ``star=True`` unpacks each item as positional arguments
     (``fn(*item)``); otherwise each item is passed whole (``fn(item)``).
-    ``jobs=None`` uses :func:`default_jobs`.  The sweep is planned via
-    :func:`plan_jobs` (serial fallback on small grids or one CPU) and
-    chunked to ``ceil(items / (workers * CHUNK_WAVES))`` unless
-    *chunksize* is given; :func:`last_map_info` reports what happened.
+    ``jobs=None`` uses the ``jobs`` knob of :mod:`repro.config`.  The
+    sweep is planned via :func:`plan_jobs` (serial fallback on small
+    grids or one CPU) and chunked to
+    ``ceil(items / (workers * CHUNK_WAVES))`` unless *chunksize* is
+    given; :func:`last_map_info` reports what happened.
     An unusable pool (unpicklable work, no process support) or a
     worker death mid-task falls back to the serial path; exceptions
     raised by *fn* itself propagate.
     """
     global _last_map_info
     work: Sequence[T] = list(items)
-    jobs_requested = default_jobs() if jobs is None else \
-        config.validate_jobs(jobs, "jobs")
+    jobs_requested = config.get("jobs") if jobs is None else \
+        config.knob("jobs").parse(jobs, "jobs")
     n_jobs, reason = plan_jobs(len(work), jobs_requested,
                                oversubscribe=oversubscribe)
     with obs.span("pool.map", items=len(work),

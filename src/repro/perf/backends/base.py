@@ -20,8 +20,6 @@ MIN_ITEMS_PER_JOB = 4
 #: amortise per-task pickling, small enough to keep workers balanced.
 CHUNK_WAVES = 4
 
-_validate_jobs = config.validate_jobs
-
 
 class PoolBrokenError(RuntimeError):
     """A worker process died mid-task and the pool has been reaped.
@@ -31,21 +29,6 @@ class PoolBrokenError(RuntimeError):
     and the next sweep starts from a fresh pool instead of retrying
     into a hung executor.
     """
-
-
-def set_default_jobs(jobs: int | None) -> None:
-    """Set the process-wide default worker count (None = env/serial)."""
-    config.set_jobs(jobs)
-
-
-def default_jobs() -> int:
-    """Resolve the default worker count (explicit > REPRO_JOBS > 1).
-
-    A malformed ``REPRO_JOBS`` raises :class:`ConfigError` instead of
-    being silently coerced: a user who exported it wanted parallelism,
-    and quietly running serial hides the typo.
-    """
-    return config.jobs()
 
 
 @dataclass(frozen=True)
@@ -81,8 +64,8 @@ def plan_jobs(n_items: int, jobs: int | None = None, *,
     *reason* says why.  ``oversubscribe=True`` skips the single-CPU
     check (tests exercise the pool protocol on one-core machines).
     """
-    n_jobs = default_jobs() if jobs is None else _validate_jobs(
-        jobs, "jobs")
+    n_jobs = config.get("jobs") if jobs is None else \
+        config.knob("jobs").parse(jobs, "jobs")
     if n_jobs <= 1:
         return 1, "serial requested (jobs=1)"
     if n_items <= 1:

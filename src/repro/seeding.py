@@ -9,13 +9,12 @@ conversation workloads, and the fault schedules of
 :mod:`repro.faults` — consults when its caller did not pass an
 explicit seed.
 
-Resolution order (normalised in :mod:`repro.config` alongside the
-other knobs):
+Resolution order:
 
 1. an explicit ``seed=`` argument at the call site;
-2. :func:`set_default_seed` (wired to the CLI ``--seed`` flag);
-3. the ``REPRO_SEED`` environment variable;
-4. the component's historical default (``0`` for the conversation
+2. the ``seed`` knob of :mod:`repro.config` (CLI ``--seed`` >
+   ``REPRO_SEED``);
+3. the component's historical default (``0`` for the conversation
    workload and fault schedules, ``None`` — system entropy — for the
    Monte Carlo simulator), so behaviour without the flag is unchanged.
 """
@@ -23,16 +22,6 @@ other knobs):
 from __future__ import annotations
 
 from repro import config
-
-
-def set_default_seed(seed: int | None) -> None:
-    """Install the process-wide default seed (``None`` clears it)."""
-    config.set_seed(seed)
-
-
-def default_seed() -> int | None:
-    """The configured default seed (explicit > ``REPRO_SEED`` > None)."""
-    return config.seed()
 
 
 def resolve_seed(explicit: int | None,
@@ -45,7 +34,7 @@ def resolve_seed(explicit: int | None,
     """
     if explicit is not None:
         return explicit
-    configured = config.seed()
+    configured = config.get("seed")
     if configured is not None:
         return configured
     return fallback

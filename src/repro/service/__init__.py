@@ -17,7 +17,7 @@ Pieces (one module each):
 
 * :class:`ExperimentService` (:mod:`repro.service.queue`) — the job
   queue, worker threads, admission policies (``drop`` / ``reject`` /
-  ``backpressure`` + per-tenant quotas), request coalescing, and the
+  ``backpressure``), request coalescing, and the
   stats snapshot behind ``repro serve --stats``.
 * :class:`~repro.service.jobs.JobKey` / :class:`~repro.service.jobs.\
 JobHandle` (:mod:`repro.service.jobs`) — content-addressed job

@@ -6,16 +6,18 @@ trusts:
 * :class:`JobKey` — the service's content address, split **structure ×
   timing** exactly like the analysis cache's
   :class:`~repro.perf.cache.NetFingerprint`: the *structure* half
-  names what system is being evaluated (experiment id, reduction mode,
+  names what system is being evaluated (the experiment id, then every
+  ``structure`` knob of :data:`repro.config.KNOBS`: reduction mode,
   sync primitive, fault plan, queue limit), the *timing* half names
-  the stochastic and load parameters (seed, duration, arrival rate,
-  deadline).  Two
+  the stochastic and load parameters (every ``timing`` knob: seed,
+  duration, arrival rate, deadline).  Both halves are derived from the
+  knobs' roles, so a knob that changes values cannot be left out.  Two
   submissions with equal keys are the same computation — the basis for
   request coalescing and the content-addressed result store.
-  Execution-only knobs (``jobs``, ``trace``) are deliberately
-  **excluded**: they change wall-clock time and scheduling, never
-  values (the bit-identity contract the backends suite pins), so they
-  must not fragment the address space.
+  Execution knobs (``jobs``, ``result_dir``) and ``trace`` are
+  deliberately **excluded**: they change wall-clock time and
+  scheduling, never values (the bit-identity contract the backends
+  suite pins), so they must not fragment the address space.
 
 * :class:`JobHandle` — one submission's view of a (possibly shared)
   execution: ``poll()`` for the current :class:`JobStatus`,
@@ -54,9 +56,6 @@ class JobStatus(Enum):
                         JobStatus.DROPPED)
 
 
-_MISSING = object()
-
-
 def _digest(parts: tuple) -> str:
     """Stable short hex digest of a tuple of primitives."""
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
@@ -91,22 +90,15 @@ class JobKey:
         return f"{self.structure_digest}x{self.timing_digest}"
 
 
-def _coerce(value, kind):
-    """Best-effort numeric normalisation so ``duration=500000`` and a
-    ``REPRO_DURATION=500000`` env resolution (a float) key equally."""
-    if value is None:
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        return value
-
-
 def build_job_key(experiment_id: str, run_kwargs: dict) -> JobKey:
     """Resolve a submission to its :class:`JobKey` at submit time.
 
-    *run_kwargs* are :func:`repro.config.overrides` keywords; knobs
-    the caller left unset resolve through the surrounding CLI/env
+    *run_kwargs* are :func:`repro.config.overrides` keywords, parsed
+    here (an unknown name or a malformed value raises
+    :class:`~repro.errors.ConfigError`), so ``sync="CAS"`` and
+    ``sync="cas"``, or ``duration=500000`` and a
+    ``REPRO_DURATION=500000`` env resolution, key equally.  Knobs the
+    caller left unset resolve through the surrounding CLI/env
     configuration **now**, so a submission made under ``REPRO_SEED=7``
     and one passing ``seed=7`` explicitly coalesce — they are the same
     run.  Resolution reads :func:`repro.config.ambient_config` — one
@@ -115,27 +107,20 @@ def build_job_key(experiment_id: str, run_kwargs: dict) -> JobKey:
     another job executes can never absorb that job's parameters into
     its identity (which would alias two different computations onto
     one store/coalesce address).
+
+    The halves are built by role from :data:`repro.config.KNOBS`:
+    every ``structure`` knob after the experiment id, every ``timing``
+    knob in the timing half, each in table order; ``execution`` knobs
+    stay out.
     """
-    ambient = config.ambient_config()
-
-    def pick(name, kind):
-        if name in run_kwargs:
-            return _coerce(run_kwargs[name], kind)
-        return _coerce(ambient[name], kind)
-
-    plan = run_kwargs.get("fault_plan", _MISSING)
-    if plan is _MISSING:
-        plan = ambient["fault_plan"]
-    structure = (experiment_id,
-                 pick("reduction", str),
-                 pick("sync", str),
-                 repr(plan) if plan is not None else None,
-                 pick("queue_limit", int))
-    timing = (pick("seed", int),
-              pick("duration", float),
-              pick("arrival_rate", float),
-              pick("deadline", float))
-    return JobKey(structure=structure, timing=timing)
+    values = {**config.ambient_config(), **config.parse(run_kwargs)}
+    halves: dict[str, list] = {"structure": [experiment_id],
+                               "timing": []}
+    for knob in config.KNOBS:
+        if knob.role in halves:
+            halves[knob.role].append(knob.render(values[knob.name]))
+    return JobKey(structure=tuple(halves["structure"]),
+                  timing=tuple(halves["timing"]))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ order:
    :class:`~repro.service.jobs.JobStatus.DROPPED`), ``reject`` raises
    :class:`~repro.errors.AdmissionError` at the submit call, and
    ``backpressure`` blocks the submitter until the queue has room.
-   ``tenant_quota`` bounds any single tenant's queued jobs so one
-   noisy tenant cannot starve the rest.
 
 **Concurrency model.**  Submission and handle APIs are fully
 thread-safe; *executions are serialised* by a process-wide re-entrant
@@ -83,9 +81,7 @@ class ExperimentService:
 
     def __init__(self, *, workers: int = 2, queue_depth: int = 64,
                  policy: str = "backpressure",
-                 tenant_quota: int | None = None,
-                 store: ResultStore | None = None,
-                 coalesce: bool = True):
+                 store: ResultStore | None = None):
         if policy not in VALID_POLICIES:
             raise ConfigError(
                 f"unknown admission policy {policy!r}; valid: "
@@ -97,12 +93,10 @@ class ExperimentService:
                 f"queue_depth must be >= 1, got {queue_depth!r}")
         self.policy = policy
         self.queue_depth = queue_depth
-        self.tenant_quota = tenant_quota
-        self.coalesce = coalesce
         self.store = store if store is not None else \
-            ResultStore(directory=config.result_dir())
+            ResultStore(directory=config.get("result_dir"))
         self._n_workers = workers
-        self._queue: deque[tuple[_Execution, str]] = deque()
+        self._queue: deque[_Execution] = deque()
         self._pending: dict[str, _Execution] = {}
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -112,7 +106,6 @@ class ExperimentService:
         self._shutdown = False
         self._counters: Counter = Counter()
         self._tenant_submitted: Counter = Counter()
-        self._tenant_queued: Counter = Counter()
         self._latency = QuantileSketch()
         self._job_seq = itertools.count(1)
 
@@ -124,29 +117,32 @@ class ExperimentService:
                **run_kwargs) -> JobHandle:
         """Submit one experiment; returns a handle immediately.
 
-        *run_kwargs* are :func:`repro.config.overrides` keywords
-        (``seed=7``, ``jobs=2``, ...) — the shape
-        :func:`repro.api.submit_experiment` produces.  ``lane`` is
+        *run_kwargs* are knobs of :data:`repro.config.KNOBS`
+        (``seed=7``, ``jobs=2``, ...), parsed here: an unknown name or
+        a malformed value raises :class:`~repro.errors.ConfigError` at
+        this call and is never counted or queued.  ``lane`` is
         ``"async"`` (queue) or ``"inline"`` (execute now, in this
         thread, bypassing queue/coalescing/store).
 
-        A submission that raises at this call — admission ``reject``,
-        or the service shutting down while it queued/waited — counts
-        as ``rejected`` in :meth:`stats`, keeping the ledger invariant
-        ``submitted == executed + failed + coalesced + store_hits +
-        dropped + rejected + inline``.
+        A submission that raises at this call after it was counted —
+        admission ``reject``, or the service shutting down while it
+        queued/waited — counts as ``rejected`` in :meth:`stats`,
+        keeping the ledger invariant ``submitted == executed + failed
+        + coalesced + store_hits + dropped + rejected + inline``.
         """
         if lane not in ("async", "inline"):
             raise ServiceError(
                 f"unknown lane {lane!r}; valid: 'async', 'inline'")
+        run_kwargs = config.parse(run_kwargs)
+        inline = lane == "inline" or \
+            threading.get_ident() in _WORKER_THREADS
+        key = None if inline else build_job_key(experiment_id, run_kwargs)
         job_id = f"job-{next(self._job_seq)}"
         self._counters["submitted"] += 1
         self._tenant_submitted[tenant] += 1
-        if lane == "inline" or \
-                threading.get_ident() in _WORKER_THREADS:
+        if inline:
             return self._submit_inline(job_id, experiment_id,
                                        run_kwargs, trace, tenant)
-        key = build_job_key(experiment_id, run_kwargs)
         # traced jobs produce side files and a per-run recorder; they
         # are never coalesced with (or answered for) untraced twins
         shareable = trace is None
@@ -165,7 +161,7 @@ class ExperimentService:
                         "service shut down while submission was "
                         "backpressured" if backpressured else
                         "service is shut down; no new submissions")
-                if shareable and self.coalesce:
+                if shareable:
                     existing = self._pending.get(key.digest)
                     if existing is not None:
                         existing.subscribers += 1
@@ -183,9 +179,13 @@ class ExperimentService:
                                           run_kwargs, tenant)
                     if hit is not None:
                         return hit
-                verdict = self._blocked(tenant)
-                if verdict is None:
+                # admission: the policy decides whether a full queue
+                # raises, sheds, or waits and retries the whole
+                # dedup+admission sequence
+                if len(self._queue) < self.queue_depth:
                     break
+                verdict = (f"queue full ({len(self._queue)}/"
+                           f"{self.queue_depth})")
                 if self.policy == "reject":
                     self._counters["rejected"] += 1
                     obs.add("service.rejected")
@@ -212,10 +212,9 @@ class ExperimentService:
                 self._state_change.wait()
             execution = _Execution(experiment_id, key, run_kwargs,
                                    trace=trace)
-            if shareable and self.coalesce:
+            if shareable:
                 self._pending[key.digest] = execution
-            self._queue.append((execution, tenant))
-            self._tenant_queued[tenant] += 1
+            self._queue.append(execution)
             self._ensure_workers()
             self._not_empty.notify()
             obs.gauge("service.queue_depth", len(self._queue))
@@ -256,23 +255,6 @@ class ExperimentService:
                 execution.result = result
         return JobHandle(job_id, execution, tenant)
 
-    def _blocked(self, tenant: str) -> str | None:
-        """Admission check under ``self._lock``, without waiting.
-
-        Returns ``None`` to admit, or the reason the queue cannot take
-        the job right now; the submit loop decides whether to raise
-        (``reject``), shed (``drop``), or wait and retry the whole
-        dedup+admission sequence (``backpressure``).
-        """
-        if len(self._queue) >= self.queue_depth:
-            return (f"queue full ({len(self._queue)}/"
-                    f"{self.queue_depth})")
-        if self.tenant_quota is not None and \
-                self._tenant_queued[tenant] >= self.tenant_quota:
-            return (f"tenant {tenant!r} at quota "
-                    f"({self.tenant_quota} queued)")
-        return None
-
     # ------------------------------------------------------------------
     # workers
     # ------------------------------------------------------------------
@@ -296,8 +278,7 @@ class ExperimentService:
                         self._not_empty.wait()
                     if self._shutdown and not self._queue:
                         return
-                    execution, tenant = self._queue.popleft()
-                    self._tenant_queued[tenant] -= 1
+                    execution = self._queue.popleft()
                     self._busy += 1
                     self._state_change.notify_all()
                     obs.gauge("service.queue_depth", len(self._queue))

@@ -373,7 +373,7 @@ def build_open_system(architecture: Architecture, mode: Mode,
     if servers < 1:
         raise TrafficError(f"servers must be >= 1, got {servers!r}")
     if faults is None:
-        faults = config.default_fault_plan()
+        faults = config.get("fault_plan")
     seed = resolve_seed(seed, fallback=0)
     system = DistributedSystem(architecture, faults=faults)
     rng = random.Random(seed)

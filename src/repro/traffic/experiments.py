@@ -96,9 +96,9 @@ def knee_figure(experiment_id: str,
     architectures = tuple(architectures)
     fractions = tuple(sorted(fractions))
     seed = resolve_seed(seed, fallback=0)
-    measure_us = config.duration() or measure_us
-    deadline_us = config.deadline()
-    queue_bound = config.queue_limit() or DEFAULT_QUEUE_LIMIT
+    measure_us = config.get("duration") or measure_us
+    deadline_us = config.get("deadline")
+    queue_bound = config.get("queue_limit") or DEFAULT_QUEUE_LIMIT
 
     points = []
     for arch in architectures:
@@ -175,17 +175,17 @@ def chaos_under_load_table(architecture: Architecture =
     retransmission protocol (fault masking).
     """
     seed = resolve_seed(seed, fallback=0)
-    measure_us = config.duration()
+    measure_us = config.get("duration")
     if measure_us:
         horizon_us = measure_us
         spike_start_us = horizon_us / 3.0
         spike_end_us = 2.0 * horizon_us / 3.0
-    deadline_us = config.deadline() or 5_000.0
-    queue_bound = config.queue_limit() or 16
+    deadline_us = config.get("deadline") or 5_000.0
+    queue_bound = config.get("queue_limit") or 16
 
     capacity = closed_loop_capacity(architecture, Mode.NONLOCAL,
                                     servers)
-    base_rate = config.arrival_rate()
+    base_rate = config.get("arrival_rate")
     base = base_rate / 1e3 if base_rate else 0.3 * capacity
     spike = MMPPArrivals(
         rate_on_per_us=3.0 * capacity, rate_off_per_us=base,

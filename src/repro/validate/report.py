@@ -385,7 +385,7 @@ def run_validation(grid_name: str = "full", *,
         scoreboard=scoreboard, sync=sync,
         execution={"pool_note": pool_note,
                    "elapsed_s": round(elapsed, 3)},
-        config_snapshot=config.resolved_config().as_dict())
+        config_snapshot=config.resolved_config())
     return report
 
 

@@ -79,12 +79,12 @@ def test_parser_requires_command():
 
 
 def test_seed_flag_sets_global_default(capsys):
-    from repro.seeding import default_seed, set_default_seed
+    from repro import config
     try:
         assert main(["--seed", "123", "list"]) == 0
-        assert default_seed() == 123
+        assert config.get("seed") == 123
     finally:
-        set_default_seed(None)
+        config.set_cli("seed", None)
 
 
 def test_chaos_subcommand_renders_sweep(capsys):
@@ -96,8 +96,8 @@ def test_chaos_subcommand_renders_sweep(capsys):
         assert "retransmits" in out
         assert "seed=1" in out
     finally:
-        from repro.seeding import set_default_seed
-        set_default_seed(None)
+        from repro import config
+        config.set_cli("seed", None)
 
 
 def test_chaos_rejects_bad_loss_rate(capsys):
@@ -180,7 +180,9 @@ def test_validate_rebaseline_writes_custom_path(tmp_path, capsys):
 def test_jobs_flag_rejects_bad_values(capsys):
     with pytest.raises(SystemExit):
         main(["--jobs", "0", "list"])
-    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert "--jobs must be a positive integer, got '0'" in \
+        capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["--jobs", "four", "list"])
-    assert "invalid int value" in capsys.readouterr().err
+    assert "--jobs must be a positive integer, got 'four'" in \
+        capsys.readouterr().err

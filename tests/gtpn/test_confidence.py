@@ -97,14 +97,14 @@ def test_interval_coverage_across_seeds():
 def test_seed_resolves_through_global_default():
     """Without an explicit seed the simulator consults the
     process-wide default (CLI --seed / REPRO_SEED)."""
-    from repro.seeding import set_default_seed
+    from repro import config
     net = cycle_net()
     try:
-        set_default_seed(77)
+        config.set_cli("seed", 77)
         a = simulate_with_confidence(net, batches=4, batch_ticks=2_000)
         b = simulate_with_confidence(net, batches=4, batch_ticks=2_000,
                                      seed=77)
     finally:
-        set_default_seed(None)
+        config.set_cli("seed", None)
     assert a.mean == b.mean
     assert a.batch_means == b.batch_means

@@ -39,8 +39,17 @@ class TestRunExperiment:
 
     def test_overrides_do_not_leak(self):
         api.run_experiment("table-5.1", jobs=5, seed=123)
-        assert config.jobs() == 1
-        assert config.seed() is None
+        assert config.get("jobs") == 1
+        assert config.get("seed") is None
+
+    def test_sync_keyword_matches_the_cli_flag(self, capsys):
+        # knobs reach the front door from the table: sync= is --sync
+        from repro.cli import main
+        result = api.run_experiment("figure-6.18", sync="cas")
+        assert result.config["sync"] == "cas"
+        assert result.values != api.run_experiment("figure-6.18").values
+        assert main(["--sync", "cas", "run", "figure-6.18"]) == 0
+        assert result.render() in capsys.readouterr().out
 
     def test_attach_extra_rides_on_result(self):
         from repro.experiments.registry import Experiment, REGISTRY

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import config
 from repro.errors import ConfigError
-from repro.perf.backends import (MIN_ITEMS_PER_JOB, default_jobs,
-                                 last_map_info, map_sweep, plan_jobs,
-                                 set_default_jobs)
+from repro.perf.backends import (MIN_ITEMS_PER_JOB, last_map_info,
+                                 map_sweep, plan_jobs)
 
 
 def _square(x):
@@ -23,7 +23,7 @@ def _boom(x):
 @pytest.fixture(autouse=True)
 def _reset_default_jobs():
     yield
-    set_default_jobs(None)
+    config.set_cli("jobs", None)
 
 
 def test_serial_map_preserves_order():
@@ -83,7 +83,7 @@ def test_invalid_jobs_rejected():
     with pytest.raises(ValueError):
         map_sweep(_square, [1], jobs=0)
     with pytest.raises(ValueError):
-        set_default_jobs(0)
+        config.set_cli("jobs", 0)
     with pytest.raises(ConfigError):
         map_sweep(_square, [1], jobs=2.5)
     with pytest.raises(ConfigError):
@@ -92,25 +92,25 @@ def test_invalid_jobs_rejected():
 
 def test_default_jobs_resolution(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    set_default_jobs(None)
-    assert default_jobs() == 1
+    config.set_cli("jobs", None)
+    assert config.get("jobs") == 1
     monkeypatch.setenv("REPRO_JOBS", "3")
-    assert default_jobs() == 3
-    set_default_jobs(5)
-    assert default_jobs() == 5
+    assert config.get("jobs") == 3
+    config.set_cli("jobs", 5)
+    assert config.get("jobs") == 5
 
 
 @pytest.mark.parametrize("bad", ["not-a-number", "0", "-2", "2.5", " "])
 def test_malformed_repro_jobs_rejected(monkeypatch, bad):
     # a user who exported REPRO_JOBS wanted parallelism; a typo must
     # fail loudly (ConfigError is also a ValueError), not run serial
-    set_default_jobs(None)
+    config.set_cli("jobs", None)
     monkeypatch.setenv("REPRO_JOBS", bad)
     if bad.strip():
         with pytest.raises(ConfigError):
-            default_jobs()
+            config.get("jobs")
     else:
-        assert default_jobs() == 1    # unset/blank still means serial
+        assert config.get("jobs") == 1    # unset/blank still means serial
 
 
 def test_plan_jobs_policy():

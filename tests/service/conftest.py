@@ -57,7 +57,7 @@ def make_toy(experiment_id: str = "toy-exp",
         if fail:
             from repro.errors import ReproError
             raise ReproError("toy runner failed on purpose")
-        seed = config.seed()
+        seed = config.get("seed")
         if tracker is not None:
             tracker.runs.append(seed)
         (total,) = map_sweep(_inc, [seed if seed is not None else 0])

@@ -87,6 +87,28 @@ def test_execution_knobs_still_coalesce():
     assert tracker.runs == [3]
 
 
+def test_spellings_of_one_value_coalesce():
+    # keys are built from parsed values: CAS/cas and elim+lump/lump+elim
+    # name one computation, so the twin attaches to the running job
+    tracker = ToyTracker()
+    with temporary_experiment(make_toy(tracker=tracker)):
+        service = _gated_service(tracker, workers=2)
+        try:
+            first = service.submit("toy-exp", seed=4, sync="CAS",
+                                   reduction="elim+lump")
+            assert tracker.started.acquire(timeout=TIMEOUT)
+            twin = service.submit("toy-exp", seed=4, sync="cas",
+                                  reduction="lump+elim")
+            assert twin.coalesced
+            tracker.gate.set()
+            assert twin.result(timeout=TIMEOUT) is \
+                first.result(timeout=TIMEOUT)
+        finally:
+            tracker.gate.set()
+            service.shutdown()
+    assert tracker.runs == [4]
+
+
 def test_traced_submissions_never_coalesce(tmp_path):
     # a traced job writes side files and runs under its own recorder;
     # sharing it with an untraced twin would corrupt both contracts

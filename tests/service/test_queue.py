@@ -178,28 +178,6 @@ def test_backpressured_identical_twins_coalesce_not_duplicate():
     assert results[0].values == results[1].values
 
 
-def test_tenant_quota_isolates_noisy_tenant():
-    tracker = ToyTracker()
-    tracker.gate = threading.Event()
-    with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1, queue_depth=8,
-                                    policy="reject", tenant_quota=1)
-        try:
-            service.submit("toy-exp", seed=1, tenant="noisy")
-            assert tracker.started.acquire(timeout=TIMEOUT)
-            service.submit("toy-exp", seed=2, tenant="noisy")
-            with pytest.raises(AdmissionError, match="at quota"):
-                service.submit("toy-exp", seed=3, tenant="noisy")
-            # a different tenant still gets in
-            polite = service.submit("toy-exp", seed=4, tenant="polite")
-            tracker.gate.set()
-            polite.result(timeout=TIMEOUT)
-        finally:
-            tracker.gate.set()
-            service.shutdown()
-    assert service.stats()["tenants"] == {"noisy": 3, "polite": 1}
-
-
 def test_submit_from_worker_thread_degrades_inline():
     # an experiment that re-enters the service from its own worker
     # thread must execute inline instead of deadlocking the queue
@@ -306,3 +284,59 @@ def test_stats_reconcile_after_drain():
     assert stats["executed"] == 3          # one per unique seed
     assert stats["latency"]["count"] == 3
     assert stats["latency"]["p99_s"] >= stats["latency"]["p50_s"]
+
+
+def _assert_ledger(stats: dict, submitted: int) -> None:
+    accounted = (stats["executed"] + stats["failed"] +
+                 stats["coalesced"] + stats["store_hits"] +
+                 stats["dropped"] + stats["rejected"] + stats["inline"])
+    assert stats["submitted"] == submitted == accounted
+
+
+def test_bad_ambient_seed_raises_before_submission_is_counted(
+        monkeypatch):
+    tracker = ToyTracker()
+    with temporary_experiment(make_toy(tracker=tracker)):
+        service = ExperimentService()
+        try:
+            monkeypatch.setenv("REPRO_SEED", "bad")
+            with pytest.raises(ConfigError, match="REPRO_SEED"):
+                service.submit("toy-exp")
+            monkeypatch.delenv("REPRO_SEED")
+            service.submit("toy-exp", seed=1).result(timeout=TIMEOUT)
+            service.drain(timeout=TIMEOUT)
+        finally:
+            service.shutdown()
+    assert tracker.runs == [1]
+    _assert_ledger(service.stats(), submitted=1)
+
+
+@pytest.mark.parametrize("knobs", [{"duration": "abc"}, {"bogus": 1}],
+                         ids=["malformed", "unknown"])
+@pytest.mark.parametrize("lane", ["async", "inline"])
+def test_bad_knob_rejected_at_submit_never_queued(knobs, lane):
+    tracker = ToyTracker()
+    with temporary_experiment(make_toy(tracker=tracker)):
+        service = ExperimentService()
+        try:
+            with pytest.raises(ConfigError, match=next(iter(knobs))):
+                service.submit("toy-exp", lane=lane, **knobs)
+            stats = service.stats()
+        finally:
+            service.shutdown()
+    assert tracker.runs == []
+    assert stats["queue_depth"] == 0 and stats["workers"] == 0
+    _assert_ledger(stats, submitted=0)
+
+
+def test_front_doors_check_knobs_against_the_table():
+    with temporary_experiment(make_toy()):
+        with pytest.raises(ConfigError, match="bogus"):
+            api.run_experiment("toy-exp", bogus=1)
+        with pytest.raises(ConfigError, match="duration"):
+            api.submit_experiment("toy-exp", duration="abc")
+        result = api.run_experiment("toy-exp", seed=2, sync="CAS",
+                                    reduction="elim+lump")
+    assert result.config["sync"] == "cas"
+    assert result.config["reduction"] == "lump+elim"
+    assert result.config["sync_source"] == "cli"

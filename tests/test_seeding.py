@@ -2,34 +2,35 @@
 
 import pytest
 
-from repro.seeding import default_seed, resolve_seed, set_default_seed
+from repro import config
+from repro.seeding import resolve_seed
 
 
 @pytest.fixture(autouse=True)
 def reset_default():
     yield
-    set_default_seed(None)
+    config.set_cli("seed", None)
 
 
 def test_explicit_seed_wins():
-    set_default_seed(5)
+    config.set_cli("seed", 5)
     assert resolve_seed(7) == 7
 
 
 def test_global_default_beats_fallback():
-    set_default_seed(5)
+    config.set_cli("seed", 5)
     assert resolve_seed(None, fallback=0) == 5
 
 
 def test_env_var_supplies_default(monkeypatch):
     monkeypatch.setenv("REPRO_SEED", "99")
-    assert default_seed() == 99
+    assert config.get("seed") == 99
     assert resolve_seed(None) == 99
 
 
 def test_set_default_overrides_env(monkeypatch):
     monkeypatch.setenv("REPRO_SEED", "99")
-    set_default_seed(3)
+    config.set_cli("seed", 3)
     assert resolve_seed(None) == 3
 
 
@@ -42,7 +43,7 @@ def test_fallback_when_nothing_set(monkeypatch):
 def test_bad_env_value_rejected(monkeypatch):
     monkeypatch.setenv("REPRO_SEED", "not-a-seed")
     with pytest.raises(Exception):
-        default_seed()
+        config.get("seed")
 
 
 def test_seeded_components_are_repeatable(monkeypatch):
