@@ -79,14 +79,18 @@ class AnalysisResult:
         return out
 
     def resource_usage(self, resource: str) -> float:
-        """Mean steady-state usage of *resource* (see module docstring)."""
+        """Mean steady-state usage of *resource* (see module docstring).
+
+        Sums, in transition order, the in-flight mean of every
+        transition tagged *resource* and, for an immediate one (zero
+        time), its firing rate; the expected starts are read only when
+        such a transition exists.
+        """
         usage = 0.0
-        for t in self.net.transitions:
-            if resource in t.all_resources:
-                usage += self._mean_inflight[t.index]
-                if t.immediate:
-                    # immediate firings take zero time; count their rate
-                    usage += self._mean_starts[t.index]
+        for index, immediate in self.net.resource_terms(resource):
+            usage += self._mean_inflight[index]
+            if immediate:
+                usage += self._mean_starts[index]
         return float(usage)
 
     def firing_rate(self, transition: str) -> float:
@@ -96,9 +100,8 @@ class AnalysisResult:
     @cached_property
     def _mean_marking(self) -> np.ndarray:
         """Per-place mean token count."""
-        n_places = self.graph.packed_layout.n_places
-        marking = self.graph.packed_table[:, :n_places].astype(float)
-        return self._fold_orbits(self.pi @ marking, places=True)
+        return self._fold_orbits(
+            self.pi @ self.graph.skeleton.marking_matrix(), places=True)
 
     def mean_tokens(self, place: str) -> float:
         """Steady-state mean number of tokens in *place*."""

@@ -1,7 +1,8 @@
 """Stationary solution of the embedded Markov chain of a GTPN.
 
 Solves pi P = pi, sum(pi) = 1 over the reachable state space with one
-deflated sparse direct solve (``_solve_linear``).  A tick first
+deflated sparse direct solve (``_solve_linear``), which reads only
+``P.data`` and the chain's :class:`SolvePlan`.  A tick first
 advances the in-flight firings deterministically (completions deposit,
 the rest count down) and only then draws the conflict resolutions, so
 a state's row of P is a function of its *post-completion
@@ -21,6 +22,8 @@ that solve (the quotient map, fill-reducing column order, block
 assembly gathers) is a :class:`SolvePlan`, a function of the sparsity
 pattern and the advance classes, which the sweep skeleton builds once
 per structure (``markov.plan.build``) and every re-timed solve reuses.
+The plan also holds the row of every ``P.data`` slot, so the residual
+gate scatters pi P over the plan instead of transposing P per solve.
 Each accepted direct solve counts its method (``markov.method.lu`` or
 ``markov.method.ilu_gmres``) and records its residual
 (``markov.residual``) and the order it factored
@@ -34,6 +37,7 @@ path, which settles into exactly one of the closed classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,11 +74,13 @@ def stationary_distribution(graph: ReachabilityGraph,
     :class:`SolvePlan` (the skeleton keeps one per structure); without
     one the direct solve plans from the matrix's own pattern and the
     graph's ``advance_class``, which gives the same vector.
+    With a plan the direct solve reads only ``graph.data``; the CSR
+    ``graph.matrix`` is read (and so built, on a lazy graph) only by
+    the closed-class count, the plan-less path and the power fallback.
     """
-    matrix = transition_matrix(graph)
     if method not in ("auto", "linear", "power"):
         raise AnalysisError(f"unknown stationary method {method!r}")
-    closed = _closed_class_count(matrix) if closed_classes is None \
+    closed = _closed_class_count(graph.matrix) if closed_classes is None \
         else closed_classes
     if closed > 1:
         raise AnalysisError(
@@ -83,9 +89,12 @@ def stationary_distribution(graph: ReachabilityGraph,
     if method in ("auto", "linear"):
         if plan is None:
             matrix, plan = _plan_for(
-                matrix, getattr(graph, "advance_class", None))
+                graph.matrix, getattr(graph, "advance_class", None))
+            data = matrix.data
+        else:
+            data = graph.data
         try:
-            pi = _solve_linear(matrix, plan)
+            pi = _solve_linear(data, plan)
             if pi is not None:
                 return pi
         except (np.linalg.LinAlgError, ValueError):
@@ -98,7 +107,7 @@ def stationary_distribution(graph: ReachabilityGraph,
         if method == "linear":
             raise AnalysisError("direct stationary solve failed")
         obs.add("markov.solve_fallback")
-    return _solve_power(matrix, graph, tol, max_iterations)
+    return _solve_power(graph.matrix, graph, tol, max_iterations)
 
 
 def _closed_class_count(matrix: sp.csr_matrix) -> int:
@@ -143,13 +152,16 @@ class SolvePlan:
     each lands in ``Q.data`` and in pi; the fill-reducing column order
     of Q's deflated block; and gathers that assemble the block's CSC
     data (columns already in that order) and the right-hand side
-    straight from ``Q.data``.  Structure arrays only, never factors.
-    Identity classes (``k == n``) make Q = P.
+    straight from ``Q.data``; and the row and column of every slot of
+    ``P.data``, over which the residual gate scatters pi P without
+    transposing P.  Structure arrays only, never factors.  Identity
+    classes (``k == n``) make Q = P.
     """
 
     n: int                      # states
     nnz: int                    # stored entries of P
     k: int                      # advance classes: the order of Q
+    q_nnz: int                  # stored entries of Q
     source: np.ndarray          # P.data slots of the rows of S
     row: np.ndarray             # class of each such slot (row of S)
     column: np.ndarray          # state of each such slot (column of S)
@@ -161,6 +173,8 @@ class SolvePlan:
     diagonal: np.ndarray        # block data slots of the -1 diagonal
     rhs_index: np.ndarray       # rhs[rhs_index] = -Q.data[rhs_source]
     rhs_source: np.ndarray
+    p_row: np.ndarray           # row of P of each P.data slot
+    p_col: np.ndarray           # column of P of each P.data slot
 
 
 def build_solve_plan(indptr: np.ndarray, indices: np.ndarray,
@@ -244,11 +258,12 @@ def build_solve_plan(indptr: np.ndarray, indices: np.ndarray,
     block_rows = rows[take].astype(np.intc)
     block_ptr.flags.writeable = block_rows.flags.writeable = False
     return SolvePlan(
-        n=n, nnz=nnz, k=k, source=source, row=row, column=column,
+        n=n, nnz=nnz, k=k, q_nnz=q_nnz, source=source, row=row, column=column,
         merge=merge, order=order, indptr=block_ptr, indices=block_rows,
         gather=slots[take],
         diagonal=np.flatnonzero(rows[take] == cols[take]),
-        rhs_index=q_indices[last], rhs_source=last)
+        rhs_index=q_indices[last], rhs_source=last,
+        p_row=np.repeat(np.arange(n), np.diff(indptr)), p_col=indices)
 
 
 def _plan_for(matrix: sp.csr_matrix, classes: np.ndarray | None = None,
@@ -261,14 +276,14 @@ def _plan_for(matrix: sp.csr_matrix, classes: np.ndarray | None = None,
                                     classes)
 
 
-def _solve_linear(matrix: sp.csr_matrix,
-                  plan: SolvePlan | None = None) -> np.ndarray | None:
+def _solve_linear(data: np.ndarray, plan: SolvePlan) -> np.ndarray | None:
     """Deflated direct solve of pi (P - I) = 0 through the class chain.
 
-    The plan's classes write P = R S; the class chain Q = S R has the
-    stationary vector nu, and pi = nu S is exactly P's.  ``Q.data`` is
-    a ``bincount`` of the representative rows' slots of ``P.data``
-    (a plan-less call plans with identity classes, so Q = P).  Pinning
+    *data* is ``P.data`` over the pattern *plan* was built from; the
+    solve reads nothing else of P.  The plan's classes write P = R S;
+    the class chain Q = S R has the stationary vector nu, and pi = nu S
+    is exactly P's.  ``Q.data`` is a ``bincount`` of the representative
+    rows' slots of ``P.data`` (identity classes make Q = P).  Pinning
     nu[k-1] = 1 leaves the order-(k-1) principal block of Q^T - I with
     right-hand side -(Q^T)[:k-1, k-1], both gathered from ``Q.data``.
     The block is as sparse as the chain itself and column diagonally
@@ -280,19 +295,23 @@ def _solve_linear(matrix: sp.csr_matrix,
     and pi is a fixed point of the full P (max |pi P - pi| <= 1e-8), so
     a plan with wrong classes costs a fallback, never a wrong answer;
     ``None`` hands the chain to the counted power-iteration fallback.
+    The gate's pi P is a ``bincount`` of ``pi[row] * data`` into each
+    slot's column: the products scipy's ``pi @ P`` forms, without
+    transposing P.
     """
-    if plan is None:
-        matrix, plan = _plan_for(matrix)
-    n = matrix.shape[0]
-    if n != plan.n or matrix.nnz != plan.nnz:
+    if len(data) != plan.nnz:
         raise AnalysisError("solve plan does not match the chain's "
                             "sparsity pattern")
-    m = plan.k - 1
-    s_data = matrix.data[plan.source]
-    q_data = np.bincount(plan.merge, weights=s_data)
-    data = np.append(q_data, 0.0)[plan.gather]
-    data[plan.diagonal] -= 1.0
-    block = sp.csc_matrix((data, plan.indices, plan.indptr), shape=(m, m))
+    n, m = plan.n, plan.k - 1
+    s_data = data[plan.source]
+    # Q.data and a trailing 0.0, the slot the block's structural
+    # diagonal entries gather from
+    q_data = np.bincount(plan.merge, weights=s_data,
+                         minlength=plan.q_nnz + 1)
+    block_data = q_data[plan.gather]
+    block_data[plan.diagonal] -= 1.0
+    block = sp.csc_matrix((block_data, plan.indices, plan.indptr),
+                          shape=(m, m))
     rhs = np.zeros(m)
     rhs[plan.rhs_index] = -q_data[plan.rhs_source]
     y, method = None, "lu"
@@ -320,16 +339,17 @@ def _solve_linear(matrix: sp.csr_matrix,
     nu[plan.order] = y
     nu[m] = 1.0
     total = nu.sum()
-    if not np.isfinite(total) or total <= 0:
+    if not math.isfinite(total) or total <= 0:
         return None
     nu /= total
-    if np.any(nu < -1e-9):
+    if nu.min() < -1e-9:
         return None
-    nu = np.clip(nu, 0.0, None)
+    np.maximum(nu, 0.0, out=nu)     # what np.clip(nu, 0.0, None) runs
     pi = np.bincount(plan.column, weights=nu[plan.row] * s_data,
                      minlength=n)
     pi /= pi.sum()
-    residual = np.abs(pi @ matrix - pi).max()
+    residual = np.abs(np.bincount(plan.p_col, weights=pi[plan.p_row] * data,
+                                  minlength=n) - pi).max()
     obs.gauge("markov.residual", float(residual))
     if residual > 1e-8:
         return None

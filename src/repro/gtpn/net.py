@@ -171,6 +171,7 @@ class Net:
         self._place_by_name: dict[str, Place] = {}
         self._transition_by_name: dict[str, Transition] = {}
         self._conflict_classes: list[list[int]] | None = None
+        self._resource_terms: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -231,6 +232,7 @@ class Net:
         self.transitions.append(t)
         self._transition_by_name[name] = t
         self._conflict_classes = None
+        self._resource_terms = {}
         return t
 
     def _arc_dict(self, spec, tname: str) -> dict[int, int]:
@@ -300,6 +302,20 @@ class Net:
             for name in t.all_resources:
                 seen.setdefault(name, None)
         return list(seen)
+
+    def resource_terms(self, resource: str) -> tuple[tuple[int, bool], ...]:
+        """``(index, immediate)`` of each transition tagged *resource*.
+
+        In transition order, cached per resource until a transition is
+        added.  A frequency-only copy of the net (the sweep's re-timed
+        nets) shares the cache: its tags and delays are unchanged.
+        """
+        terms = self._resource_terms.get(resource)
+        if terms is None:
+            terms = tuple((t.index, t.immediate) for t in self.transitions
+                          if resource in t.all_resources)
+            self._resource_terms[resource] = terms
+        return terms
 
     # ------------------------------------------------------------------
     # conflict classes

@@ -21,8 +21,10 @@ simulator executes one ``State`` at a time) over numpy arrays:
   enabledness mask (see :class:`PackedNet`).
 * **Direct CSR assembly** — branch probabilities are recorded as
   *programs* of normalized-frequency factors and evaluated once, at
-  the end, straight into the data array of a
-  ``scipy.sparse.csr_matrix``; no per-state dict is ever built.
+  the end, straight into ``P.data`` over the skeleton's CSR pattern;
+  no per-state dict is ever built.  The graph wraps that array and
+  materializes the ``scipy.sparse.csr_matrix``, the expected starts
+  and the initial distribution only when one is first read.
 
 Bit-reproducibility contract: every floating-point accumulation —
 factor normalization, per-round products, branch dedup sums, row and
@@ -33,7 +35,7 @@ padding), so an unreduced packed build is **bit-identical** to that
 walk (the test suite keeps it as an oracle), and a
 :func:`packed_retime` re-evaluation is bit-identical to a fresh
 :func:`packed_build` by construction (same arrays through the same
-:func:`_evaluate`).
+:func:`_materialize`).
 
 On top sit the opt-in reductions (``analyze(..., reduction=...)``):
 
@@ -63,6 +65,7 @@ from repro import obs
 from repro.errors import AnalysisError, StateSpaceLimitError
 from repro.gtpn.markov import SolvePlan, build_solve_plan
 from repro.gtpn.net import Net
+from repro.gtpn.reachability import ReachabilityGraph, ReductionInfo
 from repro.gtpn.state import MAX_IMMEDIATE_ROUNDS, State
 
 #: Hard caps keeping the packed encodings honest; ``compile_packed``
@@ -533,7 +536,7 @@ class _Interner:
 
 @dataclass
 class _EvalData:
-    """Everything :func:`_evaluate` needs; shared by build and retime.
+    """Everything the evaluation stages need; shared by build and retime.
 
     Factor keys pack ``(class_index << 48) | (enabled_mask << 8) |
     digit`` where the mask runs over the class's positive-frequency
@@ -562,26 +565,27 @@ class _EvalData:
     i_dst: np.ndarray           # (n_i_branches,) state id
 
 
-def _evaluate(ev: _EvalData, freqs: np.ndarray, n_states: int,
-              n_transitions: int, n_entries: int,
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor values -> branch probabilities -> (data, starts, initial).
+def _branch_values(ev: _EvalData, freqs: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Factor values -> (program values, branch probabilities).
 
     Replays the tick engine's float order exactly: per-factor totals
     are left folds over enabled members, per-item probabilities are
     per-round products folded round by round, and every weighted
     ``np.bincount`` accumulates sequentially in the same first-seen
-    order the dict-based build used.  Build and retime both call this
-    — their outputs are bit-identical by construction.
+    order the dict-based build used.  The matrix data, expected starts
+    and initial distribution are each one more ``bincount`` over these
+    two vectors (:func:`_entry_data`, :func:`_starts_matrix`,
+    :func:`_initial_vector`), which a graph runs only when it is read.
     """
-    freqs_ext = np.append(freqs, 0.0)
+    freqs_ext = np.zeros(len(freqs) + 1)
+    freqs_ext[:-1] = freqs
     n_factors = len(ev.f_chosen)
     total = np.zeros(n_factors)
     for k in range(ev.f_members.shape[1]):
         total = total + freqs_ext[ev.f_members[:, k]]
-    fvals_ext = np.append(
-        freqs_ext[ev.f_chosen] / total if n_factors else
-        np.empty(0), 1.0)
+    fvals_ext = np.ones(n_factors + 1)
+    np.divide(freqs_ext[ev.f_chosen], total, out=fvals_ext[:-1])
 
     n_progs, n_rounds, n_cols = ev.prog_fids.shape
     prog_values = np.ones(n_progs)
@@ -594,23 +598,71 @@ def _evaluate(ev: _EvalData, freqs: np.ndarray, n_states: int,
     branch_vals = np.bincount(ev.item_branch,
                               weights=prog_values[ev.item_pid],
                               minlength=ev.n_branches)
-    data = np.bincount(ev.b_entry, weights=branch_vals,
+    return prog_values, branch_vals
+
+
+def _entry_data(ev: _EvalData, branch_vals: np.ndarray,
+                n_entries: int) -> np.ndarray:
+    """``P.data`` over the skeleton's CSR pattern."""
+    return np.bincount(ev.b_entry, weights=branch_vals,
                        minlength=n_entries)
-    starts_matrix = np.bincount(
+
+
+def _starts_matrix(ev: _EvalData, branch_vals: np.ndarray,
+                   n_states: int, n_transitions: int) -> np.ndarray:
+    """Expected firing starts per (state, transition) during a tick."""
+    return np.bincount(
         ev.s_cell, weights=branch_vals[ev.s_branch] * ev.s_cnt,
         minlength=n_states * n_transitions,
     ).reshape(n_states, n_transitions)
+
+
+def _initial_vector(ev: _EvalData, prog_values: np.ndarray,
+                    n_states: int) -> np.ndarray:
+    """The time-zero distribution over states."""
     init_branch_vals = np.bincount(ev.i_item_branch,
                                    weights=prog_values[ev.i_item_pid],
                                    minlength=ev.n_i_branches)
-    init_vec = np.bincount(ev.i_dst, weights=init_branch_vals,
-                           minlength=n_states)
-    return data, starts_matrix, init_vec
+    return np.bincount(ev.i_dst, weights=init_branch_vals,
+                       minlength=n_states)
+
+
+def _evaluate(ev: _EvalData, freqs: np.ndarray, n_states: int,
+              n_transitions: int, n_entries: int,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stage at once: ``(data, starts_matrix, init_vec)``.
+
+    The eager form of what a :class:`ReachabilityGraph` evaluates on
+    first read; both run the same stage functions on the same arrays.
+    """
+    prog_values, branch_vals = _branch_values(ev, freqs)
+    return (_entry_data(ev, branch_vals, n_entries),
+            _starts_matrix(ev, branch_vals, n_states, n_transitions),
+            _initial_vector(ev, prog_values, n_states))
 
 
 # ----------------------------------------------------------------------
 # the packed skeleton (cached per structure, shared across retimes)
 # ----------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class SolvedChain:
+    """The chain every graph of one skeleton presents to its readers.
+
+    The full chain, or under ``elim`` the slice to its closed class:
+    the CSR pattern, the state rows, in-flight counts and advance
+    classes of the kept states, and ``slots``, the gather taking the
+    kept entries out of the full ``P.data`` (``None`` keeps them all).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray | None
+    table: np.ndarray
+    inflight_matrix: np.ndarray
+    advance_class: np.ndarray
+    reduction: ReductionInfo | None
+
 
 @dataclass
 class PackedSkeleton:
@@ -624,7 +676,10 @@ class PackedSkeleton:
     of its post-advance row (see
     :meth:`PackedNet.advance`; canonicalized under lumping); rows of P
     in one class are equal, which is what lets the stationary solve
-    factor the class chain.
+    factor the class chain.  The pattern has no empty row (checked at
+    build).  What the graphs of every timing share, the
+    :class:`SolvedChain` and the float marking matrix, is derived on
+    first demand and kept here.
     """
 
     structure: str              # structure fingerprint
@@ -647,7 +702,9 @@ class PackedSkeleton:
     place_orbits: tuple
     transition_orbits: tuple
     folded_states: int
-    plan: SolvePlan | None = None   # None until first demanded
+    plan: SolvePlan | None = None       # None until first demanded
+    chain: SolvedChain | None = None    # None until first materialized
+    marking: np.ndarray | None = None   # None until first read
 
     @property
     def full_state_count(self) -> int:
@@ -675,30 +732,63 @@ class PackedSkeleton:
             n_comp, labels = connected_components(
                 pattern, directed=True, connection="strong")
             if n_comp == 1:
-                self.closed_classes = 1
+                closed = 1
             else:
                 coo = pattern.tocoo()
                 leaving = labels[coo.row] != labels[coo.col]
                 open_components = set(labels[coo.row[leaving]])
-                self.closed_classes = n_comp - len(open_components)
-                if "elim" in self.reduction \
-                        and self.closed_classes == 1:
+                closed = n_comp - len(open_components)
+                if "elim" in self.reduction and closed == 1:
                     closed_labels = set(range(n_comp)) - open_components
                     kept = np.flatnonzero(
                         np.isin(labels, list(closed_labels)))
                     if len(kept) < n_states:
                         self.kept = kept
+            self.closed_classes = closed
         return self.closed_classes
 
-    def solve_classes(self) -> np.ndarray:
-        """Advance classes of the states the solver sees.
+    def solved_chain(self) -> SolvedChain:
+        """The chain this skeleton's graphs present (lazy, cached)."""
+        if self.chain is None:
+            if "elim" in self.reduction:
+                self.closed_class_count()   # may populate the elim slice
+            self.chain = self._slice_chain()
+        return self.chain
 
-        The elim slice keeps the labels of the kept states, relabelled
-        first-seen so they stay ``0..k-1``.
-        """
-        if self.kept is None:
-            return self.advance_class
-        return _unique_scalars_first_seen(self.advance_class[self.kept])[1]
+    def _slice_chain(self) -> SolvedChain:
+        n_states = self.full_state_count
+        kept = self.kept
+        reduction = None
+        if self.reduction != "none":
+            reduction = ReductionInfo(
+                requested=self.reduction, lumped=self.lumped,
+                place_orbits=self.place_orbits,
+                transition_orbits=self.transition_orbits,
+                folded_states=self.folded_states,
+                pre_elim_states=n_states,
+                transient_removed=0 if kept is None
+                else n_states - len(kept))
+        if kept is None:
+            return SolvedChain(
+                indptr=self.indptr, indices=self.indices, slots=None,
+                table=self.table, inflight_matrix=self.inflight_matrix,
+                advance_class=self.advance_class, reduction=reduction)
+        # scipy's slice of the slot numbers gives the kept pattern and
+        # the gather of the kept entries of P.data (numbered from 1, so
+        # no entry is an explicit zero)
+        slot_ids = sp.csr_matrix(
+            (np.arange(1.0, len(self.indices) + 1), self.indices,
+             self.indptr), shape=(n_states, n_states))[kept][:, kept]
+        indptr, indices = slot_ids.indptr, slot_ids.indices
+        indices.flags.writeable = indptr.flags.writeable = False
+        return SolvedChain(
+            indptr=indptr, indices=indices,
+            slots=slot_ids.data.astype(np.intp) - 1,
+            table=self.table[kept],
+            inflight_matrix=self.inflight_matrix[kept],
+            advance_class=_unique_scalars_first_seen(
+                self.advance_class[kept])[1],
+            reduction=reduction)
 
     def solve_plan(self) -> SolvePlan:
         """The stationary solve's plan for this structure (lazy, cached).
@@ -708,17 +798,38 @@ class PackedSkeleton:
         full chain otherwise.
         """
         if self.plan is None:
-            self.closed_class_count()   # may populate the elim slice
-            indptr, indices = self.indptr, self.indices
-            if self.kept is not None:
-                n_states = self.full_state_count
-                pattern = sp.csr_matrix(
-                    (np.ones(len(indices)), indices, indptr),
-                    shape=(n_states, n_states))[self.kept][:, self.kept]
-                indptr, indices = pattern.indptr, pattern.indices
-            self.plan = build_solve_plan(indptr, indices,
-                                         self.solve_classes())
+            chain = self.solved_chain()
+            self.plan = build_solve_plan(chain.indptr, chain.indices,
+                                         chain.advance_class)
         return self.plan
+
+    def marking_matrix(self) -> np.ndarray:
+        """Token counts of the solved states as floats (lazy, cached)."""
+        if self.marking is None:
+            self.marking = self.solved_chain().table[
+                :, :self.n_places].astype(float)
+        return self.marking
+
+    def starts_matrix(self, branch_vals: np.ndarray) -> np.ndarray:
+        """Expected starts of the solved states from branch values."""
+        starts = _starts_matrix(self.ev, branch_vals,
+                                self.full_state_count, self.n_transitions)
+        return starts if self.kept is None else starts[self.kept]
+
+    def initial_vector(self, prog_values: np.ndarray) -> np.ndarray:
+        """Time-zero distribution over the solved states.
+
+        The elim slice renormalizes the mass that starts in the closed
+        class (uniform when none does).
+        """
+        init_vec = _initial_vector(self.ev, prog_values,
+                                   self.full_state_count)
+        if self.kept is None:
+            return init_vec
+        init_kept = init_vec[self.kept]
+        mass = init_kept.sum()
+        return init_kept / mass if mass > 0 else \
+            np.full(len(self.kept), 1.0 / len(self.kept))
 
 
 def _lump_canonicalize(pnet: PackedNet, rows: np.ndarray,
@@ -1025,7 +1136,7 @@ def _dedup_branches(dst: np.ndarray, src: np.ndarray,
 def packed_build(net: Net, pnet: PackedNet | None = None, *,
                  max_states: int, structure: str = "",
                  reduction: str = "none",
-                 ) -> tuple["object", PackedSkeleton]:
+                 ) -> tuple[ReachabilityGraph, PackedSkeleton]:
     """Breadth-first build of the embedded chain, a wave at a time.
 
     Returns ``(graph, skeleton)``; the graph is bit-identical to a
@@ -1225,6 +1336,11 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
     indptr = np.cumsum(np.bincount(e_src + 1, minlength=n_states + 1),
                        dtype=idx_dtype)
     indices.flags.writeable = indptr.flags.writeable = False
+    empty = np.flatnonzero(np.diff(indptr) == 0)
+    if len(empty):
+        raise AnalysisError(
+            f"net {net.name!r}: state {int(empty[0])} is absorbing "
+            "with no successors; the embedded chain is not well formed")
 
     s_branch = np.concatenate(books.s_branch) if books.s_branch \
         else np.zeros(0, dtype=np.int64)
@@ -1281,60 +1397,38 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
 
 
 def _materialize(skeleton: PackedSkeleton, net: Net,
-                 freqs: np.ndarray):
-    """Evaluate probabilities on a skeleton and assemble the graph."""
-    from repro.gtpn.reachability import (ReachabilityGraph,
-                                         ReductionInfo)
-    n_states = skeleton.full_state_count
-    n_t = skeleton.n_transitions
-    data, starts_matrix, init_vec = _evaluate(
-        skeleton.ev, freqs, n_states, n_t, len(skeleton.indices))
-    matrix = sp.csr_matrix((data, skeleton.indices, skeleton.indptr),
-                           shape=(n_states, n_states), copy=False)
-    _check_stochastic_csr(net, matrix)
+                 freqs: np.ndarray) -> ReachabilityGraph:
+    """Evaluate ``P.data`` on a skeleton and wrap it in a graph.
 
-    table = skeleton.table
-    inflight_matrix = skeleton.inflight_matrix
-    transient_removed = 0
-    if "elim" in skeleton.reduction:
-        skeleton.closed_class_count()   # may populate the elim slice
-    if skeleton.kept is not None:
-        kept = skeleton.kept
-        transient_removed = n_states - len(kept)
+    The one materialization path of builds and re-times.  Only the
+    branch probabilities and ``P.data`` are computed here; the graph
+    builds its CSR matrix, expected starts and initial distribution
+    from the same stage functions when they are first read.
+    """
+    prog_values, branch_vals = _branch_values(skeleton.ev, freqs)
+    data = _entry_data(skeleton.ev, branch_vals, len(skeleton.indices))
+    _check_row_sums(net, data, skeleton.indptr)
+    chain = skeleton.solved_chain()
+    if chain.slots is not None:
         # rows of the closed class have no leaving probability mass,
         # so the sliced rows still sum to one exactly
-        matrix = matrix[kept][:, kept]
-        starts_matrix = starts_matrix[kept]
-        table = table[kept]
-        inflight_matrix = inflight_matrix[kept]
-        init_kept = init_vec[kept]
-        mass = init_kept.sum()
-        init_vec = init_kept / mass if mass > 0 else \
-            np.full(len(kept), 1.0 / len(kept))
-
-    reduction = None
-    if skeleton.reduction != "none":
-        reduction = ReductionInfo(
-            requested=skeleton.reduction, lumped=skeleton.lumped,
-            place_orbits=skeleton.place_orbits,
-            transition_orbits=skeleton.transition_orbits,
-            folded_states=skeleton.folded_states,
-            pre_elim_states=n_states,
-            transient_removed=transient_removed)
+        data = data[chain.slots]
     return ReachabilityGraph(
-        net=net, matrix=matrix, starts_matrix=starts_matrix,
-        init_vec=init_vec, inflight_matrix=inflight_matrix,
-        packed_table=table, packed_layout=skeleton.layout,
-        reduction=reduction, structure=skeleton.structure,
-        advance_class=skeleton.solve_classes())
+        net=net, data=data, indptr=chain.indptr, indices=chain.indices,
+        inflight_matrix=chain.inflight_matrix, packed_table=chain.table,
+        packed_layout=skeleton.layout, skeleton=skeleton, freqs=freqs,
+        program_values=prog_values, branch_values=branch_vals,
+        reduction=chain.reduction, structure=skeleton.structure,
+        advance_class=chain.advance_class)
 
 
 def packed_retime(skeleton: PackedSkeleton, net: Net, *,
-                  max_states: int, freqs: np.ndarray | None = None):
+                  max_states: int, freqs: np.ndarray | None = None,
+                  ) -> ReachabilityGraph:
     """Re-evaluate a packed skeleton under *net*'s frequencies.
 
     Bit-identical to a fresh :func:`packed_build` of *net* (both end in
-    the same :func:`_evaluate` over the same arrays).  Raises
+    the same :func:`_materialize` over the same arrays).  Raises
     :class:`SkeletonMismatch` when the skeleton does not apply; the
     caller falls back to a full build.
 
@@ -1358,19 +1452,19 @@ def packed_retime(skeleton: PackedSkeleton, net: Net, *,
     delays = tuple(int(t.delay) for t in net.transitions)
     if delays != skeleton.static_delays:
         raise SkeletonMismatch("static delays differ")
-    if tuple(bool(f > 0) for f in freqs) != skeleton.freq_positive:
+    if tuple((freqs > 0).tolist()) != skeleton.freq_positive:
         raise SkeletonMismatch("frequency support changed")
     return _materialize(skeleton, net, freqs)
 
 
-def _check_stochastic_csr(net: Net, matrix: sp.csr_matrix) -> None:
-    """Every state has successors and its row sums to one."""
-    empty = np.flatnonzero(np.diff(matrix.indptr) == 0)
-    if len(empty):
-        raise AnalysisError(
-            f"net {net.name!r}: state {int(empty[0])} is absorbing "
-            "with no successors; the embedded chain is not well formed")
-    sums = np.add.reduceat(matrix.data, matrix.indptr[:-1])
+def _check_row_sums(net: Net, data: np.ndarray,
+                    indptr: np.ndarray) -> None:
+    """Every state's outgoing probabilities sum to one.
+
+    Runs on every evaluation; that every state has a successor is a
+    fact of the pattern, checked once when the skeleton is built.
+    """
+    sums = np.add.reduceat(data, indptr[:-1])
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
     if len(bad):
         i = int(bad[0])

@@ -15,12 +15,16 @@ packed int rows, batched frontier expansion, direct CSR assembly.
 Declared gates (:class:`repro.gtpn.net.Gate`) are part of its
 enabledness test, so no net needs a separate engine.  The result is
 one :class:`ReachabilityGraph` of arrays, which the sparse solver and
-the measures read directly.
+the measures read directly.  A graph holds only what every reader
+needs (``P.data`` over its skeleton's shared pattern); the CSR matrix,
+the expected starts and the initial distribution are materialized
+when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,7 +33,7 @@ import scipy.sparse as sp
 from repro.gtpn.net import Net
 
 if TYPE_CHECKING:
-    from repro.gtpn.packed import PackedLayout
+    from repro.gtpn.packed import PackedLayout, PackedSkeleton
 
 #: Default cap on explored states; architecture models stay well below.
 DEFAULT_MAX_STATES = 200_000
@@ -60,8 +64,11 @@ class ReductionInfo:
 class ReachabilityGraph:
     """The embedded chain of a GTPN, as arrays.
 
-    * ``matrix``: the one-tick probability matrix P (CSR);
-      ``matrix[i, j]`` is the probability of moving from state i to j.
+    * ``data``: the entries of the one-tick probability matrix P over
+      the CSR pattern ``indptr`` / ``indices``, which the graph shares
+      with every other graph of its skeleton.
+    * ``matrix``: P as a CSR matrix; ``matrix[i, j]`` is the
+      probability of moving from state i to j.
     * ``init_vec``: probability distribution over states at time zero.
     * ``starts_matrix[i, t]``: expected firings of transition t started
       during a tick spent in state i.
@@ -69,6 +76,7 @@ class ReachabilityGraph:
       the net sits in state i.
     * ``packed_table``: one packed row per state, decoded by
       ``packed_layout`` (:class:`repro.gtpn.packed.PackedLayout`).
+    * ``freqs``: the transition frequencies P was evaluated at.
     * ``reduction``: a :class:`ReductionInfo` when a reduction was
       requested.
     * ``structure``: the structure fingerprint of the packed skeleton
@@ -79,15 +87,26 @@ class ReachabilityGraph:
       completions, plus the slots still counting down) are equal have
       equal rows of P, so the stationary solve factors the order-k
       class chain.  ``None`` makes every state its own class.
+
+    A build or re-time evaluates only ``data``.  ``matrix``,
+    ``starts_matrix`` and ``init_vec`` are materialized on first read,
+    by the same stage functions over the program and branch values the
+    evaluation kept (:mod:`repro.gtpn.packed`), so they are
+    bit-identical to an eager evaluation; a fixed point that reads
+    only throughputs and token counts never builds them.
     """
 
     net: Net
-    matrix: sp.csr_matrix
-    init_vec: np.ndarray
-    starts_matrix: np.ndarray
+    data: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     inflight_matrix: np.ndarray
     packed_table: np.ndarray
     packed_layout: PackedLayout
+    skeleton: PackedSkeleton = field(repr=False)
+    freqs: np.ndarray = field(repr=False)
+    program_values: np.ndarray = field(repr=False)
+    branch_values: np.ndarray = field(repr=False)
     reduction: ReductionInfo | None = None
     structure: str = ""
     advance_class: np.ndarray | None = None
@@ -102,6 +121,20 @@ class ReachabilityGraph:
         if self.advance_class is None:
             return self.state_count
         return int(self.advance_class.max()) + 1
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        n_states = self.state_count
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=(n_states, n_states), copy=False)
+
+    @cached_property
+    def starts_matrix(self) -> np.ndarray:
+        return self.skeleton.starts_matrix(self.branch_values)
+
+    @cached_property
+    def init_vec(self) -> np.ndarray:
+        return self.skeleton.initial_vector(self.program_values)
 
 
 def build_reachability_graph(net: Net,

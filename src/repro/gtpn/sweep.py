@@ -32,7 +32,13 @@ reduction)``, or a private store a caller passes.  Entry points:
   :func:`repro.gtpn.analyze`, with per-stage timing stats (build /
   re-time / solve) for the benchmarks;
   :meth:`SweepSolver.retime_pairs` re-solves one of its results with
-  named activity pairs re-timed, without building a net.
+  named activity pairs re-timed, without building a net: it carries
+  the result's frequency vector forward and overwrites only the
+  pairs' entries.
+
+A re-timed point costs one evaluation of ``P.data`` and one planned
+solve over it; the graph's CSR matrix, expected starts and initial
+distribution are built only if a reader asks for them.
 """
 
 from __future__ import annotations
@@ -119,9 +125,11 @@ class SweepSolver:
         *means* maps the name of each
         :func:`~repro.gtpn.approximations.activity_pair` of
         ``result.net`` to re-time to its new mean.  The pairs' exit and
-        loop entries of the frequency vector are overwritten and the
-        skeleton of *result*'s structure is re-timed under it: no net
-        is built, validated or fingerprinted.  The returned result's net
+        loop entries of a copy of ``result.graph.freqs`` (the vector
+        *result* was evaluated at, carried forward rather than re-read
+        from every transition) are overwritten and the skeleton of
+        *result*'s structure is re-timed under it: no net is built,
+        validated or fingerprinted.  The returned result's net
         is a shallow copy of ``result.net`` carrying the new
         frequencies, and its values are bit-identical to :meth:`analyze`
         of a net freshly built at the same means.
@@ -133,7 +141,7 @@ class SweepSolver:
         has no loop transition, so re-timing it to a longer mean raises
         :class:`SkeletonMismatch`: the caller must rebuild its net.
         """
-        net, freqs = _retimed_net(result.net, means)
+        net, freqs = _retimed_net(result.net, means, result.graph.freqs)
         # re-timing keeps the structure; a graph not built under a
         # structure key gets one the ordinary way
         structure = result.graph.structure \
@@ -144,12 +152,12 @@ class SweepSolver:
     def _solve(self, net: Net, graph: ReachabilityGraph,
                skeleton: PackedSkeleton):
         started = perf_now()
+        plan = skeleton.solve_plan()
         with obs.span("gtpn.solve", states=graph.state_count,
-                      order=graph.quotient_order):
+                      order=plan.k):
             pi = stationary_distribution(
                 graph, method=self.method,
-                closed_classes=skeleton.closed_class_count(),
-                plan=skeleton.solve_plan())
+                closed_classes=skeleton.closed_class_count(), plan=plan)
         self.stats.solve_s += perf_now() - started
         return AnalysisResult(net=net, graph=graph, pi=pi)
 
@@ -194,16 +202,18 @@ class SweepSolver:
 
 
 def _retimed_net(net: Net, means: Mapping[str, float],
-                 ) -> tuple[Net, np.ndarray]:
+                 freqs: np.ndarray) -> tuple[Net, np.ndarray]:
     """Shallow copy of *net* with the named activity pairs re-timed.
 
-    Returns the copy and its frequency vector.  Only the re-timed
-    transitions are new objects; places, arcs, gates and the derived
-    conflict classes are shared with *net*, whose structure is
-    unchanged.
+    *freqs* is *net*'s frequency vector; returns the copy and a copy of
+    that vector with the pairs' entries overwritten.  Only the re-timed
+    transitions are new objects; places, arcs, gates, the unchanged
+    name-table entries and the derived conflict classes and resource
+    terms are shared with *net*, whose structure is unchanged.
     """
     transitions = list(net.transitions)
-    freqs = np.array([float(t.frequency) for t in transitions])
+    by_name = dict(net._transition_by_name)
+    freqs = freqs.copy()
     for name, mean in means.items():
         exit_t = net.get_transition(name)       # ModelError if unknown
         if exit_t.delay != 1:
@@ -218,10 +228,11 @@ def _retimed_net(net: Net, means: Mapping[str, float],
                                    "and has no loop transition")
         for t, frequency, label in zip(pair, frequencies,
                                        _pair_labels(mean, exit_t.gate)):
-            transitions[t.index] = replace(t, frequency=frequency,
-                                           frequency_label=label)
+            retimed_t = replace(t, frequency=frequency,
+                                frequency_label=label)
+            transitions[t.index] = by_name[t.name] = retimed_t
             freqs[t.index] = frequency
     retimed = copy.copy(net)
     retimed.transitions = transitions
-    retimed._transition_by_name = {t.name: t for t in transitions}
+    retimed._transition_by_name = by_name
     return retimed, freqs

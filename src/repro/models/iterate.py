@@ -31,6 +31,14 @@ previous iteration's reachability skeleton straight from it: no net is
 rebuilt, re-validated or fingerprinted.  Results are bit-identical to
 rebuilding both nets and calling :func:`repro.gtpn.analyze` on every
 iteration.
+
+Each side-solve pays only for what the iteration reads: the re-time
+evaluates ``P.data`` alone, the stationary solve reads it through the
+skeleton's plan, and the throughput, arrival rate and population come
+from the in-flight counts and the skeleton's float marking matrix.
+No iteration builds its graph's CSR matrix, expected starts or
+initial distribution (:class:`repro.gtpn.reachability.ReachabilityGraph`
+materializes them on first read).
 """
 
 from __future__ import annotations

@@ -116,7 +116,8 @@ def test_property_deflated_solve_matches_augmented_oracle(
     if markov._closed_class_count(graph.matrix) > 1:
         return          # reducible chain: no unique stationary solution
     expected = augmented_oracle(graph.matrix)
-    pi = markov._solve_linear(graph.matrix)
+    pi = markov._solve_linear(graph.data, markov.build_solve_plan(
+        graph.indptr, graph.indices))
     if pi is None:
         assert expected[-1] == 0.0
     else:

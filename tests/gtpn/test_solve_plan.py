@@ -73,10 +73,12 @@ def test_plans_of_one_pattern_are_interchangeable():
     fast_plan = markov.build_solve_plan(fast.indptr, fast.indices)
     _assert_same_plan(slow_plan, fast_plan)
     for matrix in (slow, fast):
-        by_slow = markov._solve_linear(matrix, slow_plan)
-        by_fast = markov._solve_linear(matrix, fast_plan)
+        by_slow = markov._solve_linear(matrix.data, slow_plan)
+        by_fast = markov._solve_linear(matrix.data, fast_plan)
         assert by_slow.tobytes() == by_fast.tobytes()
-        assert by_slow.tobytes() == markov._solve_linear(matrix).tobytes()
+        throwaway, plan = markov._plan_for(matrix)
+        assert by_slow.tobytes() == markov._solve_linear(
+            throwaway.data, plan).tobytes()
 
 
 def test_plan_matches_the_block_it_gathers():
@@ -110,7 +112,7 @@ def test_mismatched_plan_is_refused():
     large = build_reachability_graph(_client(3, 200.0)).matrix
     plan = markov.build_solve_plan(small.indptr, small.indices)
     with pytest.raises(AnalysisError):
-        markov._solve_linear(large, plan)
+        markov._solve_linear(large.data, plan)
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +204,7 @@ def test_single_state_plan_solves():
     matrix = sp.csr_matrix(np.ones((1, 1)))
     plan = markov.build_solve_plan(matrix.indptr, matrix.indices)
     assert plan.n == 1 and len(plan.order) == 0
-    assert markov._solve_linear(matrix, plan).tolist() == [1.0]
+    assert markov._solve_linear(matrix.data, plan).tolist() == [1.0]
 
 
 def test_singular_block_falls_back_and_counts():
@@ -212,7 +214,8 @@ def test_singular_block_falls_back_and_counts():
     matrix = sp.csr_matrix(np.array([[0.0, 1.0, 0.0],
                                      [1.0, 0.0, 0.0],
                                      [1.0, 0.0, 0.0]]))
-    assert markov._solve_linear(matrix) is None
+    assert markov._solve_linear(matrix.data, markov.build_solve_plan(
+        matrix.indptr, matrix.indices)) is None
     graph = SimpleNamespace(matrix=matrix,
                             init_vec=np.array([0.0, 0.0, 1.0]))
     with obs.recording() as recorder:

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.errors import ModelError
@@ -210,7 +211,8 @@ def _rebuilding_fixed_point(architecture, conversations, compute_time=0.0,
     and server nets from the model builders and solves each from
     scratch with :func:`repro.gtpn.analyze` in a private skeleton
     store.  Returns ``(throughput, server_delay, client_delay,
-    iterations, history)`` with history rows as tuples.
+    iterations, history)`` with history rows as tuples, and the last
+    client and server results.
     """
     if client_params is None:
         client_params = NONLOCAL_CLIENT_PARAMS[architecture]
@@ -237,8 +239,8 @@ def _rebuilding_fixed_point(architecture, conversations, compute_time=0.0,
                         arrival_rate, population, new_server_delay))
         if abs(new_server_delay - server_delay) \
                 <= tolerance * max(server_delay, 1.0):
-            return (throughput, new_server_delay, client_delay, iteration,
-                    history)
+            return ((throughput, new_server_delay, client_delay, iteration,
+                     history), (client, server))
         server_delay = (damping * new_server_delay
                         + (1.0 - damping) * server_delay)
     raise AssertionError("oracle did not converge")
@@ -248,12 +250,28 @@ def _assert_matches_rebuilding(architecture, conversations, compute_time,
                                **kwargs):
     solution = solve_nonlocal(architecture, conversations, compute_time,
                               **kwargs)
-    expected = _rebuilding_fixed_point(architecture, conversations,
-                                       compute_time, **kwargs)
+    expected, rebuilt = _rebuilding_fixed_point(
+        architecture, conversations, compute_time, **kwargs)
     history = [dataclasses.astuple(step) for step in solution.history]
     assert (solution.throughput, solution.server_delay,
             solution.client_delay, solution.iterations, history) \
         == expected
+    for mine, theirs in zip((solution.client_result,
+                             solution.server_result), rebuilt):
+        _assert_same_chain(mine, theirs)
+
+
+def _assert_same_chain(retimed, rebuilt):
+    """The re-timed result's chain, stationary vector and lazily built
+    arrays are the rebuilt result's, bit for bit."""
+    assert retimed.pi.tobytes() == rebuilt.pi.tobytes()
+    a, b = retimed.graph, rebuilt.graph
+    assert a.data.tobytes() == b.data.tobytes()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.matrix, name),
+                              getattr(b.matrix, name))
+    assert a.starts_matrix.tobytes() == b.starts_matrix.tobytes()
+    assert a.init_vec.tobytes() == b.init_vec.tobytes()
 
 
 @pytest.mark.parametrize("architecture", list(Architecture),
