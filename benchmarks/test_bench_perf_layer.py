@@ -150,6 +150,7 @@ def test_bench_figure_6_18_serial_parallel_warm(perf_record):
                 reason=pool_info.reason if pool_info else None,
                 jobs_used=pool_info.jobs_used if pool_info else None,
                 chunk_size=pool_info.chunk_size if pool_info else None,
+                groups=pool_info.groups if pool_info else None,
                 pool_efficiency=(parallel_speedup / pool_info.jobs_used
                                  if ran_parallel else None))
 

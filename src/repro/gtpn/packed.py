@@ -144,6 +144,21 @@ class PackedLayout:
     def unpack_all(self, table: np.ndarray) -> list[State]:
         return [self.unpack(row) for row in table]
 
+    def inflight_counts(self, table: np.ndarray) -> np.ndarray:
+        """Per-transition in-flight counts of packed rows, as floats.
+
+        Each transition's count is the integer sum of its slot
+        columns.  The sums are small integers, so the result equals
+        the float product ``slots @ onehot(slot_t)`` bit for bit,
+        without handing a float product to BLAS (see DESIGN.md,
+        "pool").
+        """
+        counts = np.zeros((self.n_transitions, len(table)), dtype=np.int64)
+        slots = table[:, self.n_places:].T
+        for slot, transition in enumerate(self.slot_t.tolist()):
+            counts[transition] += slots[slot]
+        return counts.T.astype(float, order="C")
+
 
 class PackedNet:
     """Compiled arrays for batched execution of one net.
@@ -302,11 +317,6 @@ class PackedNet:
         self.trip_place = np.array(trip_place, dtype=np.int64)
         self.trip_req = np.array(trip_req, dtype=np.int32)
         self.trip_offsets = np.array(trip_offsets, dtype=np.int64)
-
-        # slot counts -> per-transition in-flight counts
-        self.slot_to_t = np.zeros((self.layout.n_slots, n_t))
-        for k in range(self.layout.n_slots):
-            self.slot_to_t[k, self.layout.slot_t[k]] = 1.0
 
         # symmetry lumping blocks (filled by compile_packed on demand)
         self.sym_blocks: list[np.ndarray] = []
@@ -1360,8 +1370,7 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
         n_i_branches=books.n_i_branches, i_dst=books.i_dst)
 
     table = interner.table()
-    inflight_matrix = table[:, pnet.n_places:].astype(float) \
-        @ pnet.slot_to_t
+    inflight_matrix = pnet.layout.inflight_counts(table)
     # states with one post-advance row have one expansion, hence equal
     # rows of P: label them by the row the wave loop expanded.  Under
     # lumping, advanced rows one replica permutation apart settle to

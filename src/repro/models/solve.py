@@ -18,6 +18,7 @@ from repro.models.local import build_local_net
 from repro.models.params import (OFFERED_LOAD_SERVER_TIMES_MS,
                                  Architecture, Mode)
 from repro.perf.backends import map_sweep
+from repro.perf.cache import fingerprint_net
 
 
 @dataclass(frozen=True)
@@ -77,17 +78,23 @@ def _resolve_sync(architecture: Architecture,
     return name if architecture is Architecture.II else "tas"
 
 
+def _local_net(architecture: Architecture, conversations: int,
+               compute_time: float, sync: str):
+    """The local net of one point, priced for a resolved primitive."""
+    params = None
+    if sync != "tas":
+        from repro.models import syncmodel
+        params = syncmodel.local_params(sync)
+    return build_local_net(architecture, conversations, compute_time,
+                           params=params)
+
+
 @lru_cache(maxsize=4096)
 def _solve_cached(architecture: Architecture, mode: Mode,
                   conversations: int, compute_time: float,
                   sync: str = "tas") -> float:
     if mode is Mode.LOCAL:
-        params = None
-        if sync != "tas":
-            from repro.models import syncmodel
-            params = syncmodel.local_params(sync)
-        net = build_local_net(architecture, conversations, compute_time,
-                              params=params)
+        net = _local_net(architecture, conversations, compute_time, sync)
         return analyze(net).throughput()
     client_params = server_params = None
     if sync != "tas":
@@ -181,6 +188,34 @@ def offered_load(architecture: Architecture, mode: Mode,
     return c / (c + server_time_us)
 
 
+def _structure_group(sync_at: int):
+    """The ``group=`` key of a grid whose points carry their primitive
+    at index *sync_at*: ``(conversations, structure key)``.
+
+    A local point's key is its net's structure fingerprint, built once
+    per (architecture, conversations, primitive) here in the parent,
+    so architectures II and III, which share one net, share a group.
+    A non-local point's key is (architecture, conversations,
+    primitive).  The cost is the conversation count: states grow from
+    112 at arch I n=4 to 6,336 at arch II n=4.  A mis-grouped point
+    costs speed only, never values: workers re-time or build through
+    their own skeleton store.
+    """
+    keys: dict[tuple, object] = {}
+
+    def key(point: tuple) -> tuple[int, object]:
+        architecture, mode, conversations = point[:3]
+        point_id = (architecture, mode, conversations, point[sync_at])
+        if point_id not in keys:
+            keys[point_id] = point_id
+            if mode is Mode.LOCAL:
+                sync = _resolve_sync(architecture, point[sync_at])
+                keys[point_id] = fingerprint_net(_local_net(
+                    architecture, conversations, 0.0, sync)).structure
+        return conversations, keys[point_id]
+    return key
+
+
 def solve_grid(points: list[tuple[Architecture, Mode, int, float]], *,
                jobs: int | None = None) -> list[ThroughputResult]:
     """Solve many independent operating points, possibly in parallel.
@@ -193,8 +228,9 @@ def solve_grid(points: list[tuple[Architecture, Mode, int, float]], *,
     each solve re-times the skeleton held in the process's skeleton
     store (:mod:`repro.gtpn.sweep`) instead of re-exploring the state
     space, so a grid costs one build per structure plus one linear
-    solve per point.  Each pool worker keeps its own store, so a
-    fanned-out grid builds a structure at most once per worker.
+    solve per point.  A fanned-out grid sends all points of one
+    structure to one worker as one task, so it too builds each
+    structure once.
 
     Points may carry a fifth element naming the synchronization
     primitive; 4-tuples get the ambient ``--sync`` configuration
@@ -205,7 +241,8 @@ def solve_grid(points: list[tuple[Architecture, Mode, int, float]], *,
     default_sync = config.get("sync")
     expanded = [point if len(point) >= 5 else (*point, default_sync)
                 for point in points]
-    return map_sweep(solve, expanded, jobs=jobs, star=True)
+    return map_sweep(solve, expanded, jobs=jobs, star=True,
+                     group=_structure_group(4))
 
 
 def solve_offered_load_grid(
@@ -215,7 +252,7 @@ def solve_offered_load_grid(
 
     The realistic-workload figures (6.18/6.19/6.22/6.23) are grids of
     (architecture, mode, conversations, load, reference) tuples; this
-    fans them out with the same structure-sharing and serial-fallback
+    fans them out with the same structure grouping and serial-fallback
     behaviour as :func:`solve_grid` — including parent-side resolution
     of the ambient synchronization primitive for 5-tuples (a sixth
     element overrides it per point).
@@ -225,7 +262,7 @@ def solve_offered_load_grid(
     expanded = [point if len(point) >= 6 else (*point, default_sync)
                 for point in points]
     return map_sweep(solve_at_offered_load, expanded, jobs=jobs,
-                     star=True)
+                     star=True, group=_structure_group(5))
 
 
 def offered_load_table(mode: Mode, *,

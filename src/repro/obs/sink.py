@@ -47,7 +47,7 @@ def spill_dir() -> str | None:
 def flush_current() -> None:
     """Append the current recorder's records to this pid's spill file.
 
-    Called by the pool task wrapper after each work item; the recorder
+    Called by the pool task wrapper after each task; the recorder
     is cleared so every flush ships only new records.  Best-effort by
     design: a worker that cannot write its spill file must not fail
     the sweep, so errors drop the records, never the results.

@@ -4,7 +4,12 @@ Every sweep call site (figures, tables, chaos, validation, traffic
 knees, model grids) calls :func:`map_sweep`, which plans the sweep
 (:func:`~repro.perf.backends.base.plan_jobs`) and either runs it in
 the calling process or fans it out over the persistent local process
-pool (:class:`~repro.perf.backends.local.LocalPoolBackend`).
+pool (:class:`~repro.perf.backends.local.LocalPoolBackend`).  The pool
+always ships *tasks*, lists of items one worker runs in order: an
+ungrouped sweep cuts the items into contiguous chunks; a grouped sweep
+(``group=``) sends each group as one task, largest first, so a worker
+that builds a reachability structure re-times it for the whole group
+and no other worker builds it again.
 
 Results are **bit-identical on both paths** (asserted by
 ``tests/perf/test_backends.py``): the pool changes wall-clock time and
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import math
 import pickle
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from repro import config, obs
 from repro.perf.backends.base import (CHUNK_WAVES, MIN_ITEMS_PER_JOB,
@@ -83,9 +88,18 @@ def _serial_map(fn: Callable, work: Sequence, star: bool) -> list:
     return results
 
 
+def _group_tasks(work: Sequence, group: Callable) -> list[list[int]]:
+    """Item indices by group key, largest cost first (ties keep the
+    order of first appearance)."""
+    tasks: dict[tuple[float, Hashable], list[int]] = {}
+    for index, item in enumerate(work):
+        tasks.setdefault(group(item), []).append(index)
+    return [tasks[key] for key in sorted(tasks, key=lambda key: -key[0])]
+
+
 def map_sweep(fn: Callable[..., R], items: Iterable[T], *,
               jobs: int | None = None, star: bool = False,
-              chunksize: int | None = None,
+              group: Callable[[T], tuple[float, Hashable]] | None = None,
               oversubscribe: bool = False) -> list[R]:
     """Map *fn* over *items*, in order, possibly across processes.
 
@@ -93,9 +107,16 @@ def map_sweep(fn: Callable[..., R], items: Iterable[T], *,
     (``fn(*item)``); otherwise each item is passed whole (``fn(item)``).
     ``jobs=None`` uses the ``jobs`` knob of :mod:`repro.config`.  The
     sweep is planned via :func:`plan_jobs` (serial fallback on small
-    grids or one CPU) and chunked to
-    ``ceil(items / (workers * CHUNK_WAVES))`` unless *chunksize* is
-    given; :func:`last_map_info` reports what happened.
+    grids or one CPU); :func:`last_map_info` reports what happened.
+
+    Ungrouped, the pool runs contiguous chunks of
+    ``ceil(items / (workers * CHUNK_WAVES))`` items.  *group* maps an
+    item to a ``(cost, key)`` pair and is called only when the sweep
+    fans out: items with one pair run as one task on one worker, tasks
+    are dispatched largest cost first, and fewer than two groups run
+    serially.  A grouping only moves work between processes, never
+    values.
+
     An unusable pool (unpicklable work, no process support) or a
     worker death mid-task falls back to the serial path; exceptions
     raised by *fn* itself propagate.
@@ -108,12 +129,21 @@ def map_sweep(fn: Callable[..., R], items: Iterable[T], *,
                                oversubscribe=oversubscribe)
     with obs.span("pool.map", items=len(work),
                   jobs_requested=jobs_requested) as map_span:
+        chunk = None
+        if n_jobs > 1 and group is not None:
+            tasks = _group_tasks(work, group)
+            if len(tasks) < 2:
+                reason = ("one structure group: fanning it out would "
+                          "build it on every worker")
+            n_jobs = min(n_jobs, len(tasks))
+        elif n_jobs > 1:
+            chunk = math.ceil(len(work) / (n_jobs * CHUNK_WAVES))
+            tasks = [list(range(start, min(start + chunk, len(work))))
+                     for start in range(0, len(work), chunk)]
         if n_jobs > 1:
-            chunk = chunksize if chunksize else max(
-                1, math.ceil(len(work) / (n_jobs * CHUNK_WAVES)))
             try:
                 results = _POOL.submit_map(fn, work, n_jobs=n_jobs,
-                                           star=star, chunksize=chunk)
+                                           star=star, tasks=tasks)
             except PoolBrokenError:
                 # the pool already reaped itself; run this sweep
                 # in-process and let the next one start fresh
@@ -128,7 +158,7 @@ def map_sweep(fn: Callable[..., R], items: Iterable[T], *,
             else:
                 _last_map_info = MapInfo("parallel", None,
                                          jobs_requested, n_jobs,
-                                         len(work), chunk)
+                                         len(work), chunk, len(tasks))
                 map_span.set(**_last_map_info.as_dict())
                 return results
         _last_map_info = MapInfo("serial", reason, jobs_requested, 1,

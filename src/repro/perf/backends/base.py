@@ -16,8 +16,9 @@ from repro import config
 #: grid with a fresh pool); the planner shrinks the pool or goes serial.
 MIN_ITEMS_PER_JOB = 4
 
-#: Auto chunking aims for this many chunks per worker: big enough to
-#: amortise per-task pickling, small enough to keep workers balanced.
+#: Auto chunking of an ungrouped sweep aims for this many chunks per
+#: worker: big enough to amortise per-task pickling, small enough to
+#: keep workers balanced.
 CHUNK_WAVES = 4
 
 
@@ -40,20 +41,26 @@ class MapInfo:
     jobs_requested: int
     jobs_used: int
     items: int
-    chunk_size: int | None      # None on the serial path
+    chunk_size: int | None      # None when serial or grouped
+    groups: int | None = None   # tasks dispatched (None when serial)
 
     def as_dict(self) -> dict:
         return {"mode": self.mode, "reason": self.reason,
                 "jobs_requested": self.jobs_requested,
                 "jobs_used": self.jobs_used, "items": self.items,
-                "chunk_size": self.chunk_size}
+                "chunk_size": self.chunk_size, "groups": self.groups}
 
     def describe(self) -> str:
         """Human-readable one-liner for report notes and benchmarks."""
         if self.mode == "serial":
             return f"sweep ran serially ({self.reason})"
-        return (f"sweep ran on {self.jobs_used} workers, chunk size "
-                f"{self.chunk_size}")
+        text = f"sweep ran on {self.jobs_used} workers"
+        if self.chunk_size is not None:
+            text += f", chunk size {self.chunk_size}"
+        if self.groups is not None:
+            text += (f", {self.groups} tasks" if self.chunk_size
+                     else f", one task per group ({self.groups})")
+        return text
 
 
 def plan_jobs(n_items: int, jobs: int | None = None, *,

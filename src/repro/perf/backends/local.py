@@ -4,9 +4,13 @@
 :class:`~concurrent.futures.ProcessPoolExecutor` per (worker count,
 trace spill directory), reused across sweeps so later grids skip
 process start-up entirely.  Its initializer pays the analysis/sweep
-imports in each worker before the first task; each worker then keeps
-its own process-wide skeleton store, so it builds a structure at most
-once and re-times it for every later point it is dealt.
+imports in each worker before the first task.  Work ships as *tasks*,
+each a list of items run in order by one worker: contiguous chunks for
+an ungrouped sweep, or every point of one structure for a grouped one
+(:func:`~repro.perf.backends.map_sweep`).  Each worker keeps its own
+process-wide skeleton store, so a grouped sweep builds each structure
+once, on the worker its task lands on, and re-times it for the rest
+of the group.
 
 The pool registers its own ``atexit`` teardown when the executor is
 first created, and a worker that dies mid-task (``BrokenProcessPool``)
@@ -17,8 +21,9 @@ serial path with a recorded reason, and the next sweep builds a fresh
 pool instead of retrying into a hung executor.
 
 When a recorder is installed (:mod:`repro.obs`), each work item runs
-under a ``pool.task`` span — in workers those spans spill to per-pid
-JSONL files that the parent merges back after the sweep
+under a ``pool.task`` span carrying its input index — in workers those
+spans spill to per-pid JSONL files that the parent merges back after
+the sweep
 (:mod:`repro.obs.sink`), so one trace shows per-worker task timing
 across the whole process tree.
 """
@@ -67,23 +72,23 @@ def _worker_init(spill_dir: str | None) -> None:
         pass
 
 
-def _call_star(payload: tuple[Callable, tuple]) -> object:
-    fn, item = payload
-    return fn(*item)
-
-
-def _traced_call(payload: tuple[Callable, object, bool, int]) -> object:
-    """One pooled work item under a ``pool.task`` span, spilled after."""
-    fn, item, star, index = payload
-    with obs.span("pool.task", index=index):
-        result = fn(*item) if star else fn(item)
+def _run_task(payload: tuple[Callable, bool, bool, list]) -> list:
+    """One task: its ``(index, item)`` pairs, in order.  Traced, each
+    item runs under a ``pool.task`` span and the task spills after."""
+    fn, star, traced, pairs = payload
+    if not traced:
+        return [fn(*item) if star else fn(item) for _index, item in pairs]
+    results = []
+    for index, item in pairs:
+        with obs.span("pool.task", index=index):
+            results.append(fn(*item) if star else fn(item))
     sink.flush_current()
-    return result
+    return results
 
 
 class LocalPoolBackend:
-    """Persistent process pool: chunked ``pool.map``, results in input
-    order and bit-identical to a serial pass."""
+    """Persistent process pool: tasks of items dispatched in order,
+    results in input order and bit-identical to a serial pass."""
 
     def __init__(self):
         self._pool = None
@@ -113,28 +118,26 @@ class LocalPoolBackend:
         return self._pool
 
     def submit_map(self, fn: Callable, work: Sequence, *, n_jobs: int,
-                   star: bool, chunksize: int) -> list:
-        """Run *fn* over *work* on *n_jobs* workers.
+                   star: bool, tasks: Sequence[Sequence[int]]) -> list:
+        """Run *fn* over *work* on *n_jobs* workers, in input order.
 
-        A pool that cannot start or work that cannot ship raises; a
-        worker death reaps the pool and raises
+        *tasks* partitions the indices of *work*: each task ships as
+        one list and runs on one worker, and tasks are dispatched in
+        the given order.  A pool that cannot start or work that cannot
+        ship raises; a worker death reaps the pool and raises
         :class:`~repro.perf.backends.base.PoolBrokenError`.
         """
         pool = self._get(n_jobs)
         recorder = obs.current()
+        payloads = [(fn, star, recorder is not None,
+                     [(index, work[index]) for index in task])
+                    for task in tasks]
+        results: list = [None] * len(work)
         try:
-            if recorder is not None:
-                payloads = [(fn, item, star, index)
-                            for index, item in enumerate(work)]
-                futures = pool.map(_traced_call, payloads,
-                                   chunksize=chunksize)
-            elif star:
-                payloads = [(fn, item) for item in work]
-                futures = pool.map(_call_star, payloads,
-                                   chunksize=chunksize)
-            else:
-                futures = pool.map(fn, work, chunksize=chunksize)
-            results = list(futures)
+            for task, task_results in zip(tasks,
+                                          pool.map(_run_task, payloads)):
+                for index, result in zip(task, task_results):
+                    results[index] = result
         except _BrokenPool as error:
             # a broken executor never recovers: drop it (its shutdown
             # also reclaims the dead children) so the next sweep starts

@@ -90,13 +90,13 @@ def test_killed_worker_degrades_to_serial():
     assert last_map_info().mode == "parallel"
 
 
-def test_pooled_grid_builds_each_structure_at_most_once_per_worker():
-    """Each worker keeps its own skeleton store: a pooled grid builds a
-    structure at most once per worker, and its values are bitwise
-    those of the serial pass."""
+def test_grouped_grid_builds_each_structure_once():
+    """A grouped grid sends every point of one structure to one worker
+    as one task: the pool builds each structure exactly once, and the
+    values are bitwise those of the serial pass."""
     from repro import obs
     from repro.models import Architecture, Mode
-    from repro.models.solve import _solve_cached, solve
+    from repro.models.solve import _solve_cached, _structure_group, solve
     from repro.perf import configure_cache
     points = [(Architecture.II, Mode.LOCAL, n, 500.0 * i, "tas")
               for n in (2, 3) for i in range(9)]
@@ -108,11 +108,14 @@ def test_pooled_grid_builds_each_structure_at_most_once_per_worker():
 
     cold()                          # workers start from an empty store
     with obs.recording() as recorder:
+        # solve_grid's own dispatch, forced onto the pool on one CPU
         pooled = map_sweep(solve, points, jobs=2, star=True,
-                           oversubscribe=True)
-    assert last_map_info().mode == "parallel"
+                           group=_structure_group(4), oversubscribe=True)
+    info = last_map_info()
+    assert info.mode == "parallel"
+    assert info.groups == structures and info.chunk_size is None
     builds = [s for s in recorder.spans if s.name == "gtpn.build"]
-    assert structures <= len(builds) <= 2 * structures
+    assert len(builds) == structures
     cold()
     serial = map_sweep(solve, points, jobs=1, star=True)
     assert [r.throughput for r in pooled] == \
