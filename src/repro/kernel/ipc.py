@@ -36,6 +36,10 @@ from repro.kernel.tasks import Task, TaskState
 from repro.kernel.transport import DeliveryFailure
 from repro.models.params import COPY_40_BYTES_US
 
+_COMPUTING = TaskState.COMPUTING
+_COMMUNICATING = TaskState.COMMUNICATING
+_STOPPED = TaskState.STOPPED
+
 if TYPE_CHECKING:   # pragma: no cover - import cycle guard
     from repro.kernel.node import Node
 
@@ -72,6 +76,19 @@ class IPCKernel:
 
     def __init__(self, node: "Node"):
         self.node = node
+        # hoisted once: the send/receive/reply path reads these on
+        # nearly every step (the node's transport is built after its
+        # kernel, so it stays a node attribute)
+        self._name = node.name
+        self._system = node.system
+        self._sim = node.sim
+        self._host = node.processors.host
+        self._ipc = node.processors.ipc
+        self._net_in = node.processors.net_in
+        #: cost tables indexed by locality: [False] non-local, [True]
+        #: local
+        self._costs = (node.costs(False), node.costs(True))
+        self._default_costs = node.default_costs
         self.stats = KernelStats()
         self._pending_replies: dict[int, _PendingReply] = {}
         #: msg_ids failed by the transport; replies arriving for them
@@ -114,29 +131,29 @@ class IPCKernel:
         """Send to a service; blocking remote invocation when
         ``expects_reply`` (the default), no-wait send otherwise."""
         self._check_on_node(task)
-        sim = self.node.sim
-        target_node, _service = self.node.system.lookup_service(
+        now = self._sim.now
+        target_node, _service = self._system.lookup_service(
             service_name)
         local = target_node is self.node
-        costs = self.node.costs(local)
+        costs = self._costs[local]
 
         message = Message(sender=task.name, service=service_name,
                           payload=payload, memory_ref=memory_ref,
-                          sent_at=sim.now, expects_reply=expects_reply)
-        message.origin_node = self.node.name
+                          sent_at=now, expects_reply=expects_reply)
+        message.origin_node = self._name
         self.stats.sends += 1
         task.stats.sends += 1
         obs.add("ipc.send")
         if expects_reply:
             self._pending_replies[message.msg_id] = _PendingReply(
                 task=task, on_reply=on_reply, local=local,
-                memory_ref=memory_ref, sent_at=sim.now)
+                memory_ref=memory_ref, sent_at=now)
 
-        task.transition(TaskState.COMMUNICATING, sim.now)
-        message.stamp("posted", sim.now)
+        task.transition(_COMMUNICATING, now)
+        message.stamps.append(("posted", now))
         if not local and expects_reply:
             self.node.transport.watch_conversation(message)
-        self.node.processors.host.submit(
+        self._host.submit(
             costs.syscall_send,
             lambda: self._process_send(task, message, local),
             label="syscall send")
@@ -144,32 +161,32 @@ class IPCKernel:
 
     def _process_send(self, task: Task, message: Message,
                       local: bool) -> None:
-        costs = self.node.costs(local)
-        self.node.processors.ipc.submit(
+        costs = self._costs[local]
+        self._ipc.submit(
             costs.process_send,
             lambda: self._send_processed(task, message, local),
             label="process send")
 
     def _send_processed(self, task: Task, message: Message,
                         local: bool) -> None:
-        sim = self.node.sim
-        costs = self.node.costs(local)
+        now = self._sim.now
         if message.expects_reply:
-            task.transition(TaskState.STOPPED, sim.now)
+            task.transition(_STOPPED, now)
         else:
             # no-wait send: the client is restarted right away
-            self.node.processors.host.submit(
+            costs = self._costs[local]
+            self._host.submit(
                 costs.restart_client,
                 lambda: self._restart(task),
                 label="restart client (no-wait)")
         if local:
             service = self._local_service(message.service)
             message.match_paid = False
-            message.stamp("queued", sim.now)
+            message.stamps.append(("queued", now))
             service.push_message(message)
             self._try_match(service)
         else:
-            target_node, _service = self.node.system.lookup_service(
+            target_node, _service = self._system.lookup_service(
                 message.service)
             self.node.transport.send_request(message, target_node)
 
@@ -187,15 +204,14 @@ class IPCKernel:
         """
         service = self._local_service(service_name)
         message = Message(sender=sender, service=service_name,
-                          payload=payload, sent_at=self.node.sim.now,
+                          payload=payload, sent_at=self._sim.now,
                           expects_reply=False)
-        message.origin_node = self.node.name
+        message.origin_node = self._name
         message.match_paid = True     # no separate match processing
         self.stats.sends += 1
         obs.add("ipc.activate")
-        costs = self.node.default_costs
-        self.node.processors.ipc.submit(
-            costs.process_send,
+        self._ipc.submit(
+            self._default_costs.process_send,
             lambda: (service.push_message(message),
                      self._deliver_if_ready(service)),
             label="process activate", urgent=True)
@@ -205,19 +221,17 @@ class IPCKernel:
     # remote request arrival (network interrupt path)
     # ------------------------------------------------------------------
     def _arrive_request(self, message: Message) -> None:
-        costs = self.node.costs(local=False)
         self.stats.remote_requests_in += 1
-        self.node.processors.net_in.submit(
-            costs.dma_in_request,
+        self._net_in.submit(
+            self._costs[False].dma_in_request,
             lambda: self._request_interrupt(message),
             label="DMA in (request)")
 
     def _request_interrupt(self, message: Message) -> None:
         # match processing runs at interrupt priority on the IPC
         # processor (host for architecture I, MP otherwise)
-        costs = self.node.costs(local=False)
-        self.node.processors.ipc.submit(
-            costs.match,
+        self._ipc.submit(
+            self._costs[False].match,
             lambda: self._queue_matched_message(message),
             label="match (interrupt)", urgent=True)
         self.stats.matches_paid += 1
@@ -225,7 +239,7 @@ class IPCKernel:
     def _queue_matched_message(self, message: Message) -> None:
         service = self._local_service(message.service)
         message.match_paid = True
-        message.stamp("queued", self.node.sim.now)
+        message.stamps.append(("queued", self._sim.now))
         service.push_message(message)
         self._deliver_if_ready(service)
 
@@ -238,31 +252,28 @@ class IPCKernel:
         self._check_on_node(task)
         service = self._local_service(service_name)
         service.check_offer(task.name)
-        sim = self.node.sim
-        costs = self.node.default_costs
         self.stats.receives += 1
         task.stats.receives += 1
         obs.add("ipc.receive")
-        task.transition(TaskState.COMMUNICATING, sim.now)
-        self.node.processors.host.submit(
-            costs.syscall_receive,
+        task.transition(_COMMUNICATING, self._sim.now)
+        self._host.submit(
+            self._default_costs.syscall_receive,
             lambda: self._process_receive(task, service, on_message),
             label="syscall receive")
 
     def _process_receive(self, task: Task, service: Service,
                          on_message: Callable[[Message], None]) -> None:
-        costs = self.node.default_costs
-        self.node.processors.ipc.submit(
-            costs.process_receive,
+        self._ipc.submit(
+            self._default_costs.process_receive,
             lambda: self._receive_processed(task, service, on_message),
             label="process receive")
 
     def _receive_processed(self, task: Task, service: Service,
                            on_message) -> None:
-        sim = self.node.sim
-        task.transition(TaskState.STOPPED, sim.now)
+        now = self._sim.now
+        task.transition(_STOPPED, now)
         service.push_receive(PendingReceive(
-            task_name=task.name, deliver=on_message, posted_at=sim.now))
+            task_name=task.name, deliver=on_message, posted_at=now))
         self._try_match(service)
 
     # ------------------------------------------------------------------
@@ -276,11 +287,10 @@ class IPCKernel:
         if message.match_paid:
             self._deliver_if_ready(service)
             return
-        costs = self.node.costs(
-            local=message.origin_node == self.node.name)
+        costs = self._costs[message.origin_node == self._name]
         message.match_paid = True
         self.stats.matches_paid += 1
-        self.node.processors.ipc.submit(
+        self._ipc.submit(
             costs.match,
             lambda: self._deliver_if_ready(service),
             label="match")
@@ -297,20 +307,20 @@ class IPCKernel:
             self._try_match(service)
             return
         task = self.node.tasks[pending.task_name]
-        local = message.origin_node == self.node.name
-        costs = self.node.costs(local)
+        local = message.origin_node == self._name
+        costs = self._costs[local]
         if local:
             self.stats.local_rendezvous += 1
         message.reply_service = service.name
-        message.stamp("matched", self.node.sim.now)
-        self.node.processors.host.submit(
+        message.stamps.append(("matched", self._sim.now))
+        self._host.submit(
             costs.restart_server_pre,
             lambda: self._start_service_routine(task, pending, message),
             label="restart server")
 
     def _start_service_routine(self, task: Task, pending: PendingReceive,
                                message: Message) -> None:
-        message.stamp("delivered", self.node.sim.now)
+        message.stamps.append(("delivered", self._sim.now))
         self._restart(task)
         pending.deliver(message)
 
@@ -327,15 +337,15 @@ class IPCKernel:
                 f"message {message.msg_id} does not expect a reply")
         if message.kind is not MessageKind.REQUEST:
             raise KernelError("can only reply to request messages")
-        sim = self.node.sim
-        local = message.origin_node == self.node.name
-        costs = self.node.costs(local)
+        now = self._sim.now
+        local = message.origin_node == self._name
+        costs = self._costs[local]
         self.stats.replies += 1
         task.stats.replies += 1
         obs.add("ipc.reply")
-        message.stamp("reply posted", sim.now)
-        task.transition(TaskState.COMMUNICATING, sim.now)
-        self.node.processors.host.submit(
+        message.stamps.append(("reply posted", now))
+        task.transition(_COMMUNICATING, now)
+        self._host.submit(
             costs.syscall_reply,
             lambda: self._process_reply(task, message, payload, on_done,
                                         local),
@@ -343,8 +353,8 @@ class IPCKernel:
 
     def _process_reply(self, task: Task, message: Message, payload,
                        on_done, local: bool) -> None:
-        costs = self.node.costs(local)
-        self.node.processors.ipc.submit(
+        costs = self._costs[local]
+        self._ipc.submit(
             costs.process_reply,
             lambda: self._reply_processed(task, message, payload, on_done,
                                           local),
@@ -352,16 +362,16 @@ class IPCKernel:
 
     def _reply_processed(self, task: Task, message: Message, payload,
                          on_done, local: bool) -> None:
-        costs = self.node.costs(local)
+        costs = self._costs[local]
         # the server is restarted on its host
-        self.node.processors.host.submit(
+        self._host.submit(
             costs.restart_server_post,
             lambda: self._finish_server_reply(task, on_done),
             label="restart server (post reply)")
         if local:
             self._complete_rendezvous(message, payload)
         else:
-            origin = self.node.system.node(message.origin_node)
+            origin = self._system.node(message.origin_node)
             self.node.transport.send_reply(message, payload, origin)
 
     def _finish_server_reply(self, task: Task, on_done) -> None:
@@ -370,10 +380,10 @@ class IPCKernel:
             on_done()
 
     def _arrive_reply(self, message: Message, payload) -> None:
-        costs = self.node.costs(local=False)
-        self.node.processors.net_in.submit(
+        costs = self._costs[False]
+        self._net_in.submit(
             costs.dma_in_reply,
-            lambda: self.node.processors.ipc.submit(
+            lambda: self._ipc.submit(
                 costs.cleanup_client,
                 lambda: self._complete_rendezvous(message, payload),
                 label="cleanup client", urgent=True),
@@ -393,17 +403,17 @@ class IPCKernel:
         if pending.memory_ref is not None:
             # rights are revoked once the rendezvous completes
             pending.memory_ref.revoked = True
-        costs = self.node.costs(pending.local)
+        costs = self._costs[pending.local]
         client = pending.task
         client.stats.round_trips += 1
 
         def deliver():
-            message.stamp("rendezvous complete", self.node.sim.now)
+            message.stamps.append(("rendezvous complete", self._sim.now))
             self._restart(client)
             if pending.on_reply is not None:
                 pending.on_reply(payload)
 
-        self.node.processors.host.submit(
+        self._host.submit(
             costs.restart_client, deliver, label="restart client")
 
     def fail_conversation(self, message: Message, reason: str) -> bool:
@@ -425,17 +435,17 @@ class IPCKernel:
             pending.memory_ref.revoked = True
         client = pending.task
         client.stats.failed_round_trips += 1
-        costs = self.node.costs(pending.local)
+        costs = self._costs[pending.local]
         failure = DeliveryFailure(msg_id=message.msg_id, reason=reason,
-                                  failed_at=self.node.sim.now)
+                                  failed_at=self._sim.now)
 
         def deliver():
-            message.stamp("failed", self.node.sim.now)
+            message.stamps.append(("failed", self._sim.now))
             self._restart(client)
             if pending.on_reply is not None:
                 pending.on_reply(failure)
 
-        self.node.processors.host.submit(
+        self._host.submit(
             costs.restart_client, deliver,
             label="restart client (failure)")
         return True
@@ -447,14 +457,15 @@ class IPCKernel:
                 on_done: Callable[[], None]) -> None:
         """Run *duration* microseconds of application work on the host."""
         self._check_on_node(task)
-        if duration < 0:
-            raise KernelError("negative compute time")
+        if not duration >= 0.0:     # also refuses NaN
+            raise KernelError(
+                f"compute time {duration} is negative or not a number")
         task.stats.compute_time += duration
         label = self._compute_labels.get(task.name)
         if label is None:
             label = sys.intern(f"compute {task.name}")
             self._compute_labels[task.name] = label
-        self.node.processors.host.submit(duration, on_done, label=label)
+        self._host.submit(duration, on_done, label=label)
 
     def memory_move(self, task: Task, memory_ref: MemoryReference,
                     size: int, write: bool,
@@ -470,18 +481,17 @@ class IPCKernel:
         self.stats.memory_moves += 1
         self.stats.bytes_moved += size
         copy_time = COPY_40_BYTES_US * size / 40.0
-        self.node.processors.ipc.submit(
-            copy_time, on_done, label="memory move")
+        self._ipc.submit(copy_time, on_done, label="memory move")
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
     def _restart(self, task: Task) -> None:
-        if task.state is not TaskState.COMPUTING:
-            task.transition(TaskState.COMPUTING, self.node.sim.now)
+        if task.state is not _COMPUTING:
+            task.transition(_COMPUTING, self._sim.now)
 
     def _local_service(self, name: str) -> Service:
-        node, service = self.node.system.lookup_service(name)
+        node, service = self._system.lookup_service(name)
         if node is not self.node:
             raise KernelError(
                 f"service {name} lives on {node.name}, not "
@@ -489,7 +499,7 @@ class IPCKernel:
         return service
 
     def _check_on_node(self, task: Task) -> None:
-        if task.node_name != self.node.name:
+        if task.node_name != self._name:
             raise KernelError(
                 f"task {task.name} is bound to {task.node_name}, not "
                 f"{self.node.name} (static assignment, section 4.2.3)")

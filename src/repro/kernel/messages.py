@@ -85,9 +85,6 @@ class Message:
     #: each queue can be read off afterwards.
     stamps: list = field(default_factory=list)
 
-    def stamp(self, stage: str, time: float) -> None:
-        self.stamps.append((stage, time))
-
     def stage_time(self, stage: str) -> float:
         """Time of the first stamp for *stage*."""
         for name, time in self.stamps:

@@ -24,7 +24,7 @@ from repro.kernel.sim import Simulator
 PACKET_LOG_WINDOW = 4096
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
     """One packet offered to the wire (for tests/inspection).
 

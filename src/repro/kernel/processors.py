@@ -18,21 +18,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro import obs as _obs
 from repro.errors import KernelError
 from repro.kernel.sim import Simulator
-from repro.obs import current as _obs_current
 from repro.obs.metrics import BusyLedger, busy_fraction
 
 
-@dataclass(slots=True)
-class WorkItem:
-    """One unit of processor work."""
-
-    duration: float
-    action: Callable[[], None] | None = None
-    label: str = ""
-    urgent: bool = False
-    enqueued_at: float = 0.0
+#: One unit of processor work, a plain tuple so the hot path builds it
+#: in one step and unpacks it once:
+#: ``(duration, action, label, urgent, enqueued_at)``.
+WorkItem = tuple[float, Callable[[], None] | None, str, bool, float]
 
 
 @dataclass
@@ -97,50 +92,70 @@ class Processor:
                label: str = "", urgent: bool = False) -> None:
         """Queue *duration* microseconds of work; run *action* after.
 
-        Zero-duration work with an action runs through the queue like
-        any other item (ordering is preserved); zero-duration work is
-        executed without occupying the processor.
+        Zero-duration work is an item like any other: it takes a server
+        and completes on the calendar's now lane, so its action runs in
+        submission order with every other item's.
+
+        A submit that finds a free server and both lanes empty starts
+        at once (its queue wait is exactly 0.0); otherwise the item
+        waits in its lane.
         """
-        if duration < 0:
-            raise KernelError(f"{self.name}: negative work {duration}")
-        item = WorkItem(duration=duration, action=action, label=label,
-                        urgent=urgent, enqueued_at=self.sim.now)
-        if urgent:
-            self._urgent.append(item)
-        else:
-            self._normal.append(item)
-        self._start_next()
+        if not duration >= 0.0:     # also refuses NaN
+            raise KernelError(
+                f"{self.name}: work {duration} is negative or not a number")
+        sim = self.sim
+        if self._active < self.servers and not (self._urgent
+                                                or self._normal):
+            self._active += 1
+            sim.after(duration, self._complete,
+                      (duration, action, label, urgent, sim.now))
+            return
+        (self._urgent if urgent else self._normal).append(
+            (duration, action, label, urgent, sim.now))
+        if self._active < self.servers:
+            # submitted from a completing item's action, before its
+            # processor refilled: the queued head still starts first
+            self._start_next()
 
     def _start_next(self) -> None:
+        sim = self.sim
+        stats = self.stats
         while self._active < self.servers:
             queue = self._urgent or self._normal
             if not queue:
                 return
             item = queue.popleft()
             self._active += 1
-            self.stats.queue_wait_time += self.sim.now - item.enqueued_at
+            stats.queue_wait_time += sim.now - item[4]
             # arg-passing schedule: no per-item closure on the hot path
-            self.sim.after(item.duration, self._complete, item)
+            sim.after(item[0], self._complete, item)
 
     def _complete(self, item: WorkItem) -> None:
+        duration, action, label, urgent, _enqueued_at = item
         self._active -= 1
-        self.stats.busy_time += item.duration
-        self.stats.items_completed += 1
-        if item.label:
-            self.stats.ledger.charge(item.label, item.duration)
-        if item.urgent:
-            self.stats.urgent_items += 1
-        recorder = _obs_current()
+        stats = self.stats
+        stats.busy_time += duration
+        stats.items_completed += 1
+        if label:
+            # BusyLedger.charge, inlined
+            by_label = stats.ledger.by_label
+            try:
+                by_label[label] += duration
+            except KeyError:
+                by_label[label] = 0.0 + duration
+        if urgent:
+            stats.urgent_items += 1
+        recorder = _obs._current
         if recorder is not None:
             # the same completion feeds both accountings, so summing
             # trace durations per (processor, label) reconciles with
             # busy_by_label exactly
-            recorder.sim_work(self.name, item.label or "(unlabeled)",
-                              self.sim.now - item.duration,
-                              item.duration, item.urgent)
-        if item.action is not None:
-            item.action()
-        self._start_next()
+            recorder.sim_work(self.name, label or "(unlabeled)",
+                              self.sim.now - duration, duration, urgent)
+        if action is not None:
+            action()
+        if self._urgent or self._normal:
+            self._start_next()
 
     def utilization(self, elapsed: float) -> float:
         """Mean fraction of the server pool busy over *elapsed* us."""

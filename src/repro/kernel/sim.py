@@ -2,39 +2,41 @@
 
 The :class:`Simulator` is a fast-lane event calendar built for the
 open-arrival traffic runs (millions of events per run, see
-``benchmarks/test_bench_traffic.py``).  Three lanes feed one global
+``benchmarks/test_bench_traffic.py``).  Two lanes feed one global
 ``(time, seq)`` order:
 
 * **heap** — an indexed binary heap of slotted event *records*
   (5-slot lists ``[time, seq, func, arg, state]``).  Records carry an
   optional call argument so hot callers never build a per-event
-  closure, and retired records go back on a bounded free list.
+  closure.
 * **now lane** — a FIFO deque for ``after(0.0, ...)``.  Zero-delay
   wakeups (event-manager notifications, task restarts, zero-latency
   wires) are the most common schedule in a kernel run; their times are
   nondecreasing by construction (time only moves forward), so a deque
   preserves their order without paying heap traffic.
-* **sorted runs** — presorted bulk batches from :meth:`post_run`
-  (vectorized arrival chunks).  A run holds one shared callback and a
-  contiguous block of sequence numbers, and is merged against the
-  other lanes at pop time.
 
-Every lane is compared on the exact ``(time, seq)`` key, so the
+Presorted bulk batches from :meth:`post_run` (vectorized arrival
+chunks) are *runs*: a run holds one shared callback and a contiguous
+block of sequence numbers, and only its next event sits in the heap —
+executing it pushes the one after.  The drain loop therefore compares
+just two heads per event, however many runs are pending.
+
+Every event is ordered on the exact ``(time, seq)`` key, so the
 execution order is bit-identical to pushing each event through a
 single heap — the lanes are a mechanical optimisation, not a
 semantics change.
 
 Cancellation is lazy: :meth:`at_cancellable` returns the record itself
 as a token, :meth:`cancel` marks it dead, and the drain loop discards
-dead records when they surface.  Cancellable records are *pinned*
-(never recycled), so a stale token can never alias a reused record.
+dead records when they surface.  Records are never reused, so a stale
+token can never alias another event.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Sequence
 
 from repro.errors import KernelError
@@ -44,12 +46,9 @@ _NO_ARG = object()
 
 # Event-record states (slot 4 of a record).
 _DEAD = 0      # executed or cancelled; skipped if still queued
-_POOLED = 1    # live; record returns to the free list after execution
-_PINNED = 2    # live with an exposed cancellation token; never reused
-
-#: Free-list bound: absorbs the in-flight records of a busy run
-#: without the pool itself ever becoming a memory liability.
-_FREE_LIST_MAX = 4096
+_LIVE = 1      # pending, no token handed out
+_PINNED = 2    # pending, with an exposed cancellation token
+_RUN = 3       # the next event of a post_run batch; slot 3 is the run
 
 _INF = math.inf
 
@@ -60,45 +59,34 @@ EventHandle = list
 class Simulator:
     """A fast event-calendar simulator (times in microseconds)."""
 
-    __slots__ = ("now", "events_processed", "_heap", "_lane", "_runs",
-                 "_free", "_sequence", "_cancelled")
+    __slots__ = ("now", "events_processed", "_heap", "_lane",
+                 "_sequence", "_cancelled", "_run_backlog")
 
     def __init__(self):
         self.now = 0.0
         self.events_processed = 0
         self._heap: list[list] = []
         self._lane: deque[list] = deque()
-        self._runs: list[list] = []
-        self._free: list[list] = []
         self._sequence = 0
         self._cancelled = 0
+        #: run events posted but not yet in the heap
+        self._run_backlog = 0
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _new_record(self, time: float, action, arg) -> list:
-        self._sequence = seq = self._sequence + 1
-        free = self._free
-        if free:
-            record = free.pop()
-            record[0] = time
-            record[1] = seq
-            record[2] = action
-            record[3] = arg
-            record[4] = _POOLED
-            return record
-        return [time, seq, action, arg, _POOLED]
-
     def at(self, time: float, action: Callable, arg=_NO_ARG) -> None:
         """Schedule *action* at absolute simulation time *time*.
 
         *arg*, if given, is passed to *action* when it fires — cheaper
         than capturing it in a closure on hot paths.
         """
-        if time < self.now:
+        if not time >= self.now:        # also refuses NaN
             raise KernelError(
-                f"cannot schedule in the past ({time} < {self.now})")
-        heappush(self._heap, self._new_record(time, action, arg))
+                f"cannot schedule at {time}: in the past (now {self.now}) "
+                "or not a number")
+        self._sequence = seq = self._sequence + 1
+        heappush(self._heap, [time, seq, action, arg, _LIVE])
 
     def after(self, delay: float, action: Callable, arg=_NO_ARG) -> None:
         """Schedule *action* after *delay* microseconds.
@@ -106,13 +94,15 @@ class Simulator:
         ``delay == 0.0`` takes the now lane: FIFO among zero-delay
         events, globally ordered by the same ``(time, seq)`` key.
         """
+        # the hottest call of a run: one check, the record built inline
+        if not delay >= 0.0:            # also refuses NaN
+            raise KernelError(f"delay {delay} is negative or not a number")
+        self._sequence = seq = self._sequence + 1
         if delay == 0.0:
-            self._lane.append(self._new_record(self.now, action, arg))
-            return
-        if delay < 0:
-            raise KernelError(f"negative delay {delay}")
-        time = self.now + delay
-        heappush(self._heap, self._new_record(time, action, arg))
+            self._lane.append([self.now, seq, action, arg, _LIVE])
+        else:
+            heappush(self._heap,
+                     [self.now + delay, seq, action, arg, _LIVE])
 
     def at_cancellable(self, time: float, action: Callable,
                        arg=_NO_ARG) -> EventHandle:
@@ -122,9 +112,10 @@ class Simulator:
         recycled, so cancelling after the event ran (or was already
         cancelled) is a safe no-op returning ``False``.
         """
-        if time < self.now:
+        if not time >= self.now:        # also refuses NaN
             raise KernelError(
-                f"cannot schedule in the past ({time} < {self.now})")
+                f"cannot schedule at {time}: in the past (now {self.now}) "
+                "or not a number")
         self._sequence = seq = self._sequence + 1
         record = [time, seq, action, arg, _PINNED]
         heappush(self._heap, record)
@@ -151,23 +142,29 @@ class Simulator:
         The batch gets a contiguous block of sequence numbers, so it
         interleaves with individually scheduled events exactly as if
         each time had been passed to :meth:`at` in order — at a
-        fraction of the cost (no per-event heap traffic; the run is
-        merged against the heap head at pop time).  Returns the number
-        of events posted.
+        fraction of the cost (only the run's next event is in the heap
+        at any time).  Returns the number of events posted.
         """
         times = list(times)
         count = len(times)
         if not count:
             return 0
-        if times[0] < self.now:
+        if not times[0] >= self.now:    # also refuses NaN
             raise KernelError(
-                f"cannot schedule in the past ({times[0]} < {self.now})")
+                f"cannot schedule at {times[0]}: in the past (now "
+                f"{self.now}) or not a number")
+        total = sum(times)
+        if total != total:              # a NaN anywhere in the batch
+            raise KernelError("post_run times must not be NaN")
         if times != sorted(times):    # timsort: O(n) on sorted input
             raise KernelError("post_run times must be nondecreasing")
         seq0 = self._sequence + 1
         self._sequence += count
-        # run record: [times, next_index, seq_of_index_0, func, count]
-        self._runs.append([times, 0, seq0, action, count])
+        # run: [times, index_in_heap, seq_of_index_0, count]; its one
+        # heap record is re-keyed to the next event each time it runs
+        run = [times, 0, seq0, count]
+        heappush(self._heap, [times[0], seq0, action, run, _RUN])
+        self._run_backlog += count - 1
         return count
 
     # ------------------------------------------------------------------
@@ -177,47 +174,31 @@ class Simulator:
         """Execute events with ``time <= horizon`` in global order."""
         heap = self._heap
         lane = self._lane
-        runs = self._runs
-        free = self._free
         processed = 0
         try:
             while True:
-                # -- pick the earliest lane by (time, seq) ------------
+                # -- the earlier of the two heads by (time, seq) ------
                 if heap:
                     head = heap[0]
                     if not head[4]:         # lazily drop cancelled
                         heappop(heap)
                         self._cancelled -= 1
                         continue
-                    best_time = head[0]
-                    best_seq = head[1]
-                    source = 1
+                    source = heap
+                    if lane:
+                        record = lane[0]
+                        time = record[0]
+                        if time < head[0] or (time == head[0]
+                                              and record[1] < head[1]):
+                            head = record
+                            source = lane
+                elif lane:
+                    head = lane[0]
+                    source = lane
                 else:
-                    head = None
-                    best_time = _INF
-                    best_seq = 0
-                    source = 0
-                if lane:
-                    record = lane[0]
-                    time = record[0]
-                    if time < best_time or (time == best_time
-                                            and record[1] < best_seq):
-                        best_time = time
-                        best_seq = record[1]
-                        source = 2
-                run = None
-                if runs:
-                    for candidate in runs:
-                        index = candidate[1]
-                        time = candidate[0][index]
-                        seq = candidate[2] + index
-                        if time < best_time or (time == best_time
-                                                and seq < best_seq):
-                            best_time = time
-                            best_seq = seq
-                            source = 3
-                            run = candidate
-                if not source or best_time > horizon:
+                    break
+                time = head[0]
+                if time > horizon:
                     break
                 if processed >= max_events:
                     if horizon == _INF:
@@ -228,29 +209,28 @@ class Simulator:
                         f"more than {max_events} events before "
                         f"t={horizon}; runaway simulation?")
                 processed += 1
-                self.now = best_time
-                if source == 3:
-                    index = run[1] + 1
-                    if index == run[4]:
-                        runs.remove(run)
-                    else:
-                        run[1] = index
-                    run[3]()
-                    continue
-                if source == 1:
-                    heappop(heap)
-                else:
-                    record = lane.popleft()
-                    head = record
+                self.now = time
                 func = head[2]
                 arg = head[3]
-                if head[4] == _POOLED:
-                    head[2] = head[3] = None
-                    head[4] = _DEAD
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(head)
+                if source is lane:
+                    lane.popleft()
+                elif head[4] == _LIVE:
+                    heappop(heap)
+                elif head[4] == _RUN:
+                    index = arg[1] + 1
+                    if index < arg[3]:
+                        # the run's next event takes this record's place
+                        arg[1] = index
+                        head[0] = arg[0][index]
+                        head[1] = arg[2] + index
+                        heapreplace(heap, head)
+                        self._run_backlog -= 1
+                    else:
+                        heappop(heap)
+                    arg = _NO_ARG
                 else:
-                    head[4] = _DEAD
+                    heappop(heap)
+                    head[4] = _DEAD         # its token now reports "ran"
                 if arg is _NO_ARG:
                     func()
                 else:
@@ -270,7 +250,5 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        pending = (len(self._heap) + len(self._lane) - self._cancelled)
-        for run in self._runs:
-            pending += run[4] - run[1]
-        return pending
+        return (len(self._heap) + len(self._lane) - self._cancelled
+                + self._run_backlog)

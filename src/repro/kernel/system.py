@@ -84,7 +84,7 @@ class DistributedSystem:
         service = self._services.get(name)
         if service is None or service.destroyed:
             raise KernelError(f"no such service {name!r}")
-        return self.node(service.node_name), service
+        return self.nodes[service.node_name], service
 
     @property
     def services(self) -> dict[str, Service]:

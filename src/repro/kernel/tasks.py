@@ -20,12 +20,14 @@ class TaskState(enum.Enum):
     STOPPED = "stopped"
 
 
-_VALID_TRANSITIONS = {
-    (TaskState.COMPUTING, TaskState.COMMUNICATING),
-    (TaskState.COMMUNICATING, TaskState.STOPPED),
-    (TaskState.COMMUNICATING, TaskState.COMPUTING),
-    (TaskState.STOPPED, TaskState.COMPUTING),
-}
+#: Allowed successors of each state.  Kept on the members themselves so
+#: the per-transition check is an identity scan of a short tuple, with
+#: no enum hashing.
+TaskState.COMPUTING.successors = (TaskState.COMMUNICATING,)
+TaskState.COMMUNICATING.successors = (TaskState.STOPPED,
+                                      TaskState.COMPUTING)
+TaskState.STOPPED.successors = (TaskState.COMPUTING,)
+_STOPPED = TaskState.STOPPED
 
 
 @dataclass(slots=True)
@@ -54,14 +56,16 @@ class Task:
     stats: TaskStats = field(default_factory=TaskStats)
 
     def transition(self, new_state: TaskState, now: float = 0.0) -> None:
-        if (self.state, new_state) not in _VALID_TRANSITIONS:
+        state = self.state
+        if new_state not in state.successors:
             raise KernelError(
                 f"task {self.name}: illegal state transition "
-                f"{self.state.value} -> {new_state.value}")
-        if new_state is TaskState.STOPPED:
+                f"{state.value} -> {new_state.value}")
+        if new_state is _STOPPED:
             self.stats.stopped_since = now
-        elif self.state is TaskState.STOPPED:
-            self.stats.stopped_time += now - self.stats.stopped_since
+        elif state is _STOPPED:
+            stats = self.stats
+            stats.stopped_time += now - stats.stopped_since
         self.state = new_state
 
     def __repr__(self) -> str:

@@ -69,9 +69,9 @@ class ExecutionTrace:
 class TraceRecorder:
     """Installs work-item observers on a node's processors.
 
-    Attach before submitting work: the processor binds its completion
-    callback when an item *starts*, so items already in service when
-    the recorder attaches complete unobserved.
+    Attach before submitting work: the processor looks up its
+    completion callback when an item *starts*, so items already in
+    service when the recorder attaches complete unobserved.
     """
 
     def __init__(self, node: Node):
@@ -88,10 +88,11 @@ class TraceRecorder:
         def observed_complete(item: WorkItem,
                               _orig=original_complete,
                               _name=processor.name):
+            duration, _action, label, urgent, _enqueued_at = item
             trace.events.append(TraceEvent(
-                processor=_name, label=item.label or "(unlabelled)",
-                started_at=sim.now - item.duration,
-                completed_at=sim.now, urgent=item.urgent))
+                processor=_name, label=label or "(unlabelled)",
+                started_at=sim.now - duration,
+                completed_at=sim.now, urgent=urgent))
             _orig(item)
 
         processor._complete = observed_complete

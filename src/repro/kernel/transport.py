@@ -73,22 +73,28 @@ class DirectTransport(Transport):
     system without a fault plan is unchanged.
     """
 
+    def __init__(self, node: "Node"):
+        super().__init__(node)
+        # hoisted once: every remote packet reads them
+        self._name = node.name
+        self._net_out = node.processors.net_out
+        self._wire = node.system.wire
+        self._costs = node.costs(local=False)
+
     def send_request(self, message: "Message",
                      target_node: "Node") -> None:
-        costs = self.node.costs(local=False)
-        self.node.processors.net_out.submit(
-            costs.dma_out_request,
-            lambda: self.node.system.wire.transmit(
-                self.node.name, target_node.name, "send",
+        self._net_out.submit(
+            self._costs.dma_out_request,
+            lambda: self._wire.transmit(
+                self._name, target_node.name, "send",
                 lambda: target_node.kernel._arrive_request(message)),
             label="DMA out (request)")
 
     def send_reply(self, message: "Message", payload: object,
                    origin: "Node") -> None:
-        costs = self.node.costs(local=False)
-        self.node.processors.net_out.submit(
-            costs.dma_out_reply,
-            lambda: self.node.system.wire.transmit(
-                self.node.name, origin.name, "reply",
+        self._net_out.submit(
+            self._costs.dma_out_reply,
+            lambda: self._wire.transmit(
+                self._name, origin.name, "reply",
                 lambda: origin.kernel._arrive_reply(message, payload)),
             label="DMA out (reply)")

@@ -38,10 +38,11 @@ def busy_fraction(busy: float, elapsed: float, servers: int = 1) -> float:
 class BusyLedger:
     """Busy-time totals split by label, with an exact running sum.
 
-    ``charge`` is the single accounting entry point: the kernel charges
-    work-item labels, the bus monitor charges unit names.  The order of
-    charges is the order of completions, so ledger totals reproduce the
-    historical accumulation bit-for-bit.
+    ``charge`` is the accounting entry point: the bus monitor charges
+    unit names, and the kernel's processors charge work-item labels
+    with the same addition inlined on their completion path.  The order
+    of charges is the order of completions, so ledger totals reproduce
+    the historical accumulation bit-for-bit.
     """
 
     by_label: dict[str, float] = field(default_factory=dict)
