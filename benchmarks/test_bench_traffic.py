@@ -8,11 +8,12 @@ livelock), while the event loop sustains a floor rate.  Records wall
 time, events/s and memory peak to ``BENCH_perf.json`` so the perf
 trajectory of the open-loop DES is comparable across PRs.
 
-The floor is deliberately a small fraction of the rate measured on
-the reference machine (~1.3M events/s since the fast-lane calendar +
-chunked arrivals; ~500k before): it catches an accidental hot-path
-regression (a stray allocation or callback per event), not machine
-variance.
+The floor is deliberately a small fraction of the recorded rate
+(≈0.64M events/s on the 2-vCPU reference container, see
+``traffic-million-offered`` in ``BENCH_perf.json``; the same container
+has measured anywhere from 0.43M to 0.66M between runs): it catches an
+accidental hot-path regression (a stray allocation or callback per
+event), not machine variance.
 """
 
 from __future__ import annotations
