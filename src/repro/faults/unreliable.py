@@ -17,7 +17,6 @@ annotation, so loss accounting is inspectable through the usual
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,7 +58,7 @@ class UnreliableNetwork:
         return self.wire.latency_us
 
     @property
-    def packets(self) -> deque[PacketRecord]:
+    def packets(self) -> list[PacketRecord]:
         return self.wire.packets
 
     @property

@@ -32,9 +32,9 @@ def pair_frequencies(mean: float) -> tuple[float, float]:
 
     A loop frequency of zero (a mean of exactly one tick) means the
     pair has no loop transition.  :func:`activity_pair` and
-    :meth:`repro.gtpn.sweep.SweepSolver.retime_pairs` both time pairs
-    through this function, so a re-timed pair carries bit for bit the
-    floats a fresh build would.
+    :class:`repro.gtpn.sweep.BoundPair` both time pairs through this
+    function, so a re-timed pair carries bit for bit the floats a
+    fresh build would.
     """
     p_exit = geometric_frequency(mean)
     return p_exit, 1.0 - p_exit

@@ -23,7 +23,10 @@ assembly gathers) is a :class:`SolvePlan`, a function of the sparsity
 pattern and the advance classes, which the sweep skeleton builds once
 per structure (``markov.plan.build``) and every re-timed solve reuses.
 The plan also holds the row of every ``P.data`` slot, so the residual
-gate scatters pi P over the plan instead of transposing P per solve.
+gate scatters pi P over the plan instead of transposing P per solve,
+and each thread wraps the plan's block pattern in a scipy CSC matrix
+once and re-points its data per solve (``_block``), so no solve pays
+for scipy's construction checks.
 Each accepted direct solve counts its method (``markov.method.lu`` or
 ``markov.method.ilu_gmres``) and records its residual
 (``markov.residual``) and the order it factored
@@ -38,6 +41,8 @@ path, which settles into exactly one of the closed classes.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,6 +281,29 @@ def _plan_for(matrix: sp.csr_matrix, classes: np.ndarray | None = None,
                                     classes)
 
 
+# Every solve of one plan factors a block of one pattern: only its data
+# differs.  So each thread wraps the plan's pattern in a CSC matrix once
+# (scipy validates it then) and later solves re-point its data.  Plans
+# are shared process-wide through the skeleton store, so the wrapper is
+# owned per thread: concurrent solves of one plan never share it.
+_blocks = threading.local()
+
+
+def _block(plan: SolvePlan, data: np.ndarray) -> sp.csc_matrix:
+    """This thread's CSC block of *plan*'s pattern, holding *data*."""
+    shells = getattr(_blocks, "shells", None)
+    if shells is None:
+        shells = _blocks.shells = weakref.WeakKeyDictionary()
+    block = shells.get(plan)
+    if block is None:
+        m = plan.k - 1
+        block = shells[plan] = sp.csc_matrix(
+            (data, plan.indices, plan.indptr), shape=(m, m))
+    else:
+        block.data = data
+    return block
+
+
 def _solve_linear(data: np.ndarray, plan: SolvePlan) -> np.ndarray | None:
     """Deflated direct solve of pi (P - I) = 0 through the class chain.
 
@@ -310,8 +338,7 @@ def _solve_linear(data: np.ndarray, plan: SolvePlan) -> np.ndarray | None:
                          minlength=plan.q_nnz + 1)
     block_data = q_data[plan.gather]
     block_data[plan.diagonal] -= 1.0
-    block = sp.csc_matrix((block_data, plan.indices, plan.indptr),
-                          shape=(m, m))
+    block = _block(plan, block_data)
     rhs = np.zeros(m)
     rhs[plan.rhs_index] = -q_data[plan.rhs_source]
     y, method = None, "lu"

@@ -556,12 +556,14 @@ class _EvalData:
     identity of the left-fold total), ``prog_fids`` pads with the
     sentinel factor (value 1.0, the multiplicative identity), so padded
     vector folds reproduce the tick engine's variable-length Python
-    folds bit for bit.
+    folds bit for bit.  ``prog_fids`` is stored round-major, one
+    contiguous row of every program's factor ids per (round, column),
+    so a fold step multiplies whole contiguous rows.
     """
 
     f_chosen: np.ndarray        # (F,) transition index per factor
     f_members: np.ndarray       # (F, K) enabled members, padded n_t
-    prog_fids: np.ndarray       # (n_progs, R, C) factor ids, padded F
+    prog_fids: np.ndarray       # (R, C, n_progs) factor ids, padded F
     item_pid: np.ndarray        # per work item, its program
     item_branch: np.ndarray     # per work item, its deduped branch
     n_branches: int
@@ -597,13 +599,15 @@ def _branch_values(ev: _EvalData, freqs: np.ndarray,
     fvals_ext = np.ones(n_factors + 1)
     np.divide(freqs_ext[ev.f_chosen], total, out=fvals_ext[:-1])
 
-    n_progs, n_rounds, n_cols = ev.prog_fids.shape
-    prog_values = np.ones(n_progs)
-    for r in range(n_rounds):
-        round_p = fvals_ext[ev.prog_fids[:, r, 0]]
-        for c in range(1, n_cols):
-            round_p = round_p * fvals_ext[ev.prog_fids[:, r, c]]
-        prog_values = round_p if r == 0 else prog_values * round_p
+    # one gather of every factor, then the per-round left folds of all
+    # rounds at once, column by column, then the fold over rounds
+    factors = fvals_ext[ev.prog_fids]
+    rounds = factors[:, 0].copy()
+    for c in range(1, factors.shape[1]):
+        rounds *= factors[:, c]
+    prog_values = rounds[0]
+    for r in range(1, len(rounds)):
+        prog_values = prog_values * rounds[r]
 
     branch_vals = np.bincount(ev.item_branch,
                               weights=prog_values[ev.item_pid],
@@ -1323,9 +1327,10 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
     n_cols = rows.shape[1]
     n_cls = max(pnet.n_cls, 1)
     if n_cols:
-        prog_fids = fid_flat.reshape(len(rows), n_cols // n_cls, n_cls)
+        prog_fids = np.ascontiguousarray(fid_flat.reshape(
+            len(rows), n_cols // n_cls, n_cls).transpose(1, 2, 0))
     else:
-        prog_fids = np.full((len(rows), 1, 1), n_factors,
+        prog_fids = np.full((1, 1, len(rows)), n_factors,
                             dtype=np.int64)
 
     b_src = np.concatenate(books.b_src) if books.b_src \

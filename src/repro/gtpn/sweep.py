@@ -31,10 +31,12 @@ reduction)``, or a private store a caller passes.  Entry points:
 * :class:`SweepSolver` — the per-structure solver behind
   :func:`repro.gtpn.analyze`, with per-stage timing stats (build /
   re-time / solve) for the benchmarks;
-  :meth:`SweepSolver.retime_pairs` re-solves one of its results with
-  named activity pairs re-timed, without building a net: it carries
-  the result's frequency vector forward and overwrites only the
-  pairs' entries.
+  :meth:`SweepSolver.bind_pair` binds one of its results and one named
+  activity pair into a :class:`BoundPair`, whose
+  :meth:`~BoundPair.solve` re-solves the result with only that pair
+  re-timed: it writes the pair's two entries of the result's frequency
+  vector and re-times the result's own skeleton, without building or
+  copying a net and without consulting the skeleton store.
 
 A re-timed point costs one evaluation of ``P.data`` and one planned
 solve over it; the graph's CSR matrix, expected starts and initial
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import asdict, dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from repro import config, obs
 from repro.errors import ModelError
 from repro.gtpn.analysis import AnalysisResult
 from repro.gtpn.approximations import _pair_labels, pair_frequencies
-from repro.gtpn.markov import stationary_distribution
+from repro.gtpn.markov import SolvePlan, stationary_distribution
 from repro.gtpn.net import Net
 from repro.gtpn.packed import (PackedSkeleton, SkeletonMismatch,
                                compile_packed, packed_build, packed_retime)
@@ -62,7 +63,7 @@ from repro.obs.clock import perf_now
 from repro.perf.cache import AnalysisCache, fingerprint_net, get_cache
 
 __all__ = [
-    "SkeletonMismatch", "SweepSolver", "SweepStats", "retime",
+    "BoundPair", "SkeletonMismatch", "SweepSolver", "SweepStats", "retime",
     "traced_build",
 ]
 
@@ -113,72 +114,49 @@ class SweepSolver:
         """Solve one net; identical contract to ``repro.gtpn.analyze``."""
         graph, skeleton = self._graph_for(net,
                                           fingerprint_net(net).structure)
-        return self._solve(net, graph, skeleton)
+        return self._solve(net, graph, skeleton.solve_plan(),
+                           skeleton.closed_class_count())
 
     # perfbench's layer tracer wraps this name; ``repro.gtpn.analyze``
     # calls ``solve`` so that one solve counts as one analysis
     analyze = solve
 
-    def retime_pairs(self, result, means: Mapping[str, float]):
-        """Re-solve *result* with activity pairs re-timed to new means.
+    def bind_pair(self, result: AnalysisResult, pair: str) -> BoundPair:
+        """Bind *result* and its activity pair *pair* for re-solving.
 
-        *means* maps the name of each
-        :func:`~repro.gtpn.approximations.activity_pair` of
-        ``result.net`` to re-time to its new mean.  The pairs' exit and
-        loop entries of a copy of ``result.graph.freqs`` (the vector
-        *result* was evaluated at, carried forward rather than re-read
-        from every transition) are overwritten and the skeleton of
-        *result*'s structure is re-timed under it: no net is built,
-        validated or fingerprinted.  The returned result's net
-        is a shallow copy of ``result.net`` carrying the new
-        frequencies, and its values are bit-identical to :meth:`analyze`
-        of a net freshly built at the same means.
-
-        A mean that changes which frequencies are zero (a mean of
-        exactly one tick) cannot be replayed and falls back to an
-        ordinary build.  An unknown pair name raises
-        :class:`~repro.errors.ModelError`.  A pair built at one tick
-        has no loop transition, so re-timing it to a longer mean raises
-        :class:`SkeletonMismatch`: the caller must rebuild its net.
+        *pair* names an :func:`~repro.gtpn.approximations.activity_pair`
+        of ``result.net``; an unknown name or a transition that is not
+        a pair's exit raises :class:`~repro.errors.ModelError`.  See
+        :class:`BoundPair`.
         """
-        net, freqs = _retimed_net(result.net, means, result.graph.freqs)
-        # re-timing keeps the structure; a graph not built under a
-        # structure key gets one the ordinary way
-        structure = result.graph.structure \
-            or fingerprint_net(net).structure
-        graph, skeleton = self._graph_for(net, structure, freqs)
-        return self._solve(net, graph, skeleton)
+        return BoundPair(self, result, pair)
 
-    def _solve(self, net: Net, graph: ReachabilityGraph,
-               skeleton: PackedSkeleton):
+    def _solve(self, net: Net, graph: ReachabilityGraph, plan: SolvePlan,
+               closed_classes: int) -> AnalysisResult:
         started = perf_now()
-        plan = skeleton.solve_plan()
         with obs.span("gtpn.solve", states=graph.state_count,
                       order=plan.k):
             pi = stationary_distribution(
-                graph, method=self.method,
-                closed_classes=skeleton.closed_class_count(), plan=plan)
+                graph, method=self.method, closed_classes=closed_classes,
+                plan=plan)
         self.stats.solve_s += perf_now() - started
         return AnalysisResult(net=net, graph=graph, pi=pi)
 
     def _graph_for(self, net: Net, structure: str,
-                   freqs: np.ndarray | None = None,
                    ) -> tuple[ReachabilityGraph, PackedSkeleton]:
-        """Re-time the structure's skeleton under *net*, else build.
-
-        ``freqs`` marks *net* as a frequency-only variant of a
-        validated net of this structure (see :func:`packed_retime`).
-        """
+        """Re-time the structure's skeleton under *net*, else build."""
         skeleton = self.cache.get(structure, self.reduction)
         if skeleton is not None:
             try:
-                return self._retime(skeleton, net, freqs), skeleton
+                return self._retime(skeleton, net), skeleton
             except SkeletonMismatch:
                 self.stats.mismatches += 1
         return self._build(net, structure)
 
     def _retime(self, skeleton: PackedSkeleton, net: Net,
-                freqs: np.ndarray | None) -> ReachabilityGraph:
+                freqs: np.ndarray | None = None) -> ReachabilityGraph:
+        """``freqs`` marks *net* as a frequency-only variant of a
+        validated net of this structure (see :func:`packed_retime`)."""
         started = perf_now()
         with obs.span("gtpn.retime"):
             graph = packed_retime(skeleton, net,
@@ -201,38 +179,113 @@ class SweepSolver:
         return graph, skeleton
 
 
-def _retimed_net(net: Net, means: Mapping[str, float],
-                 freqs: np.ndarray) -> tuple[Net, np.ndarray]:
-    """Shallow copy of *net* with the named activity pairs re-timed.
+class BoundPair:
+    """One activity pair of a solved result, bound for re-solving.
 
-    *freqs* is *net*'s frequency vector; returns the copy and a copy of
-    that vector with the pairs' entries overwritten.  Only the re-timed
-    transitions are new objects; places, arcs, gates, the unchanged
-    name-table entries and the derived conflict classes and resource
-    terms are shared with *net*, whose structure is unchanged.
+    Binding resolves once what every re-solve of the pair reuses: the
+    skeleton the result was evaluated on, its solve plan and closed
+    class count, the pair's exit and loop transition indices, and the
+    frequency vector the result was evaluated at.  :meth:`solve` then
+    writes only the pair's two entries of a copy of that vector,
+    re-times the skeleton through :func:`packed_retime` and solves
+    through :func:`stationary_distribution`, with the solver's spans
+    and stats: no net is built, copied, validated or fingerprinted and
+    the skeleton store is not consulted.  Its values are bit-identical
+    to :meth:`SweepSolver.analyze` of a net freshly built at the same
+    mean.
+
+    The result :meth:`solve` returns carries the bound net, whose
+    structure, tags and places are the re-timed net's but whose pair
+    frequencies are the bound result's; every measure of
+    :class:`~repro.gtpn.analysis.AnalysisResult` reads only those.
+    :meth:`retimed` gives a result the net it was solved at.
     """
-    transitions = list(net.transitions)
-    by_name = dict(net._transition_by_name)
-    freqs = freqs.copy()
-    for name, mean in means.items():
-        exit_t = net.get_transition(name)       # ModelError if unknown
+
+    def __init__(self, solver: SweepSolver, result: AnalysisResult,
+                 pair: str):
+        net = result.net
+        exit_t = net.get_transition(pair)       # ModelError if unknown
         if exit_t.delay != 1:
-            raise ModelError(f"transition {name!r} of net {net.name!r} "
+            raise ModelError(f"transition {pair!r} of net {net.name!r} "
                              "is not an activity pair")
-        loop_name = f"{name}.loop"
-        pair = (exit_t, net.get_transition(loop_name)) \
-            if net.has_transition(loop_name) else (exit_t,)
-        frequencies = pair_frequencies(mean)
-        if len(pair) == 1 and frequencies[1] > 0.0:
-            raise SkeletonMismatch(f"pair {name!r} was built at one tick "
-                                   "and has no loop transition")
-        for t, frequency, label in zip(pair, frequencies,
-                                       _pair_labels(mean, exit_t.gate)):
-            retimed_t = replace(t, frequency=frequency,
-                                frequency_label=label)
-            transitions[t.index] = by_name[t.name] = retimed_t
-            freqs[t.index] = frequency
-    retimed = copy.copy(net)
-    retimed.transitions = transitions
-    retimed._transition_by_name = by_name
-    return retimed, freqs
+        loop_name = f"{pair}.loop"
+        self.pair = pair
+        self._solver = solver
+        self._result = result
+        self._net = net
+        self._exit = exit_t.index
+        self._loop = net.get_transition(loop_name).index \
+            if net.has_transition(loop_name) else None
+        self._freqs = result.graph.freqs
+        self._skeleton = result.graph.skeleton
+        self._plan = self._skeleton.solve_plan()
+        self._closed = self._skeleton.closed_class_count()
+
+    def solve(self, mean: float) -> AnalysisResult:
+        """Re-solve the bound result with the pair's mean at *mean*.
+
+        A pair built at one tick has no loop transition, so re-timing
+        it to a longer mean raises :class:`SkeletonMismatch`: the
+        caller must rebuild its net.  A mean of exactly one tick
+        zeroes the loop frequency, which the skeleton cannot replay:
+        the solver builds the re-timed net instead (a counted
+        mismatch), and the bound skeleton serves later means.
+        """
+        exit_f, loop_f = pair_frequencies(mean)
+        if self._loop is None and loop_f > 0.0:
+            raise SkeletonMismatch(f"pair {self.pair!r} was built at one "
+                                   "tick and has no loop transition")
+        freqs = self._freqs.copy()
+        freqs[self._exit] = exit_f
+        if self._loop is not None:
+            freqs[self._loop] = loop_f
+        solver = self._solver
+        try:
+            graph = solver._retime(self._skeleton, self._net, freqs)
+        except SkeletonMismatch:
+            solver.stats.mismatches += 1
+            net = self._net_at(mean)
+            graph, skeleton = solver._build(
+                net, self._skeleton.structure
+                or fingerprint_net(net).structure)
+            return solver._solve(net, graph, skeleton.solve_plan(),
+                                 skeleton.closed_class_count())
+        return solver._solve(self._net, graph, self._plan, self._closed)
+
+    def _net_at(self, mean: float) -> Net:
+        """Shallow copy of the bound net with the pair re-timed to *mean*.
+
+        Only the pair's transitions are new objects; places, arcs,
+        gates, the other transitions and the derived conflict classes
+        and resource terms are shared with the bound net, whose
+        structure is unchanged.  Its fingerprint and frequency labels
+        are those of a net freshly built at *mean* (a loop-less pair
+        only ever takes a mean of one tick, see :meth:`solve`).
+        """
+        net = self._net
+        indices = (self._exit,) if self._loop is None \
+            else (self._exit, self._loop)
+        transitions = list(net.transitions)
+        by_name = dict(net._transition_by_name)
+        labels = _pair_labels(mean, transitions[self._exit].gate)
+        for index, frequency, label in zip(indices, pair_frequencies(mean),
+                                           labels):
+            t = replace(transitions[index], frequency=frequency,
+                        frequency_label=label)
+            transitions[index] = by_name[t.name] = t
+        retimed = copy.copy(net)
+        retimed.transitions = transitions
+        retimed._transition_by_name = by_name
+        return retimed
+
+    def retimed(self, result: AnalysisResult,
+                mean: float) -> AnalysisResult:
+        """*result*, a :meth:`solve` at *mean*, with the net it was
+        solved at: the re-timed net is built here, once, for the
+        result a caller keeps.  A result that already carries its own
+        net (the bound one, or a build) is returned as it is."""
+        if result is self._result or result.net is not self._net:
+            return result
+        net = self._net_at(mean)
+        result.graph.net = net
+        return replace(result, net=net)

@@ -45,15 +45,19 @@ class PacketRecord:
 class Wire:
     """Constant-latency reliable interconnect.
 
-    ``packets`` holds the last :data:`PACKET_LOG_WINDOW` packets
+    ``packets`` lists the last :data:`PACKET_LOG_WINDOW` packets
     offered, oldest first; ``packet_count`` and the ``counts_by_*``
-    tallies are exact over every packet.
+    tallies are exact over every packet.  The log keeps plain tuples
+    and builds the :class:`PacketRecord` objects only when read, so a
+    long run pays for the window it keeps, not for every packet.
     """
 
     sim: Simulator
     latency_us: float = 0.0
-    packets: deque[PacketRecord] = field(
-        default_factory=lambda: deque(maxlen=PACKET_LOG_WINDOW))
+    #: (source, destination, kind, sent_at, status) per logged packet
+    _log: deque[tuple[str, str, str, float, str]] = field(
+        default_factory=lambda: deque(maxlen=PACKET_LOG_WINDOW),
+        init=False, repr=False)
     #: (destination, kind, status) -> packets, in first-seen order
     _tally: defaultdict[tuple[str, str, str], int] = field(
         default_factory=lambda: defaultdict(int), init=False, repr=False)
@@ -71,10 +75,13 @@ class Wire:
     def record(self, source: str, destination: str, kind: str,
                status: str = "delivered") -> None:
         """Log one packet offered now and count it."""
-        self.packets.append(PacketRecord(
-            source=source, destination=destination, kind=kind,
-            sent_at=self.sim.now, status=status))
+        self._log.append((source, destination, kind, self.sim.now, status))
         self._tally[destination, kind, status] += 1
+
+    @property
+    def packets(self) -> list[PacketRecord]:
+        """The logged packets, oldest first (a snapshot)."""
+        return [PacketRecord(*packet) for packet in self._log]
 
     @property
     def packet_count(self) -> int:

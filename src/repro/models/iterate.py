@@ -24,13 +24,17 @@ the thesis:
 Only the surrogate delays change between iterations: S_d in the client
 net and C_d in the server net, each one activity pair.  So each side's
 net is built once per fixed point, on the first iteration, and solved
-through a :class:`repro.gtpn.sweep.SweepSolver`.  Every later iteration
-hands the solver only the new surrogate mean
-(:meth:`~repro.gtpn.sweep.SweepSolver.retime_pairs`), which re-times the
-previous iteration's reachability skeleton straight from it: no net is
-rebuilt, re-validated or fingerprinted.  Results are bit-identical to
-rebuilding both nets and calling :func:`repro.gtpn.analyze` on every
-iteration.
+through a :class:`repro.gtpn.sweep.SweepSolver`, which binds that
+result and its surrogate pair into a
+:class:`~repro.gtpn.sweep.BoundPair`.  Every later iteration hands the
+bound pair only the new surrogate mean: it writes the pair's two
+frequencies and re-times the first result's reachability skeleton
+under them, with the plan and closed-class count resolved at binding.
+No net is rebuilt, copied, re-validated or fingerprinted and no store
+is consulted per iteration; the re-timed net is built once, for the
+converged results :class:`NonlocalSolution` returns.  Results are
+bit-identical to rebuilding both nets and calling
+:func:`repro.gtpn.analyze` on every iteration.
 
 Each side-solve pays only for what the iteration reads: the re-time
 evaluates ``P.data`` alone, the stationary solve reads it through the
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.errors import ConvergenceError
 from repro.gtpn import AnalysisResult
-from repro.gtpn.sweep import SkeletonMismatch, SweepSolver
+from repro.gtpn.sweep import BoundPair, SkeletonMismatch, SweepSolver
 from repro.models.nonlocal_client import (SERVER_DELAY_PAIR,
                                           build_nonlocal_client_net)
 from repro.models.nonlocal_server import (CLIENT_DELAY_PAIR,
@@ -109,20 +113,36 @@ def initial_server_delay(architecture: Architecture,
             + params.dma_out)
 
 
-def _solve_side(solver: SweepSolver, previous: AnalysisResult | None,
-                pair: str, mean: float, build) -> AnalysisResult:
-    """Solve one side's net with its surrogate pair at *mean*.
+class _Side:
+    """One side of the fixed point: its net, built at the first solve,
+    re-timed through its surrogate pair at every later one."""
 
-    Re-times *previous*, this side's last result; builds the net on the
-    first iteration, and when the pair was built at one tick and so has
-    no loop transition to re-time.
-    """
-    if previous is not None:
-        try:
-            return solver.retime_pairs(previous, {pair: mean})
-        except SkeletonMismatch:
-            pass
-    return solver.analyze(build(mean))
+    def __init__(self, pair: str, build):
+        self.pair = pair
+        self.build = build
+        self.solver = SweepSolver()
+        self.bound: BoundPair | None = None
+        self.mean = 0.0
+
+    def solve(self, mean: float) -> AnalysisResult:
+        """This side's result with its surrogate pair at *mean*.
+
+        Builds the net on the first call, and again when the pair was
+        built at one tick and so has no loop transition to re-time.
+        """
+        self.mean = mean
+        if self.bound is not None:
+            try:
+                return self.bound.solve(mean)
+            except SkeletonMismatch:
+                pass
+        result = self.solver.analyze(self.build(mean))
+        self.bound = self.solver.bind_pair(result, self.pair)
+        return result
+
+    def final(self, result: AnalysisResult) -> AnalysisResult:
+        """*result*, this side's last solve, with the net it solved."""
+        return self.bound.retimed(result, self.mean)
 
 
 def solve_nonlocal(architecture: Architecture, conversations: int,
@@ -154,29 +174,20 @@ def solve_nonlocal(architecture: Architecture, conversations: int,
 
     server_delay = initial_server_delay(architecture, compute_time)
     history: list[IterationStep] = []
-    client_result = server_result = None
-    # one solver per side: the first iteration builds the net, later
-    # ones re-time its skeleton from the new surrogate mean alone (see
-    # module docstring)
-    client_solver = SweepSolver()
-    server_solver = SweepSolver()
-
-    def build_client(mean: float):
-        return build_nonlocal_client_net(architecture, conversations,
-                                         mean, hosts=hosts,
-                                         params=client_params)
-
-    def build_server(mean: float):
-        return build_nonlocal_server_net(architecture, conversations,
-                                         mean, compute_time, hosts=hosts,
-                                         params=server_params)
+    # the first iteration builds each side's net, later ones re-time
+    # its skeleton from the new surrogate mean alone (see module
+    # docstring)
+    client = _Side(SERVER_DELAY_PAIR, lambda mean: build_nonlocal_client_net(
+        architecture, conversations, mean, hosts=hosts,
+        params=client_params))
+    server = _Side(CLIENT_DELAY_PAIR, lambda mean: build_nonlocal_server_net(
+        architecture, conversations, mean, compute_time, hosts=hosts,
+        params=server_params))
 
     with obs.span("models.fixed_point", architecture=architecture.name,
                   conversations=conversations) as span:
         for iteration in range(1, max_iterations + 1):
-            client_result = _solve_side(
-                client_solver, client_result, SERVER_DELAY_PAIR,
-                max(server_delay, _MIN_DELAY), build_client)
+            client_result = client.solve(max(server_delay, _MIN_DELAY))
             throughput = client_result.throughput("lambda")
             if throughput <= 0:
                 raise ConvergenceError(f"{architecture}: client model "
@@ -184,9 +195,7 @@ def solve_nonlocal(architecture: Architecture, conversations: int,
             cycle = conversations / throughput
             client_delay = max(cycle - server_delay - s_c, _MIN_DELAY)
 
-            server_result = _solve_side(
-                server_solver, server_result, CLIENT_DELAY_PAIR,
-                client_delay, build_server)
+            server_result = server.solve(client_delay)
             arrival_rate = server_result.resource_usage("lambda_in")
             if arrival_rate <= 0:
                 raise ConvergenceError(f"{architecture}: server model "
@@ -210,8 +219,9 @@ def solve_nonlocal(architecture: Architecture, conversations: int,
                     compute_time=compute_time, throughput=throughput,
                     server_delay=new_server_delay,
                     client_delay=client_delay, iterations=iteration,
-                    client_result=client_result,
-                    server_result=server_result, history=history)
+                    client_result=client.final(client_result),
+                    server_result=server.final(server_result),
+                    history=history)
             server_delay = (damping * new_server_delay
                             + (1.0 - damping) * server_delay)
 

@@ -132,27 +132,31 @@ class TrafficMeter:
     # ------------------------------------------------------------------
     # admission-side events (attributed by arrival time)
     # ------------------------------------------------------------------
-    def _window(self, time: float) -> TrafficCounts:
-        return self.measured if time >= self.measure_from \
-            else self.warmup
-
+    # each record picks its window inline (one comparison, no call):
+    # these run once per arrival and outcome of an open run
     def record_offered(self, arrived_at: float) -> None:
-        self._window(arrived_at).offered += 1
+        (self.measured if arrived_at >= self.measure_from
+         else self.warmup).offered += 1
 
     def record_dispatched(self, arrived_at: float) -> None:
-        self._window(arrived_at).dispatched += 1
+        (self.measured if arrived_at >= self.measure_from
+         else self.warmup).dispatched += 1
 
     def record_queued(self, arrived_at: float) -> None:
-        self._window(arrived_at).queued += 1
+        (self.measured if arrived_at >= self.measure_from
+         else self.warmup).queued += 1
 
     def record_dropped(self, arrived_at: float) -> None:
-        self._window(arrived_at).dropped += 1
+        (self.measured if arrived_at >= self.measure_from
+         else self.warmup).dropped += 1
 
     def record_rejected(self, arrived_at: float) -> None:
-        self._window(arrived_at).rejected += 1
+        (self.measured if arrived_at >= self.measure_from
+         else self.warmup).rejected += 1
 
     def record_deferred(self, arrived_at: float) -> None:
-        self._window(arrived_at).deferred += 1
+        (self.measured if arrived_at >= self.measure_from
+         else self.warmup).deferred += 1
 
     # ------------------------------------------------------------------
     # completion-side events (attributed by completion time)
@@ -161,7 +165,8 @@ class TrafficMeter:
                           completed_at: float) -> None:
         if completed_at < arrived_at or dispatched_at < arrived_at:
             raise TrafficError("completion before arrival")
-        counts = self._window(completed_at)
+        counts = self.measured if completed_at >= self.measure_from \
+            else self.warmup
         counts.completed += 1
         latency = completed_at - arrived_at
         missed = self.deadline_us is not None \
@@ -179,7 +184,8 @@ class TrafficMeter:
                        failed_at: float) -> None:
         if failed_at < arrived_at:
             raise TrafficError("failure before arrival")
-        self._window(failed_at).failed += 1
+        (self.measured if failed_at >= self.measure_from
+         else self.warmup).failed += 1
 
     # ------------------------------------------------------------------
     # derived rates over the measurement window

@@ -2,7 +2,8 @@
 
 Retired engines live on here, outside the package, as differential
 oracles for the code that replaced them: the augmented-system
-stationary solve and the one-state-at-a-time object reachability walk.
+stationary solve, the one-state-at-a-time object reachability walk and
+the program-major branch-value fold.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import scipy.sparse.linalg as spla
 
 from repro.errors import StateSpaceLimitError
 from repro.gtpn import Net
-from repro.gtpn.packed import compile_packed, packed_build
+from repro.gtpn.packed import (_branch_values, compile_packed,
+                               packed_build)
 from repro.gtpn.state import ExhaustiveResolver, State, TickEngine
 
 
@@ -165,3 +167,55 @@ def assert_matches_oracle(net: Net) -> None:
 def oracle_identical():
     """:func:`assert_matches_oracle` as a differential-test fixture."""
     return assert_matches_oracle
+
+
+def strided_branch_values(ev, freqs: np.ndarray,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """The retired program-major branch-value fold, as an oracle.
+
+    The packed engine once stored the factor ids of its programs as
+    ``(programs, rounds, cols)`` and folded each round with one strided
+    gather per column; this reads the stored round-major ids through
+    that layout (a transposed view) and folds them the retired way.
+    :func:`repro.gtpn.packed._branch_values` must equal it bit for bit.
+    """
+    freqs_ext = np.zeros(len(freqs) + 1)
+    freqs_ext[:-1] = freqs
+    n_factors = len(ev.f_chosen)
+    total = np.zeros(n_factors)
+    for k in range(ev.f_members.shape[1]):
+        total = total + freqs_ext[ev.f_members[:, k]]
+    fvals_ext = np.ones(n_factors + 1)
+    np.divide(freqs_ext[ev.f_chosen], total, out=fvals_ext[:-1])
+
+    prog_fids = ev.prog_fids.transpose(2, 0, 1)
+    n_progs, n_rounds, n_cols = prog_fids.shape
+    prog_values = np.ones(n_progs)
+    for r in range(n_rounds):
+        round_p = fvals_ext[prog_fids[:, r, 0]]
+        for c in range(1, n_cols):
+            round_p = round_p * fvals_ext[prog_fids[:, r, c]]
+        prog_values = round_p if r == 0 else prog_values * round_p
+
+    branch_vals = np.bincount(ev.item_branch,
+                              weights=prog_values[ev.item_pid],
+                              minlength=ev.n_branches)
+    return prog_values, branch_vals
+
+
+def assert_fold_matches_strided(net: Net, reduction: str = "none") -> None:
+    """The packed build of *net* folds its branch values exactly as
+    :func:`strided_branch_values` does."""
+    graph, skeleton = packed_build(net, compile_packed(net, reduction),
+                                   max_states=200_000, reduction=reduction)
+    expected = strided_branch_values(skeleton.ev, graph.freqs)
+    folded = _branch_values(skeleton.ev, graph.freqs)
+    assert folded[0].tobytes() == expected[0].tobytes()
+    assert folded[1].tobytes() == expected[1].tobytes()
+    assert graph.program_values.tobytes() == expected[0].tobytes()
+
+
+@pytest.fixture(scope="session")
+def fold_identical():
+    """:func:`assert_fold_matches_strided` as a differential fixture."""
+    return assert_fold_matches_strided

@@ -19,7 +19,7 @@ from repro import obs
 from repro.gtpn import Net, activity_pair, markov
 from repro.gtpn.packed import (_evaluate, compile_packed, packed_build,
                                packed_retime)
-from repro.gtpn.sweep import SweepSolver
+from repro.gtpn.sweep import BoundPair, SweepSolver
 from repro.models import (Architecture, build_local_net,
                           build_replicated_local_net, solve_nonlocal)
 from repro.models.nonlocal_client import build_nonlocal_client_net
@@ -140,13 +140,14 @@ def test_fixed_point_reads_only_what_it_needs(monkeypatch):
     ``P.data`` through the plan, the measures read in-flight counts
     and token counts."""
     results = []
-    original = SweepSolver._solve
-
-    def kept(self, net, graph, skeleton):
-        result = original(self, net, graph, skeleton)
-        results.append(result)
-        return result
-    monkeypatch.setattr(SweepSolver, "_solve", kept)
+    # the first iteration of each side analyzes its net, every later
+    # one re-solves it through the bound surrogate pair
+    for owner, name in ((SweepSolver, "analyze"), (BoundPair, "solve")):
+        def kept(self, arg, _original=getattr(owner, name)):
+            result = _original(self, arg)
+            results.append(result)
+            return result
+        monkeypatch.setattr(owner, name, kept)
     solution = solve_nonlocal(Architecture.II, 2, 3000.0)
     assert len(results) == 2 * solution.iterations
     for result in results:

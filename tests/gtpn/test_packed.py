@@ -126,6 +126,35 @@ def test_gated_model_nets_bit_identical_to_object_walk(oracle_identical,
                 arch, n, surrogate, hosts=hosts))
 
 
+#: Every chapter-6 net family: local, client and server nets of each
+#: architecture over the conversation counts the figures sweep.
+CHAPTER_6_NETS = [
+    *[(f"local-{a.name}-n{n}", lambda a=a, n=n: build_local_net(a, n))
+      for a in Architecture for n in (1, 2, 3, 4)],
+    *[(f"client-{a.name}-n{n}",
+       lambda a=a, n=n: build_nonlocal_client_net(a, n, 3000.0))
+      for a in Architecture for n in (1, 2, 3, 4)],
+    *[(f"server-{a.name}-n{n}",
+       lambda a=a, n=n: build_nonlocal_server_net(a, n, 450.0, 3000.0))
+      for a in Architecture for n in (1, 2, 3, 4)],
+]
+
+
+@pytest.mark.parametrize("name, make", CHAPTER_6_NETS,
+                         ids=[name for name, _ in CHAPTER_6_NETS])
+def test_round_major_fold_matches_the_strided_fold(fold_identical, name,
+                                                   make):
+    fold_identical(make())
+
+
+@pytest.mark.parametrize("reduction", ["lump", "lump+elim"])
+def test_round_major_fold_matches_the_strided_fold_lumped(fold_identical,
+                                                          reduction):
+    fold_identical(build_local_net(Architecture.II, 3), reduction)
+    fold_identical(build_nonlocal_client_net(Architecture.II, 3, 3000.0),
+                   reduction)
+
+
 def test_gated_off_member_leaves_the_weighted_choice():
     """A closed gate acts exactly as frequency zero: with the
     inhibitor marked, a gated 0.25 member and an ungated 0.75 member
@@ -187,6 +216,14 @@ def test_property_random_gated_nets_bit_identical(oracle_identical, net):
     included; the explicit example pins a delay-2 gate target and a
     target started in an earlier settle round of the same tick."""
     oracle_identical(net)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gated_nets())
+@example(_gated_net())
+def test_property_random_gated_nets_fold_like_the_strided_fold(
+        fold_identical, net):
+    fold_identical(net)
 
 
 def test_gate_with_unknown_name_rejected():

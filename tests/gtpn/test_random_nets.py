@@ -124,6 +124,13 @@ def test_property_deflated_solve_matches_augmented_oracle(
         assert np.abs(pi - expected).max() <= 1e-12
 
 
+@settings(max_examples=25, deadline=None)
+@given(conservative_nets())
+def test_property_round_major_fold_matches_the_strided_fold(
+        fold_identical, net):
+    fold_identical(net)
+
+
 def test_reducible_chain_is_refused():
     """Two disjoint closed classes: the analyzer must refuse rather
     than return one of the infinitely many stationary solutions (a

@@ -8,6 +8,8 @@ another timing of the same structure and a throwaway plan all give the
 same vector bit for bit, on every execution path.
 """
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro import obs
 from repro.errors import AnalysisError
 from repro.gtpn import Net, activity_pair, analyze, build_reachability_graph
 from repro.gtpn import markov
+from repro.gtpn.packed import compile_packed, packed_build, packed_retime
 from repro.gtpn.sweep import SweepSolver
 from repro.models import Architecture, build_local_net
 from repro.models.nonlocal_client import build_nonlocal_client_net
@@ -237,3 +240,43 @@ def test_one_structure_sweep_builds_one_plan():
     assert recorder.counters.get("markov.plan.build") == 1.0
     assert recorder.counters.get("markov.method.lu") == 9.0
     assert recorder.gauges["markov.plan.order_s"] >= 0.0
+
+
+def test_one_plan_solved_from_several_threads_at_once_matches_serial():
+    """Skeletons, and so plans, are shared process-wide: threads
+    solving one plan at the same time, at two timings, get the serial
+    solves' vectors bit for bit.  Four threads (more than the CPUs a
+    runner has) and a short switch interval make the solves interleave
+    between wrapping the data and factoring it."""
+    net = _client(4, 3000.0)
+    graph, skeleton = packed_build(net, compile_packed(net),
+                                   max_states=200_000)
+    other = packed_retime(skeleton, _client(4, 450.0), max_states=200_000)
+    plan = skeleton.solve_plan()
+    datas = (graph.data, other.data)
+    serial = [markov._solve_linear(data, plan).tobytes() for data in datas]
+    assert serial[0] != serial[1]
+    rounds = 150
+    start = threading.Barrier(4)
+    outcomes: list[list[bool]] = [[] for _ in range(4)]
+
+    def solve(index):
+        side = index % 2
+        start.wait(timeout=60)
+        for _ in range(rounds):
+            pi = markov._solve_linear(datas[side], plan)
+            outcomes[index].append(pi.tobytes() == serial[side])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(index,))
+                   for index in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcomes == [[True] * rounds] * 4

@@ -202,46 +202,62 @@ def test_solver_falls_back_to_rebuild_on_mismatch():
 
 
 # ----------------------------------------------------------------------
-# re-timing named activity pairs of a solved result
+# re-timing a named activity pair of a solved result (BoundPair)
 # ----------------------------------------------------------------------
 
 def test_retime_pairs_matches_fresh_build_and_its_fingerprint():
     solver = SweepSolver()
     first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
-    retimed = solver.retime_pairs(first, {"work": 9.0})
+    bound = solver.bind_pair(first, "work")
+    retimed = bound.solve(9.0)
     fresh = _grid_net(0.5, 0.5, 9.0)
     _assert_identical(retimed, _fresh(fresh))
-    assert fingerprint_net(retimed.net) == fingerprint_net(fresh)
-    assert [t.frequency_label for t in retimed.net.transitions] \
+    # a re-solve carries the bound net; the net it was solved at is
+    # built on demand
+    assert retimed.net is first.net
+    kept = bound.retimed(retimed, 9.0)
+    assert kept.pi is retimed.pi and kept.graph.net is kept.net
+    assert fingerprint_net(kept.net) == fingerprint_net(fresh)
+    assert [t.frequency_label for t in kept.net.transitions] \
         == [t.frequency_label for t in fresh.transitions]
     # the solved-at net is a copy: the first result keeps its timing
     assert fingerprint_net(first.net) == \
         fingerprint_net(_grid_net(0.5, 0.5, 4.0))
+    assert bound.retimed(first, 4.0) is first
     assert solver.stats.skeleton_builds == 1
     assert solver.stats.points_retimed == 1
 
 
 def test_retime_pairs_to_one_tick_falls_back_to_a_build():
     """A mean of exactly one tick zeroes the loop frequency, so the
-    support changes and the solver builds instead of replaying."""
+    support changes and the solver builds instead of replaying; the
+    bound skeleton still serves later means."""
     solver = SweepSolver()
     first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
-    retimed = solver.retime_pairs(first, {"work": 1.0})
+    bound = solver.bind_pair(first, "work")
+    retimed = bound.solve(1.0)
     assert solver.stats.mismatches == 1
     assert solver.stats.skeleton_builds == 2
     assert retimed.net.get_transition("work.loop").frequency == 0.0
+    assert bound.retimed(retimed, 1.0) is retimed
     oracle = _fresh(_grid_net(0.5, 0.5, 1.0))     # built without a loop
     assert retimed.throughput() == oracle.throughput()
     assert (retimed.pi == oracle.pi).all()
     assert np.array_equal(retimed.graph.matrix.data,
                           oracle.graph.matrix.data)
+    later = bound.solve(6.0)
+    assert solver.stats.skeleton_builds == 2
+    assert solver.stats.points_retimed == 1
+    _assert_identical(later, _fresh(_grid_net(0.5, 0.5, 6.0)))
 
 
 def test_retime_pairs_cannot_add_a_loop_transition():
     solver = SweepSolver()
     first = solver.analyze(_grid_net(0.5, 0.5, 1.0))
+    bound = solver.bind_pair(first, "work")
     with pytest.raises(SkeletonMismatch):
-        solver.retime_pairs(first, {"work": 4.0})
+        bound.solve(4.0)
+    _assert_identical(bound.solve(1.0), first)
 
 
 def test_retime_pairs_rejects_unknown_or_non_pair_names():
@@ -249,14 +265,15 @@ def test_retime_pairs_rejects_unknown_or_non_pair_names():
     solver = SweepSolver()
     first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
     with pytest.raises(ModelError):
-        solver.retime_pairs(first, {"no-such-pair": 4.0})
+        solver.bind_pair(first, "no-such-pair")
     with pytest.raises(ModelError):
-        solver.retime_pairs(first, {"Tb": 4.0})     # delay 2: no pair
+        solver.bind_pair(first, "Tb")     # delay 2: no pair
 
 
-def test_retime_pairs_rechecks_delays_of_a_shared_skeleton():
+def test_bound_pair_keeps_its_results_skeleton():
     """Delays are timing, not structure: when the structure's skeleton
-    was last built for other delays, re-timing a pair must rebuild."""
+    in the store was last built for other delays, a bound pair still
+    re-times the skeleton its result was evaluated on."""
     def net_with(delay: int, mean: float) -> Net:
         net = _delay_net(delay)
         ready = net.get_place("Ready")
@@ -266,6 +283,8 @@ def test_retime_pairs_rechecks_delays_of_a_shared_skeleton():
     solver = SweepSolver()
     first = solver.analyze(net_with(2, 4.0))
     solver.analyze(net_with(3, 4.0))            # replaces the skeleton
-    retimed = solver.retime_pairs(first, {"work": 6.0})
-    assert solver.stats.mismatches == 2
+    retimed = solver.bind_pair(first, "work").solve(6.0)
+    assert solver.stats.mismatches == 1
+    assert solver.stats.skeleton_builds == 2
+    assert solver.stats.points_retimed == 1
     _assert_identical(retimed, _fresh(net_with(2, 6.0)))
