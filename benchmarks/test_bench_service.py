@@ -35,7 +35,7 @@ def _toy_experiment() -> Experiment:
 
 def test_bench_service_throughput_and_dedupe(perf_record):
     with temporary_experiment(_toy_experiment()):
-        service = ExperimentService(workers=2, queue_depth=_BATCH)
+        service = ExperimentService()
         try:
             started = perf_now()
             handles = [service.submit("bench-svc", seed=n % _UNIQUE)

@@ -25,8 +25,8 @@ lane**: the run executes synchronously in the calling thread (same
 stack traces, same profiling, same obs bit-identity as ever) while
 :func:`submit_experiment` exposes the asynchronous side — a
 :class:`~repro.service.jobs.JobHandle` with ``poll`` / ``result`` /
-``stream_events``, request coalescing, and the content-addressed
-result store (:mod:`repro.service`).
+``stream_events``, request coalescing, and an in-memory
+content-addressed result store (:mod:`repro.service`).
 
 ``trace=PATH`` records the run with :mod:`repro.obs` and writes both
 exports: a Chrome-trace JSON at *PATH* and the versioned JSONL stream
@@ -206,21 +206,19 @@ def run_experiment(experiment_id: str, *,
     return handle.result()
 
 
-def submit_experiment(experiment_id: str, *, tenant: str = "default",
-                      service=None, trace: str | Path | None = None,
-                      **knobs):
+def submit_experiment(experiment_id: str, *, service=None,
+                      trace: str | Path | None = None, **knobs):
     """Submit one experiment to the service; returns a
     :class:`~repro.service.jobs.JobHandle` immediately.
 
     The asynchronous sibling of :func:`run_experiment` (same keywords,
     same semantics once the job runs): the submission goes through the
-    default :class:`~repro.service.ExperimentService` — admission
-    control, request coalescing, the content-addressed result store —
-    and the handle exposes ``poll()`` / ``result(timeout)`` /
+    default :class:`~repro.service.ExperimentService` — request
+    coalescing, the in-memory result store, one worker thread — and
+    the handle exposes ``poll()`` / ``result(timeout)`` /
     ``stream_events()``.  Pass ``service=`` to target a specific
-    service instance, ``tenant=`` to attribute the work in the
-    service's stats.
+    service instance.
     """
     from repro.service import default_service
     svc = service if service is not None else default_service()
-    return svc.submit(experiment_id, tenant=tenant, trace=trace, **knobs)
+    return svc.submit(experiment_id, trace=trace, **knobs)

@@ -302,12 +302,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Drive the experiment service: submit ids (with repeats) through
     the async queue, report per-job outcomes, optionally dump stats."""
-    from repro.service import ExperimentService, ResultStore
-    store = ResultStore(directory=args.store) \
-        if args.store is not None else None
-    service = ExperimentService(workers=args.workers,
-                                queue_depth=args.queue_depth,
-                                policy=args.policy, store=store)
+    from repro.service import ExperimentService
+    service = ExperimentService()
     try:
         handles = []
         rejected = 0
@@ -606,21 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeat", type=int, default=1, metavar="N",
         help="submit the id list N times (duplicates exercise "
              "coalescing and the result store; default 1)")
-    p_serve.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="service worker threads (default 2; executions are "
-             "serialised, workers overlap queueing and bookkeeping)")
-    p_serve.add_argument(
-        "--policy", choices=["drop", "reject", "backpressure"],
-        default="backpressure",
-        help="admission policy at a full queue (default backpressure)")
-    p_serve.add_argument(
-        "--queue-depth", type=int, default=64, metavar="N",
-        help="bounded job-queue depth (default 64)")
-    p_serve.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="result-store disk tier (default: REPRO_RESULT_DIR or "
-             "memory-only)")
     p_serve.add_argument(
         "--timeout", type=float, default=600.0, metavar="S",
         help="per-job result timeout in seconds (default 600)")

@@ -191,10 +191,6 @@ KNOBS: tuple[Knob, ...] = (
     Knob("jobs", "--jobs", "REPRO_JOBS", _positive_int, 1, "execution",
          "worker processes for sweep experiments (default 1, serial); "
          "results are identical at any N"),
-    Knob("result_dir", None, "REPRO_RESULT_DIR", _as_is, None,
-         "execution",
-         "experiment-service result-store directory (default: memory "
-         "only)"),
 )
 
 _BY_NAME = {spec.name: spec for spec in KNOBS}

@@ -77,20 +77,3 @@ class ConfigError(ReproError, ValueError):
 
 class ServiceError(ReproError):
     """Experiment-service failure (job queue, result store, handles)."""
-
-
-class AdmissionError(ServiceError):
-    """A submission was refused or shed by the service admission tier.
-
-    ``policy`` says which policy fired — ``"reject"`` raises at
-    :meth:`~repro.service.ExperimentService.submit` time, ``"drop"``
-    surfaces later from :meth:`~repro.service.jobs.JobHandle.result`
-    on the silently-shed handle.  ``tenant`` is the submitting tenant,
-    so multi-tenant callers can attribute the shed work.
-    """
-
-    def __init__(self, message: str, *, policy: str = "reject",
-                 tenant: str = "default"):
-        self.policy = policy
-        self.tenant = tenant
-        super().__init__(message)

@@ -1,4 +1,4 @@
-"""The experiment service: async jobs, coalescing, a shared store.
+"""The experiment service: async jobs, coalescing, a result store.
 
 The service tier reframes the front door as *submission* instead of
 *call*: the paper's thesis — a shared kernel service multiplexing many
@@ -15,17 +15,16 @@ evaluation pipeline.
 
 Pieces (one module each):
 
-* :class:`ExperimentService` (:mod:`repro.service.queue`) — the job
-  queue, worker threads, admission policies (``drop`` / ``reject`` /
-  ``backpressure``), request coalescing, and the
-  stats snapshot behind ``repro serve --stats``.
+* :class:`ExperimentService` (:mod:`repro.service.queue`) — the
+  unbounded job queue, its one worker thread, the inline lane, request
+  coalescing, and the stats snapshot behind ``repro serve --stats``.
 * :class:`~repro.service.jobs.JobKey` / :class:`~repro.service.jobs.\
 JobHandle` (:mod:`repro.service.jobs`) — content-addressed job
   identity (structure × timing, the analysis cache's split) and the
   caller's view of an execution.
 * :class:`~repro.service.store.ResultStore`
-  (:mod:`repro.service.store`) — the memory+disk result tier
-  (``REPRO_RESULT_DIR`` makes it survive restarts).
+  (:mod:`repro.service.store`) — the in-memory LRU of finished
+  results; it lives as long as its service.
 
 :func:`default_service` is the process-wide instance
 :func:`repro.api.run_experiment` and :func:`repro.api.\
@@ -39,7 +38,7 @@ import threading
 
 from repro.service.jobs import (JobEvent, JobHandle, JobKey, JobStatus,
                                 build_job_key)
-from repro.service.queue import VALID_POLICIES, ExperimentService
+from repro.service.queue import ExperimentService
 from repro.service.store import ResultStore
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "JobKey",
     "JobStatus",
     "ResultStore",
-    "VALID_POLICIES",
     "build_job_key",
     "default_service",
     "reset_default_service",

@@ -14,10 +14,10 @@ trusts:
   knobs' roles, so a knob that changes values cannot be left out.  Two
   submissions with equal keys are the same computation — the basis for
   request coalescing and the content-addressed result store.
-  Execution knobs (``jobs``, ``result_dir``) and ``trace`` are
-  deliberately **excluded**: they change wall-clock time and
-  scheduling, never values (the bit-identity contract the backends
-  suite pins), so they must not fragment the address space.
+  The execution knob ``jobs`` and ``trace`` are deliberately
+  **excluded**: they change wall-clock time and scheduling, never
+  values (the bit-identity contract the backends suite pins), so they
+  must not fragment the address space.
 
 * :class:`JobHandle` — one submission's view of a (possibly shared)
   execution: ``poll()`` for the current :class:`JobStatus`,
@@ -37,23 +37,21 @@ from enum import Enum
 from typing import Iterator
 
 from repro import config
-from repro.errors import AdmissionError, ServiceError
+from repro.errors import ServiceError
 from repro.obs.clock import perf_now
 
 
 class JobStatus(Enum):
-    """Lifecycle of one submission, in order; three terminal states."""
+    """Lifecycle of one submission, in order; two terminal states."""
 
     QUEUED = "queued"
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
-    DROPPED = "dropped"
 
     @property
     def terminal(self) -> bool:
-        return self in (JobStatus.DONE, JobStatus.FAILED,
-                        JobStatus.DROPPED)
+        return self in (JobStatus.DONE, JobStatus.FAILED)
 
 
 def _digest(parts: tuple) -> str:
@@ -66,8 +64,8 @@ class JobKey:
     """Content address of one experiment evaluation, structure×timing.
 
     Hashable and order-insensitive to submission: equal keys mean the
-    same computation.  ``digest`` is the store's file-name-safe
-    address; the split halves are kept separate so stats and logs can
+    same computation.  ``digest`` addresses the in-flight map and the
+    store; the split halves are kept separate so stats and logs can
     say *which half* differed between two near-miss submissions.
     """
 
@@ -126,7 +124,7 @@ def build_job_key(experiment_id: str, run_kwargs: dict) -> JobKey:
 @dataclass(frozen=True)
 class JobEvent:
     """One timestamped lifecycle event (``submitted``, ``started``,
-    ``coalesced``, ``store-hit``, ``done``, ``failed``, ``dropped``)."""
+    ``coalesced``, ``store-hit``, ``done``, ``failed``)."""
 
     ts: float                       # perf_now() at emission
     kind: str
@@ -173,10 +171,9 @@ class _Execution:
 class JobHandle:
     """One submission's view of its (possibly coalesced) execution."""
 
-    def __init__(self, job_id: str, execution: _Execution, tenant: str,
-                 *, coalesced: bool = False, store_hit: bool = False):
+    def __init__(self, job_id: str, execution: _Execution, *,
+                 coalesced: bool = False, store_hit: bool = False):
         self.job_id = job_id
-        self.tenant = tenant
         #: True when this submission attached to an in-flight
         #: execution of the same :class:`JobKey` instead of enqueueing.
         self.coalesced = coalesced
@@ -203,9 +200,7 @@ class JobHandle:
         """Block for the :class:`~repro.api.ExperimentResult`.
 
         Re-raises the run's exception if it failed; raises
-        :class:`~repro.errors.AdmissionError` if the drop policy shed
-        this job; raises :class:`~repro.errors.ServiceError` on
-        timeout.
+        :class:`~repro.errors.ServiceError` on timeout.
         """
         execution = self._execution
         with execution.cond:
@@ -214,11 +209,6 @@ class JobHandle:
                 raise ServiceError(
                     f"job {self.job_id} ({execution.experiment_id}) "
                     f"still {execution.status.value} after {timeout}s")
-            if execution.status is JobStatus.DROPPED:
-                raise AdmissionError(
-                    f"job {self.job_id} ({execution.experiment_id}) "
-                    "was shed by the drop admission policy",
-                    policy="drop", tenant=self.tenant)
             if execution.status is JobStatus.FAILED:
                 raise execution.error
             return execution.result

@@ -34,8 +34,6 @@ SAMPLES = {
     "deadline": ("4000", 4_000.0, "9000", 9_000.0,
                  ["soon", "-1", "0", "nan", "inf", ""]),
     "jobs": ("4", 4, 2, 2, ["banana", "0", "-2", "2.5", ""]),
-    "result_dir": ("/srv/results", "/srv/results", "/srv/other",
-                   "/srv/other", []),
 }
 
 ALL_KNOBS = pytest.mark.parametrize(
@@ -49,8 +47,8 @@ def _no_knob_env(monkeypatch):
             monkeypatch.delenv(knob.env, raising=False)
 
 
-def test_table_is_the_ten_knobs_with_samples():
-    assert len(config.KNOBS) == 10
+def test_table_is_the_nine_knobs_with_samples():
+    assert len(config.KNOBS) == 9
     assert {knob.name for knob in config.KNOBS} == set(SAMPLES)
     assert {knob.role for knob in config.KNOBS} == set(config.ROLES)
     flags = [knob.flag for knob in config.KNOBS if knob.flag]

@@ -13,15 +13,15 @@ from tests.service.conftest import ToyTracker, make_toy
 TIMEOUT = 30.0
 
 
-def _gated_service(tracker: ToyTracker, **kwargs) -> ExperimentService:
+def _gated_service(tracker: ToyTracker) -> ExperimentService:
     tracker.gate = threading.Event()
-    return ExperimentService(**kwargs)
+    return ExperimentService()
 
 
 def test_identical_submissions_execute_once():
     tracker = ToyTracker()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = _gated_service(tracker, workers=2)
+        service = _gated_service(tracker)
         try:
             with obs.recording() as recorder:
                 first = service.submit("toy-exp", seed=7)
@@ -51,7 +51,7 @@ def test_identical_submissions_execute_once():
 def test_different_seed_breaks_the_coalesce_key():
     tracker = ToyTracker()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = _gated_service(tracker, workers=1)
+        service = _gated_service(tracker)
         try:
             a = service.submit("toy-exp", seed=1)
             assert tracker.started.acquire(timeout=TIMEOUT)
@@ -72,7 +72,7 @@ def test_execution_knobs_still_coalesce():
     # jobs changes scheduling, not values: twins coalesce
     tracker = ToyTracker()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = _gated_service(tracker, workers=2)
+        service = _gated_service(tracker)
         try:
             first = service.submit("toy-exp", seed=3, jobs=1)
             assert tracker.started.acquire(timeout=TIMEOUT)
@@ -92,7 +92,7 @@ def test_spellings_of_one_value_coalesce():
     # name one computation, so the twin attaches to the running job
     tracker = ToyTracker()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = _gated_service(tracker, workers=2)
+        service = _gated_service(tracker)
         try:
             first = service.submit("toy-exp", seed=4, sync="CAS",
                                    reduction="elim+lump")
@@ -114,7 +114,7 @@ def test_traced_submissions_never_coalesce(tmp_path):
     # sharing it with an untraced twin would corrupt both contracts
     tracker = ToyTracker()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = _gated_service(tracker, workers=1)
+        service = _gated_service(tracker)
         try:
             plain = service.submit("toy-exp", seed=4)
             assert tracker.started.acquire(timeout=TIMEOUT)
@@ -140,7 +140,7 @@ def test_traced_completion_keeps_untraced_twins_pending_entry(tmp_path):
     gate_plain = threading.Event()
     tracker.gate = gate_traced
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1)
+        service = ExperimentService()
         try:
             traced = service.submit("toy-exp", seed=4,
                                     trace=str(tmp_path / "t.json"))
@@ -167,7 +167,7 @@ def test_traced_completion_keeps_untraced_twins_pending_entry(tmp_path):
 def test_coalesced_handle_sees_the_shared_lifecycle():
     tracker = ToyTracker()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = _gated_service(tracker, workers=1)
+        service = _gated_service(tracker)
         try:
             first = service.submit("toy-exp", seed=6)
             assert tracker.started.acquire(timeout=TIMEOUT)

@@ -123,8 +123,9 @@ def test_malformed_or_unknown_knob_raises_at_key_time():
 
 
 def test_canonical_digest_matches_earlier_stores(monkeypatch):
-    # digests of canonical inputs are pinned from before the knob table
-    # existed, so REPRO_RESULT_DIR stores written then still hit
+    # pins key composition: which knobs enter each half, in which
+    # order and rendering.  The digests date from before the knob
+    # table existed; a change to them must be a deliberate one
     for knob in config.KNOBS:
         if knob.env is not None:
             monkeypatch.delenv(knob.env, raising=False)
@@ -152,7 +153,6 @@ EXPECTED_ROLES = {
     "arrival_rate": ("timing", 0.25),
     "deadline": ("timing", 9_000),
     "jobs": ("execution", 2),
-    "result_dir": ("execution", "/srv/results"),
 }
 
 
@@ -193,19 +193,18 @@ def test_status_terminality():
     assert not JobStatus.RUNNING.terminal
     assert JobStatus.DONE.terminal
     assert JobStatus.FAILED.terminal
-    assert JobStatus.DROPPED.terminal
 
 
 def test_handle_result_timeout_raises():
     execution = _Execution("toy", None, {})
-    handle = JobHandle("job-0", execution, "default")
+    handle = JobHandle("job-0", execution)
     with pytest.raises(ServiceError, match="still queued"):
         handle.result(timeout=0.05)
 
 
 def test_handle_replays_events_after_completion():
     execution = _Execution("toy", None, {})
-    handle = JobHandle("job-0", execution, "default")
+    handle = JobHandle("job-0", execution)
     execution.mark("submitted", job_id="job-0")
     execution.mark("started", status=JobStatus.RUNNING)
     execution.mark("done", status=JobStatus.DONE, result="r")

@@ -1,21 +1,24 @@
-"""ExperimentService behaviour: queueing, admission, lifecycle."""
+"""ExperimentService behaviour: queueing, lanes, lifecycle, ledger."""
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro import api
-from repro.errors import (AdmissionError, ConfigError, ReproError,
-                          ServiceError)
+from repro.errors import ConfigError, ReproError, ServiceError
 from repro.experiments import Experiment, temporary_experiment
 from repro.experiments.reporting import Table
+from repro.obs.clock import perf_now
 from repro.service import ExperimentService, JobStatus
 
 from tests.service.conftest import ToyTracker, make_toy
 
 TIMEOUT = 30.0
+#: How long a queued job is held behind another run's execution lock.
+WAIT_S = 0.3
 
 
 def test_async_submission_matches_inline_run():
@@ -57,132 +60,47 @@ def test_lifecycle_events_in_order():
     assert kinds == ["submitted", "started", "done"]
 
 
-def test_drop_policy_sheds_silently():
-    tracker = ToyTracker()
-    tracker.gate = threading.Event()
-    with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1, queue_depth=1,
-                                    policy="drop")
+def test_queued_job_waits_outside_its_latency_clock():
+    # while an inline run in another thread holds the execution lock,
+    # the worker has popped the job but cannot run it: the job must
+    # still poll QUEUED, and its latency must not count the wait
+    blocker = ToyTracker()
+    blocker.gate = threading.Event()
+    service = ExperimentService()
+    inline = threading.Thread(
+        target=lambda: service.submit("toy-inline", lane="inline"))
+    with temporary_experiment(make_toy("toy-inline", tracker=blocker)), \
+            temporary_experiment(make_toy()):
         try:
-            running = service.submit("toy-exp", seed=1)
-            assert tracker.started.acquire(timeout=TIMEOUT)
-            queued = service.submit("toy-exp", seed=2)
-            shed = service.submit("toy-exp", seed=3)
-            assert shed.poll() is JobStatus.DROPPED
-            with pytest.raises(AdmissionError) as excinfo:
-                shed.result(timeout=TIMEOUT)
-            assert excinfo.value.policy == "drop"
-            tracker.gate.set()
-            running.result(timeout=TIMEOUT)
-            queued.result(timeout=TIMEOUT)
+            inline.start()
+            assert blocker.started.acquire(timeout=TIMEOUT)
+            handle = service.submit("toy-exp", seed=1)
+            deadline = perf_now() + TIMEOUT
+            while service.stats()["busy"] == 0:
+                assert perf_now() < deadline
+                time.sleep(0.005)
+            time.sleep(WAIT_S)
+            assert handle.poll() is JobStatus.QUEUED
+            released = perf_now()
+            blocker.gate.set()
+            handle.result(timeout=TIMEOUT)
         finally:
-            tracker.gate.set()
+            blocker.gate.set()
+            inline.join(timeout=TIMEOUT)
             service.shutdown()
-    assert service.stats()["dropped"] == 1
-    assert sorted(tracker.runs) == [1, 2]     # the shed seed never ran
-
-
-def test_reject_policy_raises_at_submit():
-    tracker = ToyTracker()
-    tracker.gate = threading.Event()
-    with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1, queue_depth=1,
-                                    policy="reject")
-        try:
-            running = service.submit("toy-exp", seed=1)
-            assert tracker.started.acquire(timeout=TIMEOUT)
-            service.submit("toy-exp", seed=2)
-            with pytest.raises(AdmissionError, match="queue full"):
-                service.submit("toy-exp", seed=3)
-            tracker.gate.set()
-            running.result(timeout=TIMEOUT)
-        finally:
-            tracker.gate.set()
-            service.shutdown()
-    assert service.stats()["rejected"] == 1
-
-
-def test_backpressure_blocks_submitter_until_room():
-    tracker = ToyTracker()
-    tracker.gate = threading.Event()
-    with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1, queue_depth=1,
-                                    policy="backpressure")
-        try:
-            service.submit("toy-exp", seed=1)
-            assert tracker.started.acquire(timeout=TIMEOUT)
-            service.submit("toy-exp", seed=2)
-            blocked_handle = []
-
-            def pressured_submit():
-                blocked_handle.append(
-                    service.submit("toy-exp", seed=3))
-
-            submitter = threading.Thread(target=pressured_submit)
-            submitter.start()
-            submitter.join(timeout=0.3)
-            assert submitter.is_alive()       # held back, not dropped
-            tracker.gate.set()                # free the worker
-            submitter.join(timeout=TIMEOUT)
-            assert not submitter.is_alive()
-            blocked_handle[0].result(timeout=TIMEOUT)
-        finally:
-            tracker.gate.set()
-            service.shutdown()
-    stats = service.stats()
-    assert stats["backpressured"] == 1
-    assert sorted(tracker.runs) == [1, 2, 3]  # nothing was lost
-
-
-def test_backpressured_identical_twins_coalesce_not_duplicate():
-    # two identical submissions that both block under backpressure must
-    # not both enqueue once room frees: whoever wakes second re-runs
-    # the dedup block and coalesces (or store-hits), so the unique key
-    # still executes exactly once
-    tracker = ToyTracker()
-    tracker.gate = threading.Event()
-    with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1, queue_depth=1,
-                                    policy="backpressure")
-        try:
-            service.submit("toy-exp", seed=1)
-            assert tracker.started.acquire(timeout=TIMEOUT)
-            service.submit("toy-exp", seed=2)     # fills the queue
-            handles = []
-            handles_lock = threading.Lock()
-
-            def pressured_submit():
-                handle = service.submit("toy-exp", seed=3)
-                with handles_lock:
-                    handles.append(handle)
-
-            twins = [threading.Thread(target=pressured_submit)
-                     for _ in range(2)]
-            for twin in twins:
-                twin.start()
-            for twin in twins:
-                twin.join(timeout=0.3)
-            assert all(t.is_alive() for t in twins)  # both held back
-            tracker.gate.set()
-            for twin in twins:
-                twin.join(timeout=TIMEOUT)
-            assert not any(t.is_alive() for t in twins)
-            results = [h.result(timeout=TIMEOUT) for h in handles]
-            service.drain(timeout=TIMEOUT)
-        finally:
-            tracker.gate.set()
-            service.shutdown()
-    assert sorted(tracker.runs) == [1, 2, 3]  # seed 3 ran exactly once
-    stats = service.stats()
-    assert stats["coalesced"] + stats["store_hits"] == 1
-    assert results[0].values == results[1].values
+    started = next(event.ts for event in handle.stream_events()
+                   if event.kind == "started")
+    assert started >= released
+    latency = service.stats()["latency"]
+    assert latency["count"] == 1
+    assert latency["mean_s"] < WAIT_S and latency["p50_s"] < WAIT_S
 
 
 def test_submit_from_worker_thread_degrades_inline():
     # an experiment that re-enters the service from its own worker
     # thread must execute inline instead of deadlocking the queue
     inner = make_toy("toy-inner")
-    service = ExperimentService(workers=1)
+    service = ExperimentService()
 
     def outer_runner() -> Table:
         nested = service.submit("toy-inner", seed=5)
@@ -207,8 +125,8 @@ def test_submit_from_another_services_worker_degrades_inline():
     # degrade inline too, or the inner worker deadlocks behind the lock
     # the outer worker already holds
     inner = make_toy("toy-inner")
-    outer_service = ExperimentService(workers=1)
-    inner_service = ExperimentService(workers=1)
+    outer_service = ExperimentService()
+    inner_service = ExperimentService()
 
     def outer_runner() -> Table:
         nested = inner_service.submit("toy-inner", seed=9)
@@ -242,7 +160,7 @@ def test_drain_timeout_raises():
     tracker = ToyTracker()
     tracker.gate = threading.Event()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1)
+        service = ExperimentService()
         try:
             service.submit("toy-exp")
             assert tracker.started.acquire(timeout=TIMEOUT)
@@ -253,15 +171,6 @@ def test_drain_timeout_raises():
         finally:
             tracker.gate.set()
             service.shutdown()
-
-
-def test_invalid_construction_rejected():
-    with pytest.raises(ConfigError, match="admission policy"):
-        ExperimentService(policy="shrug")
-    with pytest.raises(ConfigError, match="workers"):
-        ExperimentService(workers=0)
-    with pytest.raises(ConfigError, match="queue_depth"):
-        ExperimentService(queue_depth=0)
 
 
 def test_stats_reconcile_after_drain():
@@ -278,7 +187,7 @@ def test_stats_reconcile_after_drain():
     stats = service.stats()
     accounted = (stats["executed"] + stats["failed"] +
                  stats["coalesced"] + stats["store_hits"] +
-                 stats["dropped"] + stats["rejected"] + stats["inline"])
+                 stats["rejected"] + stats["inline"])
     assert stats["submitted"] == 12 == accounted
     assert stats["queue_depth"] == 0 and stats["busy"] == 0
     assert stats["executed"] == 3          # one per unique seed
@@ -289,7 +198,7 @@ def test_stats_reconcile_after_drain():
 def _assert_ledger(stats: dict, submitted: int) -> None:
     accounted = (stats["executed"] + stats["failed"] +
                  stats["coalesced"] + stats["store_hits"] +
-                 stats["dropped"] + stats["rejected"] + stats["inline"])
+                 stats["rejected"] + stats["inline"])
     assert stats["submitted"] == submitted == accounted
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.experiments import temporary_experiment
@@ -19,7 +20,7 @@ def test_smoke_200_mixed_jobs_dedupe_at_least_40_percent():
     tracker = ToyTracker()
     tracker.gate = threading.Event()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=2, queue_depth=256)
+        service = ExperimentService()
         try:
             handles = [service.submit("toy-exp", seed=n % 100)
                        for n in range(200)]
@@ -50,7 +51,6 @@ def test_acceptance_1000_concurrent_submissions_bounded():
     unique = 250                               # 4 submissions each
     with temporary_experiment(make_toy(tracker=tracker)):
         service = ExperimentService(
-            workers=4, queue_depth=1024,
             store=ResultStore(memory_limit=64))   # force LRU pressure
         handles: list = []
         handles_lock = threading.Lock()
@@ -63,17 +63,23 @@ def test_acceptance_1000_concurrent_submissions_bounded():
 
         threads = [threading.Thread(target=submitter, args=(i * 31,))
                    for i in range(8)]
+        interval = sys.getswitchinterval()
         try:
+            # switch threads often, so a counter update made outside
+            # the service lock would be lost
+            sys.setswitchinterval(1e-6)
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=TIMEOUT)
+            sys.setswitchinterval(interval)
             assert not any(t.is_alive() for t in threads)
             tracker.gate.set()
             for handle in handles:
                 handle.result(timeout=TIMEOUT)
             service.drain(timeout=TIMEOUT)
         finally:
+            sys.setswitchinterval(interval)
             tracker.gate.set()
             service.shutdown()
     stats = service.stats()

@@ -1,8 +1,6 @@
-"""The content-addressed result store: LRU, disk tier, restarts."""
+"""The content-addressed result store: an in-memory LRU."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.service import ResultStore, build_job_key
 
@@ -30,87 +28,9 @@ def test_memory_lru_bound():
     assert store.get(_key(0)) is None
 
 
-def test_disk_tier_survives_restart(tmp_path):
-    first = ResultStore(directory=tmp_path)
-    first.put(_key(7), {"seed": 7})
-    assert first.disk_entries() == 1
-    # a fresh store over the same directory answers from disk
-    reborn = ResultStore(directory=tmp_path)
-    assert len(reborn) == 0
-    assert reborn.get(_key(7)) == {"seed": 7}
-    assert reborn.hits == 1
-
-
-def test_eviction_falls_back_to_disk(tmp_path):
-    store = ResultStore(directory=tmp_path, memory_limit=1)
-    store.put(_key(1), "one")
-    store.put(_key(2), "two")          # evicts key 1 from memory
-    assert store.get(_key(1)) == "one"  # reloaded from the disk tier
-
-
-def test_corrupt_disk_entry_is_a_miss(tmp_path):
-    store = ResultStore(directory=tmp_path)
-    key = _key(5)
-    store.put(key, "fine")
-    path = store._entry_path(key.digest)
-    path.write_bytes(b"not a pickle")
-    fresh = ResultStore(directory=tmp_path)
-    assert fresh.get(key) is None       # torn entry deleted, miss
-    assert not path.exists()
-
-
-def test_unpicklable_result_stays_memory_only(tmp_path):
-    store = ResultStore(directory=tmp_path)
-    key = _key(9)
-    store.put(key, lambda: None)        # lambdas do not pickle
-    assert store.disk_entries() == 0
-    assert callable(store.get(key))     # memory tier still serves it
-
-
-def test_clear_drops_both_tiers(tmp_path):
-    store = ResultStore(directory=tmp_path)
+def test_stats_shape():
+    store = ResultStore(memory_limit=8)
     store.put(_key(1), 1)
-    store.clear()
-    assert len(store) == 0 and store.disk_entries() == 0
-    assert store.get(_key(1)) is None
-
-
-def test_stats_shape(tmp_path):
-    store = ResultStore(directory=tmp_path)
-    store.put(_key(1), 1)
-    stats = store.stats()
-    assert stats["entries"] == 1 and stats["disk_entries"] == 1
-    assert stats["directory"] == str(tmp_path)
-
-
-def test_spill_failure_is_counted_and_surfaced(tmp_path):
-    from repro import obs
-    store = ResultStore(directory=tmp_path)
-    with obs.recording() as recorder:
-        store.put(_key(1), lambda: None)   # unpicklable: memory-only
-        store.put(_key(2), "fine")         # picklable: spills to disk
-    assert store.spill_failures == 1
-    assert store.stats()["spill_failures"] == 1
-    assert recorder.counters.get("store.spill_failure") == 1.0
-
-
-class _ExplodesOnLoad:
-    """Pickles fine; its __setstate__ raises on unpickling — a
-    programming defect, not a torn disk entry."""
-
-    def __init__(self):
-        self.payload = "armed"      # non-empty state forces __setstate__
-
-    def __setstate__(self, state):
-        raise RuntimeError("defective __setstate__")
-
-
-def test_defective_disk_entry_propagates(tmp_path):
-    store = ResultStore(directory=tmp_path)
-    key = _key(3)
-    store.put(key, _ExplodesOnLoad())
-    assert store.disk_entries() == 1
-    fresh = ResultStore(directory=tmp_path)
-    with pytest.raises(RuntimeError):
-        fresh.get(key)                     # not silently a miss
-    assert fresh.disk_entries() == 1       # and not deleted
+    assert store.get(_key(1)) == 1
+    assert store.stats() == {"entries": 1, "limit": 8, "hits": 1,
+                             "misses": 0}
