@@ -186,7 +186,8 @@ MIN_STATES_PER_S = 15_000
 LUMPED_BUDGET_S = 10.0
 
 #: Pre-lumping reachable states of the flagship point (arch II
-#: replicated, 4 conversations), measured by an unlumped packed build;
+#: replicated, 4 conversations), measured by a packed build of the net
+#: with its symmetry declarations stripped;
 #: re-verified when ``REPRO_BENCH_HEAVY`` is set (costs ~40 s).
 _REPLICATED_N4_FULL_STATES = 376_400
 
@@ -195,9 +196,8 @@ def test_bench_packed_scaling_arch2(perf_record):
     """Scaling records for the array-native engine: one packed build +
     exact solve per conversation count, recording the build/solve split,
     the states-per-second build rate, the order of the advance-class
-    quotient the solve factored, and which stationary-solver branch
-    produced the vector (sparse LU, or the bounded ILU-GMRES attempt
-    above the markov size threshold)."""
+    quotient the solve factored, and the stationary-solver method that
+    produced the vector (the direct LU, not the power fallback)."""
     from repro.gtpn.markov import stationary_distribution
     from repro.gtpn.packed import compile_packed, packed_build
 
@@ -222,8 +222,6 @@ def test_bench_packed_scaling_arch2(perf_record):
                     quotient_order=graph.quotient_order, reduction="none",
                     build_s=build_s, solve_s=solve_s,
                     solve_method=solve_method,
-                    gmres_unconverged=int(recorder.counters.get(
-                        "markov.gmres_unconverged", 0)),
                     states_per_s=states_per_s)
         assert states_per_s >= MIN_STATES_PER_S
 
@@ -292,18 +290,19 @@ def test_bench_lumped_flagship_point(perf_record):
     """The acceptance point for symmetry lumping: an arch-II grid
     point whose unlumped chain has >= 1e5 reachable states solves
     end-to-end (model build, lumped exploration, exact stationary
-    solve) inside the wall budget when lumping is enabled."""
+    solve) inside the wall budget; the replicated net declares its
+    symmetry, so the analyzer lumps it."""
     from repro.models import build_replicated_local_net
 
     result, total_s = _timed(
         lambda: analyze(build_replicated_local_net(Architecture.II, 4),
-                        max_states=5_000_000, reduction="lump",
-                        cache=AnalysisCache()))
+                        max_states=5_000_000, cache=AnalysisCache()))
 
     full_states = _REPLICATED_N4_FULL_STATES
     if os.environ.get("REPRO_BENCH_HEAVY"):
         from repro.gtpn.packed import compile_packed, packed_build
         net = build_replicated_local_net(Architecture.II, 4)
+        net.symmetries.clear()
         full_graph, _ = packed_build(net, compile_packed(net),
                                      max_states=5_000_000)
         full_states = full_graph.state_count

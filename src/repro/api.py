@@ -185,7 +185,7 @@ def run_experiment(experiment_id: str, *,
     """Run one registered experiment with scoped configuration.
 
     *knobs* are the rows of :data:`repro.config.KNOBS` (``seed``,
-    ``jobs``, ``sync``, ``reduction``, ``fault_plan``, the open-arrival
+    ``jobs``, ``sync``, ``fault_plan``, the open-arrival
     traffic knobs ``duration`` / ``arrival_rate`` / ``deadline`` /
     ``queue_limit``, ...), each ↔ its CLI flag.  A knob left out or
     passed as ``None`` means "whatever the surrounding CLI/env

@@ -16,8 +16,8 @@ Usage::
     python -m repro validate --rebaseline
     python -m repro serve figure-6.7 table-5.1 --repeat 3 --stats
 
-The global knob flags (``--jobs``, ``--seed``, ``--reduction``,
-``--sync`` and the traffic knobs) are generated from
+The global knob flags (``--jobs``, ``--seed``, ``--sync`` and the
+traffic knobs) are generated from
 :data:`repro.config.KNOBS`, which also holds their environment
 variables, parsers and help text; a bad value is a parser error.
 ``--jobs N`` fans the grid points of sweep experiments out over N

@@ -82,31 +82,6 @@ def _as_is(value, _source: str):
     return value
 
 
-#: Recognized reduction modes, in canonical spelling.  ``lump`` folds
-#: states related by a declared client symmetry onto one representative
-#: (:meth:`repro.gtpn.net.Net.declare_symmetry`); ``elim`` drops the
-#: transient states the chain leaves during initial settling.  Both are
-#: exact for steady-state measures and both are **off** by default so
-#: the exact path stays bit-identical to the committed baselines.
-VALID_REDUCTIONS = ("none", "lump", "elim", "lump+elim")
-
-
-def normalize_reduction(value, source: str = "reduction") -> str:
-    """Canonical reduction mode, or :class:`ConfigError` for junk.
-
-    Accepts any ``+``-joined combination of ``lump`` / ``elim`` in any
-    order (``elim+lump`` -> ``lump+elim``), plus ``none``.
-    """
-    parts = [p for p in str(value).strip().lower().split("+") if p]
-    if parts in ([], ["none"]):
-        return "none"
-    if not set(parts) <= {"lump", "elim"}:
-        raise ConfigError(
-            f"{source} must be one of {', '.join(VALID_REDUCTIONS)}, "
-            f"got {value!r}")
-    return "+".join(m for m in ("lump", "elim") if m in parts)
-
-
 #: Recognized software synchronization primitives for the architecture
 #: II queue path.  ``tas`` is the thesis's test-and-set spinlock
 #: baseline (Table 6.1's 60 us + 14 cycles); ``cas``, ``llsc`` and
@@ -156,11 +131,6 @@ class Knob:
 
 #: Every run knob, in job-key order within each role.
 KNOBS: tuple[Knob, ...] = (
-    Knob("reduction", "--reduction", "REPRO_REDUCTION",
-         normalize_reduction, "none", "structure",
-         "opt-in state-space reduction for exact solves: none, lump, "
-         "elim, or lump+elim (default none; the default exact path is "
-         "bit-identical)"),
     Knob("sync", "--sync", "REPRO_SYNC", normalize_sync, "tas",
          "structure",
          "synchronization primitive costing the architecture II "

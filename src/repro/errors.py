@@ -37,9 +37,9 @@ class StateSpaceLimitError(AnalysisError):
         super().__init__(
             f"net {net_name!r}: more than {max_states} reachable states "
             f"({state_count} interned, {frontier_size} still on the "
-            "frontier); raise max_states, simplify the model, or enable "
-            "symmetry lumping (reduction='lump') if the net declares "
-            "symmetric subnets")
+            "frontier); raise max_states, simplify the model, or "
+            "declare its symmetric subnets (Net.declare_symmetry) so "
+            "the analyzer lumps them")
 
 
 class BusError(ReproError):

@@ -22,7 +22,7 @@ from repro.gtpn.analysis import AnalysisResult, analyze
 from repro.gtpn.approximations import (activity_pair, geometric_frequency,
                                        littles_law_population,
                                        littles_law_residence)
-from repro.gtpn.markov import stationary_distribution, transition_matrix
+from repro.gtpn.markov import stationary_distribution
 from repro.gtpn.net import Gate, Net, Place, SymmetryGroup, Transition
 from repro.gtpn.packed import (PackedLayout, PackedSkeleton, compile_packed,
                                packed_build, packed_retime)
@@ -71,5 +71,4 @@ __all__ = [
     "stationary_distribution",
     "structural_deadlock_free_bound",
     "to_networkx",
-    "transition_matrix",
 ]

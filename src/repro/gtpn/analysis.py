@@ -131,26 +131,21 @@ class AnalysisResult:
         return 1.0 - self.mean_tokens(place) / tokens
 
 
-def analyze(net: Net, *, method: str = "auto",
-            max_states: int = DEFAULT_MAX_STATES,
-            cache: AnalysisCache | None = None,
-            reduction: str | None = None) -> AnalysisResult:
+def analyze(net: Net, *, max_states: int = DEFAULT_MAX_STATES,
+            cache: AnalysisCache | None = None) -> AnalysisResult:
     """Build the reachability graph of *net* and solve it exactly.
 
     The graph comes through the skeleton store (:mod:`repro.perf.cache`)
-    under the ``(structure, reduction)`` key: the first net of a
+    under the net's structure fingerprint: the first net of a
     structure builds it, and every later one re-times the held
     skeleton (:mod:`repro.gtpn.sweep`) and re-solves just the linear
     system — bit-identical to a from-scratch build.  Pass ``cache`` to
-    use a private store instead of the process-wide one.
-
-    ``reduction`` selects opt-in state-space reduction (``"lump"``,
-    ``"elim"``, ``"lump+elim"``); ``None`` resolves the configured mode
-    (CLI ``--reduction`` > ``REPRO_REDUCTION`` > ``"none"``).
+    use a private store instead of the process-wide one.  A net that
+    declares symmetry groups is lumped (:mod:`repro.gtpn.packed`).
     """
     from repro.gtpn.sweep import SweepSolver
-    with obs.span("gtpn.analyze", net=net.name, method=method) as root:
-        result = SweepSolver(method=method, max_states=max_states,
-                             cache=cache, reduction=reduction).solve(net)
+    with obs.span("gtpn.analyze", net=net.name) as root:
+        result = SweepSolver(max_states=max_states,
+                             cache=cache).solve(net)
         root.set(states=result.state_count)
         return result

@@ -27,9 +27,8 @@ gate scatters pi P over the plan instead of transposing P per solve,
 and each thread wraps the plan's block pattern in a scipy CSC matrix
 once and re-points its data per solve (``_block``), so no solve pays
 for scipy's construction checks.
-Each accepted direct solve counts its method (``markov.method.lu`` or
-``markov.method.ilu_gmres``) and records its residual
-(``markov.residual``) and the order it factored
+Each accepted direct solve counts ``markov.method.lu`` and records its
+residual (``markov.residual``) and the order it factored
 (``markov.quotient_order``).
 
 Chains with more than one closed communicating class are refused
@@ -56,25 +55,23 @@ from repro.gtpn.reachability import ReachabilityGraph
 from repro.obs.clock import perf_now
 
 
-def transition_matrix(graph: ReachabilityGraph) -> sp.csr_matrix:
-    """The one-tick probability matrix P as a sparse CSR matrix."""
-    return graph.matrix
+#: Convergence bound and iteration cap of the power-iteration fallback.
+_POWER_TOL = 1e-12
+_POWER_MAX_ITERATIONS = 2_000_000
 
 
 def stationary_distribution(graph: ReachabilityGraph,
-                            method: str = "auto",
-                            tol: float = 1e-12,
-                            max_iterations: int = 2_000_000,
                             closed_classes: int | None = None,
                             plan: SolvePlan | None = None,
                             ) -> np.ndarray:
     """Stationary distribution pi of the embedded chain.
 
-    ``method`` is one of ``"auto"`` (direct solve with power-iteration
-    fallback), ``"linear"`` or ``"power"``.  ``closed_classes`` lets a
-    caller that already knows the chain's closed communicating class
-    count (the sweep skeleton computes it once per structure) skip the
-    strongly-connected-components pass; the reducibility refusal is
+    One direct solve (:func:`_solve_linear`); a vector the solve cannot
+    produce or its residual gate refuses falls back to power iteration
+    (:func:`_solve_power`, counted as ``markov.solve_fallback``).
+    ``closed_classes`` lets a caller that already knows the chain's
+    closed communicating class count (the sweep skeleton computes it
+    once per structure) skip the strongly-connected-components pass; the reducibility refusal is
     identical either way.  ``plan`` is the chain's cached
     :class:`SolvePlan` (the skeleton keeps one per structure); without
     one the direct solve plans from the matrix's own pattern and the
@@ -83,36 +80,30 @@ def stationary_distribution(graph: ReachabilityGraph,
     ``graph.matrix`` is read (and so built, on a lazy graph) only by
     the closed-class count, the plan-less path and the power fallback.
     """
-    if method not in ("auto", "linear", "power"):
-        raise AnalysisError(f"unknown stationary method {method!r}")
     closed = _closed_class_count(graph.matrix) if closed_classes is None \
         else closed_classes
     if closed > 1:
         raise AnalysisError(
             f"embedded chain is reducible ({closed} closed communicating "
             "classes); the stationary distribution is not unique")
-    if method in ("auto", "linear"):
-        if plan is None:
-            matrix, plan = _plan_for(
-                graph.matrix, getattr(graph, "advance_class", None))
-            data = matrix.data
-        else:
-            data = graph.data
-        try:
-            pi = _solve_linear(data, plan)
-            if pi is not None:
-                return pi
-        except (np.linalg.LinAlgError, ValueError):
-            # numerical failure of the direct solve: fall back to
-            # power iteration on the auto path.  Anything else is a
-            # defect and propagates — a bare except here once hid
-            # real bugs behind silent (and slow) fallbacks.
-            if method == "linear":
-                raise
-        if method == "linear":
-            raise AnalysisError("direct stationary solve failed")
-        obs.add("markov.solve_fallback")
-    return _solve_power(graph.matrix, graph, tol, max_iterations)
+    if plan is None:
+        matrix, plan = _plan_for(
+            graph.matrix, getattr(graph, "advance_class", None))
+        data = matrix.data
+    else:
+        data = graph.data
+    try:
+        pi = _solve_linear(data, plan)
+    except (np.linalg.LinAlgError, ValueError):
+        # numerical failure of the direct solve: fall back to power
+        # iteration.  Anything else is a defect and propagates — a
+        # bare except here once hid real bugs behind silent (and
+        # slow) fallbacks.
+        pi = None
+    if pi is not None:
+        return pi
+    obs.add("markov.solve_fallback")
+    return _solve_power(graph.matrix, graph)
 
 
 def _closed_class_count(matrix: sp.csr_matrix) -> int:
@@ -130,17 +121,6 @@ def _closed_class_count(matrix: sp.csr_matrix) -> int:
     leaving = (labels[coo.row] != labels[coo.col]) & (coo.data != 0)
     open_components = set(labels[coo.row[leaving]])
     return n_components - len(open_components)
-
-
-# Above this many advance classes (the order of the quotient chain
-# the solve factors) a bounded ILU-preconditioned GMRES attempt runs
-# before the sparse LU.  Below it the LU wins outright, and on
-# high-load chains (min pi below ~1e-11) GMRES stalls at the exactness
-# tolerance anyway, so an unbounded attempt would only burn
-# iterations.  Every chapter-6/7 chain measured so far quotients to
-# far fewer classes (arch II n=7: 5,874 classes of 107,058 states), so
-# the branch only serves chains solved without advance classes.
-_GMRES_THRESHOLD = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,12 +296,10 @@ def _solve_linear(data: np.ndarray, plan: SolvePlan) -> np.ndarray | None:
     right-hand side -(Q^T)[:k-1, k-1], both gathered from ``Q.data``.
     The block is as sparse as the chain itself and column diagonally
     dominant, so SuperLU's pivots are stable; its columns arrive in the
-    plan's fill-reducing order and are factored with ``NATURAL``.
-    Quotients above ``_GMRES_THRESHOLD`` classes first try ILU-GMRES on
-    a bounded budget and fall through to the same LU when it does not
-    converge.  The lifted vector is accepted only if nu is non-negative
-    and pi is a fixed point of the full P (max |pi P - pi| <= 1e-8), so
-    a plan with wrong classes costs a fallback, never a wrong answer;
+    plan's fill-reducing order and are factored with ``NATURAL``.  The
+    lifted vector is accepted only if nu is non-negative and pi is a
+    fixed point of the full P (max |pi P - pi| <= 1e-8), so a plan with
+    wrong classes costs a fallback, never a wrong answer;
     ``None`` hands the chain to the counted power-iteration fallback.
     The gate's pi P is a ``bincount`` of ``pi[row] * data`` into each
     slot's column: the products scipy's ``pi @ P`` forms, without
@@ -341,27 +319,11 @@ def _solve_linear(data: np.ndarray, plan: SolvePlan) -> np.ndarray | None:
     block = _block(plan, block_data)
     rhs = np.zeros(m)
     rhs[plan.rhs_index] = -q_data[plan.rhs_source]
-    y, method = None, "lu"
-    if plan.k > _GMRES_THRESHOLD:
-        try:
-            ilu = spla.spilu(block, drop_tol=0.05, fill_factor=2.0)
-            precond = spla.LinearOperator(block.shape, ilu.solve)
-            y, info = spla.gmres(block, rhs, M=precond, rtol=1e-12,
-                                 atol=0.0, restart=50, maxiter=2)
-        except RuntimeError:
-            # spilu raises on an exactly singular factor
-            info = -1
-        if info == 0:
-            method = "ilu_gmres"
-        else:
-            y = None
-            obs.add("markov.gmres_unconverged")
-    if y is None:
-        try:
-            y = spla.splu(block, permc_spec="NATURAL").solve(rhs)
-        except RuntimeError:
-            # SuperLU reports an exactly singular block this way
-            return None
+    try:
+        y = spla.splu(block, permc_spec="NATURAL").solve(rhs)
+    except RuntimeError:
+        # SuperLU reports an exactly singular block this way
+        return None
     nu = np.empty(plan.k)
     nu[plan.order] = y
     nu[m] = 1.0
@@ -381,12 +343,12 @@ def _solve_linear(data: np.ndarray, plan: SolvePlan) -> np.ndarray | None:
     if residual > 1e-8:
         return None
     obs.gauge("markov.quotient_order", plan.k)
-    obs.add(f"markov.method.{method}")
+    obs.add("markov.method.lu")
     return pi
 
 
-def _solve_power(matrix: sp.csr_matrix, graph: ReachabilityGraph,
-                 tol: float, max_iterations: int) -> np.ndarray:
+def _solve_power(matrix: sp.csr_matrix,
+                 graph: ReachabilityGraph) -> np.ndarray:
     """Power iteration from the initial distribution.
 
     Periodic chains are damped by averaging successive iterates
@@ -394,15 +356,15 @@ def _solve_power(matrix: sp.csr_matrix, graph: ReachabilityGraph,
     stationary distribution).
     """
     pi = np.array(graph.init_vec, dtype=float)
-    for _ in range(max_iterations):
+    for _ in range(_POWER_MAX_ITERATIONS):
         nxt = 0.5 * (pi @ matrix) + 0.5 * pi
         delta = np.abs(nxt - pi).max()
         pi = nxt
-        if delta < tol:
+        if delta < _POWER_TOL:
             break
     else:
         raise AnalysisError(
-            f"power iteration did not converge in {max_iterations} "
+            f"power iteration did not converge in {_POWER_MAX_ITERATIONS} "
             "iterations")
     total = pi.sum()
     if not np.isfinite(total) or total <= 0:

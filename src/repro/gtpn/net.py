@@ -135,8 +135,8 @@ class SymmetryGroup:
     ``members[i]`` is ``(place_indices, transition_indices)`` of the
     i-th replica; aligned positions across members correspond under the
     net automorphism that swaps any two replicas.  Declared through
-    :meth:`Net.declare_symmetry`, consumed by the symmetry-lumping
-    reduction of the packed engine (:mod:`repro.gtpn.packed`).
+    :meth:`Net.declare_symmetry`; the packed engine
+    (:mod:`repro.gtpn.packed`) lumps every net that declares one.
     """
 
     members: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -372,9 +372,10 @@ class Net:
         automorphism (equal mapped arcs and gates, equal delay/frequency,
         equal initial tokens), which suffices for full interchange
         symmetry because transpositions generate the symmetric group.
-        The symmetry-lumping reduction folds states that differ only by
-        a replica permutation onto one representative, which is exact
-        (strong lumpability) precisely because of this property.
+        The analyzer lumps every net that declares a symmetry: it folds
+        states that differ only by a replica permutation onto one
+        representative, which is exact (strong lumpability) precisely
+        because of this property.
         """
         if len(members) < 2:
             raise ModelError("a symmetry group needs at least 2 members")

@@ -31,26 +31,21 @@ factor normalization, per-round products, branch dedup sums, row and
 expected-starts accumulation — replays the order of a breadth-first
 walk over :class:`~repro.gtpn.state.TickEngine` ticks (Python left
 folds, first-seen branch order, additive/multiplicative identity
-padding), so an unreduced packed build is **bit-identical** to that
-walk (the test suite keeps it as an oracle), and a
-:func:`packed_retime` re-evaluation is bit-identical to a fresh
-:func:`packed_build` by construction (same arrays through the same
-:func:`_materialize`).
+padding), so a packed build of a net without symmetry declarations
+is **bit-identical** to that walk (the test suite keeps it as an
+oracle), and a :func:`packed_retime` re-evaluation is bit-identical to
+a fresh :func:`packed_build` by construction (same arrays through the
+same :func:`_materialize`).
 
-On top sit the opt-in reductions (``analyze(..., reduction=...)``):
-
-* ``lump`` — client symmetry lumping.  Successor rows are
-  canonicalized by sorting the column blocks of every declared
-  :class:`~repro.gtpn.net.SymmetryGroup` member, folding states that
-  differ only by a replica permutation onto one representative.  The
-  quotient is exact (strong lumpability) because every declared swap is
-  a validated net automorphism; per-member measures are recovered by
-  orbit averaging in :mod:`repro.gtpn.analysis`.
-* ``elim`` — transient elimination.  Immediate (delay-0) firings are
-  already folded into ticks by the settle semantics, so the embedded
-  chain has no classical vanishing markings; what remains removable are
-  the transient states of the initial settling, dropped by slicing the
-  chain to its single closed communicating class.
+A net that declares symmetry groups (:meth:`Net.declare_symmetry
+<repro.gtpn.net.Net.declare_symmetry>`) is lumped, and no other net
+is.  Successor rows are canonicalized by sorting the column blocks of
+every declared :class:`~repro.gtpn.net.SymmetryGroup` member, folding
+states that differ only by a replica permutation onto one
+representative.  The quotient is exact (strong lumpability) because
+every declared swap is a validated net automorphism; per-member
+measures are recovered by orbit averaging in
+:mod:`repro.gtpn.analysis`.
 """
 
 from __future__ import annotations
@@ -59,11 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from repro import obs
 from repro.errors import AnalysisError, StateSpaceLimitError
-from repro.gtpn.markov import SolvePlan, build_solve_plan
+from repro.gtpn.markov import SolvePlan, _closed_class_count, build_solve_plan
 from repro.gtpn.net import Net
 from repro.gtpn.reachability import ReachabilityGraph, ReductionInfo
 from repro.gtpn.state import MAX_IMMEDIATE_ROUNDS, State
@@ -318,8 +312,20 @@ class PackedNet:
         self.trip_req = np.array(trip_req, dtype=np.int32)
         self.trip_offsets = np.array(trip_offsets, dtype=np.int64)
 
-        # symmetry lumping blocks (filled by compile_packed on demand)
+        #: symmetry lumping: per declared group, one row of state
+        #: columns per member (its places, then its transitions' slots)
         self.sym_blocks: list[np.ndarray] = []
+        for group in net.symmetries:
+            cols_per_member = []
+            for p_idx, t_idx in group.members:
+                cols = [int(p) for p in p_idx]
+                for t in t_idx:
+                    if slot_base[t] >= 0:
+                        cols.extend(n_p + slot_base[t] + r
+                                    for r in range(int(self.delays[t])))
+                cols_per_member.append(cols)
+            self.sym_blocks.append(np.array(cols_per_member,
+                                            dtype=np.int64))
         #: per transition: its gate as (place, transition) index tuples
         self.gates = tuple(gates)
 
@@ -352,24 +358,9 @@ class PackedNet:
                 -rows[:, base:base + self.delays[u]].sum(axis=1)
         return out
 
-    def build_sym_blocks(self) -> None:
-        """Column blocks for canonicalization, one per symmetry group."""
-        self.sym_blocks = []
-        for group in self.net.symmetries:
-            cols_per_member = []
-            for p_idx, t_idx in group.members:
-                cols = [int(p) for p in p_idx]
-                for t in t_idx:
-                    base = self.layout.slot_base[t]
-                    if base >= 0:
-                        cols.extend(self.n_places + base + r
-                                    for r in range(int(self.delays[t])))
-                cols_per_member.append(cols)
-            self.sym_blocks.append(np.array(cols_per_member,
-                                            dtype=np.int64))
 
 
-def compile_packed(net: Net, reduction: str = "none") -> PackedNet:
+def compile_packed(net: Net) -> PackedNet:
     """Compile *net* for the packed engine.
 
     Raises :class:`AnalysisError` when the net exceeds the packed row
@@ -384,8 +375,6 @@ def compile_packed(net: Net, reduction: str = "none") -> PackedNet:
         raise AnalysisError(
             f"net {net.name!r}: a conflict class has more than "
             f"{MAX_CLASS_MEMBERS} positive-frequency members")
-    if "lump" in reduction and net.symmetries:
-        pnet.build_sym_blocks()
     return pnet
 
 
@@ -659,25 +648,6 @@ def _evaluate(ev: _EvalData, freqs: np.ndarray, n_states: int,
 # the packed skeleton (cached per structure, shared across retimes)
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SolvedChain:
-    """The chain every graph of one skeleton presents to its readers.
-
-    The full chain, or under ``elim`` the slice to its closed class:
-    the CSR pattern, the state rows, in-flight counts and advance
-    classes of the kept states, and ``slots``, the gather taking the
-    kept entries out of the full ``P.data`` (``None`` keeps them all).
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: np.ndarray | None
-    table: np.ndarray
-    inflight_matrix: np.ndarray
-    advance_class: np.ndarray
-    reduction: ReductionInfo | None
-
-
 @dataclass
 class PackedSkeleton:
     """Timing-independent bones of a packed build.
@@ -691,9 +661,10 @@ class PackedSkeleton:
     :meth:`PackedNet.advance`; canonicalized under lumping); rows of P
     in one class are equal, which is what lets the stationary solve
     factor the class chain.  The pattern has no empty row (checked at
-    build).  What the graphs of every timing share, the
-    :class:`SolvedChain` and the float marking matrix, is derived on
-    first demand and kept here.
+    build).  What the graphs of every timing share, the solve plan,
+    the closed-class count and the float marking matrix, is derived on
+    first demand and kept here.  ``lumping`` is the lumping record of
+    a net that declares symmetry groups, ``None`` otherwise.
     """
 
     structure: str              # structure fingerprint
@@ -703,147 +674,58 @@ class PackedSkeleton:
     freq_positive: tuple        # per transition: frequency > 0
     gates: tuple                # per transition: gate index tuples
     layout: PackedLayout
-    table: np.ndarray           # (n_full, width) canonical state rows
+    table: np.ndarray           # (n_states, width) canonical state rows
     indptr: np.ndarray
     indices: np.ndarray
     advance_class: np.ndarray   # per table row, first-seen
     ev: _EvalData
     inflight_matrix: np.ndarray
-    closed_classes: int | None  # None until first demanded
-    kept: np.ndarray | None     # elim slice, None when not reduced
-    reduction: str              # requested mode
-    lumped: bool
-    place_orbits: tuple
-    transition_orbits: tuple
-    folded_states: int
+    lumping: ReductionInfo | None
+    closed_classes: int | None = None   # None until first demanded
     plan: SolvePlan | None = None       # None until first demanded
-    chain: SolvedChain | None = None    # None until first materialized
     marking: np.ndarray | None = None   # None until first read
 
     @property
-    def full_state_count(self) -> int:
-        return len(self.table)
-
-    @property
     def state_count(self) -> int:
-        return len(self.kept) if self.kept is not None \
-            else len(self.table)
+        return len(self.table)
 
     def closed_class_count(self) -> int:
         """Closed communicating classes of the chain (lazy, cached).
 
         The sparsity pattern (hence the reachability structure) is
         timing-invariant while the frequency support holds, so the
-        class count and the transient slice are skeleton facts — but
-        they are solve-side facts, not build-side ones, so they are
-        deferred until a solver or the transient elimination asks.
+        class count is a skeleton fact, counted on the pattern the
+        first time a solver asks.
         """
         if self.closed_classes is None:
-            n_states = self.full_state_count
-            pattern = sp.csr_matrix(
+            n_states = self.state_count
+            self.closed_classes = _closed_class_count(sp.csr_matrix(
                 (np.ones(len(self.indices)), self.indices, self.indptr),
-                shape=(n_states, n_states))
-            n_comp, labels = connected_components(
-                pattern, directed=True, connection="strong")
-            if n_comp == 1:
-                closed = 1
-            else:
-                coo = pattern.tocoo()
-                leaving = labels[coo.row] != labels[coo.col]
-                open_components = set(labels[coo.row[leaving]])
-                closed = n_comp - len(open_components)
-                if "elim" in self.reduction and closed == 1:
-                    closed_labels = set(range(n_comp)) - open_components
-                    kept = np.flatnonzero(
-                        np.isin(labels, list(closed_labels)))
-                    if len(kept) < n_states:
-                        self.kept = kept
-            self.closed_classes = closed
+                shape=(n_states, n_states)))
         return self.closed_classes
 
-    def solved_chain(self) -> SolvedChain:
-        """The chain this skeleton's graphs present (lazy, cached)."""
-        if self.chain is None:
-            if "elim" in self.reduction:
-                self.closed_class_count()   # may populate the elim slice
-            self.chain = self._slice_chain()
-        return self.chain
-
-    def _slice_chain(self) -> SolvedChain:
-        n_states = self.full_state_count
-        kept = self.kept
-        reduction = None
-        if self.reduction != "none":
-            reduction = ReductionInfo(
-                requested=self.reduction, lumped=self.lumped,
-                place_orbits=self.place_orbits,
-                transition_orbits=self.transition_orbits,
-                folded_states=self.folded_states,
-                pre_elim_states=n_states,
-                transient_removed=0 if kept is None
-                else n_states - len(kept))
-        if kept is None:
-            return SolvedChain(
-                indptr=self.indptr, indices=self.indices, slots=None,
-                table=self.table, inflight_matrix=self.inflight_matrix,
-                advance_class=self.advance_class, reduction=reduction)
-        # scipy's slice of the slot numbers gives the kept pattern and
-        # the gather of the kept entries of P.data (numbered from 1, so
-        # no entry is an explicit zero)
-        slot_ids = sp.csr_matrix(
-            (np.arange(1.0, len(self.indices) + 1), self.indices,
-             self.indptr), shape=(n_states, n_states))[kept][:, kept]
-        indptr, indices = slot_ids.indptr, slot_ids.indices
-        indices.flags.writeable = indptr.flags.writeable = False
-        return SolvedChain(
-            indptr=indptr, indices=indices,
-            slots=slot_ids.data.astype(np.intp) - 1,
-            table=self.table[kept],
-            inflight_matrix=self.inflight_matrix[kept],
-            advance_class=_unique_scalars_first_seen(
-                self.advance_class[kept])[1],
-            reduction=reduction)
-
     def solve_plan(self) -> SolvePlan:
-        """The stationary solve's plan for this structure (lazy, cached).
-
-        Built over the pattern and advance classes of the matrix the
-        solver sees: the elim slice when transients were removed, the
-        full chain otherwise.
-        """
+        """The stationary solve's plan for this structure (lazy, cached),
+        over the chain's pattern and advance classes."""
         if self.plan is None:
-            chain = self.solved_chain()
-            self.plan = build_solve_plan(chain.indptr, chain.indices,
-                                         chain.advance_class)
+            self.plan = build_solve_plan(self.indptr, self.indices,
+                                         self.advance_class)
         return self.plan
 
     def marking_matrix(self) -> np.ndarray:
-        """Token counts of the solved states as floats (lazy, cached)."""
+        """Token counts of the states as floats (lazy, cached)."""
         if self.marking is None:
-            self.marking = self.solved_chain().table[
-                :, :self.n_places].astype(float)
+            self.marking = self.table[:, :self.n_places].astype(float)
         return self.marking
 
     def starts_matrix(self, branch_vals: np.ndarray) -> np.ndarray:
-        """Expected starts of the solved states from branch values."""
-        starts = _starts_matrix(self.ev, branch_vals,
-                                self.full_state_count, self.n_transitions)
-        return starts if self.kept is None else starts[self.kept]
+        """Expected starts of the states from branch values."""
+        return _starts_matrix(self.ev, branch_vals, self.state_count,
+                              self.n_transitions)
 
     def initial_vector(self, prog_values: np.ndarray) -> np.ndarray:
-        """Time-zero distribution over the solved states.
-
-        The elim slice renormalizes the mass that starts in the closed
-        class (uniform when none does).
-        """
-        init_vec = _initial_vector(self.ev, prog_values,
-                                   self.full_state_count)
-        if self.kept is None:
-            return init_vec
-        init_kept = init_vec[self.kept]
-        mass = init_kept.sum()
-        return init_kept / mass if mass > 0 else \
-            np.full(len(self.kept), 1.0 / len(self.kept))
+        """Time-zero distribution over the states."""
+        return _initial_vector(self.ev, prog_values, self.state_count)
 
 
 def _lump_canonicalize(pnet: PackedNet, rows: np.ndarray,
@@ -1149,16 +1031,16 @@ def _dedup_branches(dst: np.ndarray, src: np.ndarray,
 
 def packed_build(net: Net, pnet: PackedNet | None = None, *,
                  max_states: int, structure: str = "",
-                 reduction: str = "none",
                  ) -> tuple[ReachabilityGraph, PackedSkeleton]:
     """Breadth-first build of the embedded chain, a wave at a time.
 
     Returns ``(graph, skeleton)``; the graph is bit-identical to a
-    breadth-first walk over tick-engine ticks (reduction off), the
-    skeleton re-times under new frequencies via :func:`packed_retime`.
+    breadth-first walk over tick-engine ticks (for a net without
+    symmetry declarations), the skeleton re-times under new
+    frequencies via :func:`packed_retime`.
     """
     if pnet is None:
-        pnet = compile_packed(net, reduction)
+        pnet = compile_packed(net)
     net.validate()
     n_p, n_t = pnet.n_places, pnet.n_transitions
     width = pnet.layout.width
@@ -1277,15 +1159,14 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
     books.i_item_pid = pids[i_gidx]
     books.item_pid = [pids[g] for g in wave_gidx]
     skeleton = _finalize_skeleton(net, pnet, interner, books,
-                                  structure, reduction)
-    skeleton.folded_states = folded_states
+                                  structure, folded_states)
     graph = _materialize(skeleton, net, pnet.freqs)
     return graph, skeleton
 
 
 def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
                        books: _Bookkeeper, structure: str,
-                       reduction: str) -> PackedSkeleton:
+                       folded_states: int) -> PackedSkeleton:
     n_states, n_t = interner.n, pnet.n_transitions
 
     # factor table straight from the padded program rows: a row-major
@@ -1386,14 +1267,15 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
         advanced, _ = _lump_canonicalize(pnet, advanced)
     _, advance_class = _unique_rows_first_seen(advanced)
 
-    place_orbits: tuple = ()
-    transition_orbits: tuple = ()
+    lumping = None
     if pnet.sym_blocks:
-        place_orbits = tuple(
-            orbit for g in net.symmetries for orbit in g.place_orbits())
-        transition_orbits = tuple(
-            orbit for g in net.symmetries
-            for orbit in g.transition_orbits())
+        lumping = ReductionInfo(
+            lumped=True,
+            place_orbits=tuple(orbit for g in net.symmetries
+                               for orbit in g.place_orbits()),
+            transition_orbits=tuple(orbit for g in net.symmetries
+                                    for orbit in g.transition_orbits()),
+            folded_states=folded_states)
 
     skeleton = PackedSkeleton(
         structure=structure,
@@ -1403,10 +1285,7 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
         gates=pnet.gates,
         layout=pnet.layout, table=table, indptr=indptr,
         indices=indices, advance_class=advance_class, ev=ev,
-        inflight_matrix=inflight_matrix,
-        closed_classes=None, kept=None, reduction=reduction,
-        lumped=bool(pnet.sym_blocks), place_orbits=place_orbits,
-        transition_orbits=transition_orbits, folded_states=0)
+        inflight_matrix=inflight_matrix, lumping=lumping)
     return skeleton
 
 
@@ -1422,18 +1301,14 @@ def _materialize(skeleton: PackedSkeleton, net: Net,
     prog_values, branch_vals = _branch_values(skeleton.ev, freqs)
     data = _entry_data(skeleton.ev, branch_vals, len(skeleton.indices))
     _check_row_sums(net, data, skeleton.indptr)
-    chain = skeleton.solved_chain()
-    if chain.slots is not None:
-        # rows of the closed class have no leaving probability mass,
-        # so the sliced rows still sum to one exactly
-        data = data[chain.slots]
     return ReachabilityGraph(
-        net=net, data=data, indptr=chain.indptr, indices=chain.indices,
-        inflight_matrix=chain.inflight_matrix, packed_table=chain.table,
-        packed_layout=skeleton.layout, skeleton=skeleton, freqs=freqs,
-        program_values=prog_values, branch_values=branch_vals,
-        reduction=chain.reduction, structure=skeleton.structure,
-        advance_class=chain.advance_class)
+        net=net, data=data, indptr=skeleton.indptr,
+        indices=skeleton.indices,
+        inflight_matrix=skeleton.inflight_matrix,
+        packed_table=skeleton.table, packed_layout=skeleton.layout,
+        skeleton=skeleton, freqs=freqs, program_values=prog_values,
+        branch_values=branch_vals, structure=skeleton.structure,
+        advance_class=skeleton.advance_class)
 
 
 def packed_retime(skeleton: PackedSkeleton, net: Net, *,
@@ -1455,7 +1330,7 @@ def packed_retime(skeleton: PackedSkeleton, net: Net, *,
     if (len(net.places) != skeleton.n_places
             or len(net.transitions) != skeleton.n_transitions):
         raise SkeletonMismatch("net shape differs")
-    if skeleton.full_state_count > max_states:
+    if skeleton.state_count > max_states:
         raise SkeletonMismatch("skeleton exceeds max_states")
     if freqs is None:
         net.validate()

@@ -41,23 +41,21 @@ DEFAULT_MAX_STATES = 200_000
 
 @dataclass(frozen=True)
 class ReductionInfo:
-    """What state-space reduction produced a graph, and how much it cut.
+    """How symmetry lumping folded a graph.
 
-    Attached to :class:`ReachabilityGraph` when ``reduction != "none"``
-    was requested (even if nothing folded, so a caller can tell "lump
-    did nothing" from "lump was off").  ``place_orbits`` /
-    ``transition_orbits`` list the index groups whose per-member
-    measures were folded together; :mod:`repro.gtpn.analysis` recovers
-    exact per-member values by orbit averaging.
+    Attached to :class:`ReachabilityGraph` when its net declares
+    symmetry groups (:meth:`repro.gtpn.net.Net.declare_symmetry`), which
+    the packed engine then lumps; ``None`` for every other net.
+    ``place_orbits`` / ``transition_orbits`` list the index groups whose
+    per-member measures were folded together;
+    :mod:`repro.gtpn.analysis` recovers exact per-member values by orbit
+    averaging.
     """
 
-    requested: str                  # canonical mode string
     lumped: bool                    # symmetry folding was active
     place_orbits: tuple = ()
     transition_orbits: tuple = ()
     folded_states: int = 0          # successor rows re-canonicalized
-    pre_elim_states: int = 0        # states before transient removal
-    transient_removed: int = 0
 
 
 @dataclass(eq=False)
@@ -77,8 +75,8 @@ class ReachabilityGraph:
     * ``packed_table``: one packed row per state, decoded by
       ``packed_layout`` (:class:`repro.gtpn.packed.PackedLayout`).
     * ``freqs``: the transition frequencies P was evaluated at.
-    * ``reduction``: a :class:`ReductionInfo` when a reduction was
-      requested.
+    * ``reduction``: the skeleton's :class:`ReductionInfo` when the
+      net was lumped, ``None`` otherwise.
     * ``structure``: the structure fingerprint of the packed skeleton
       the graph was evaluated from (empty when the build was not
       keyed).
@@ -107,13 +105,16 @@ class ReachabilityGraph:
     freqs: np.ndarray = field(repr=False)
     program_values: np.ndarray = field(repr=False)
     branch_values: np.ndarray = field(repr=False)
-    reduction: ReductionInfo | None = None
     structure: str = ""
     advance_class: np.ndarray | None = None
 
     @property
     def state_count(self) -> int:
         return len(self.packed_table)
+
+    @property
+    def reduction(self) -> ReductionInfo | None:
+        return self.skeleton.lumping
 
     @property
     def quotient_order(self) -> int:
@@ -139,22 +140,13 @@ class ReachabilityGraph:
 
 def build_reachability_graph(net: Net,
                              max_states: int = DEFAULT_MAX_STATES,
-                             *, reduction: str | None = None,
                              ) -> ReachabilityGraph:
     """Explore every reachable state of *net* breadth-first.
 
-    Runs the packed array engine (:mod:`repro.gtpn.packed`).
-    ``reduction=None`` resolves the configured mode
-    (``repro.config.get("reduction")``).
+    Runs the packed array engine (:mod:`repro.gtpn.packed`), which
+    lumps a net that declares symmetry groups.
     """
-    from repro import config
     from repro.gtpn import packed
 
-    if reduction is None:
-        reduction = config.get("reduction")
-    else:
-        reduction = config.normalize_reduction(reduction)
-    graph, _skeleton = packed.packed_build(
-        net, packed.compile_packed(net, reduction), max_states=max_states,
-        reduction=reduction)
+    graph, _skeleton = packed.packed_build(net, max_states=max_states)
     return graph

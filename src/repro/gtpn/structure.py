@@ -10,7 +10,8 @@ sanity in tests:
   token count every firing conserves — e.g. the Host token of the
   architecture models, or Clients + all client-cycle stages,
 * conversion to a :mod:`networkx` bipartite digraph for connectivity
-  and cycle analysis.
+  and cycle analysis (networkx is imported on first use, so the
+  analyzer and the simulators start without it).
 
 The loop transitions of the geometric-delay pairs have equal input
 and output arcs, so they contribute zero columns and never break an
@@ -20,12 +21,15 @@ invariant.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ModelError
 from repro.gtpn.net import Net
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def incidence_matrix(net: Net) -> np.ndarray:
@@ -96,6 +100,8 @@ def to_networkx(net: Net) -> nx.DiGraph:
     places, ``delay``/``resource`` for transitions.  Edge attribute
     ``weight`` is the arc multiplicity.
     """
+    import networkx as nx
+
     graph = nx.DiGraph(name=net.name)
     for place in net.places:
         graph.add_node(f"p:{place.name}", kind="place",
@@ -115,6 +121,8 @@ def to_networkx(net: Net) -> nx.DiGraph:
 def is_connected(net: Net) -> bool:
     """Weak connectivity of the net graph (a sanity check: the
     architecture models are single connected systems)."""
+    import networkx as nx
+
     graph = to_networkx(net)
     if graph.number_of_nodes() == 0:
         raise ModelError("empty net")
@@ -128,6 +136,8 @@ def structural_deadlock_free_bound(net: Net) -> bool:
     The closed conversation cycles of the architecture models satisfy
     this; a net failing it will eventually drain some place.
     """
+    import networkx as nx
+
     graph = to_networkx(net)
     condensed = nx.condensation(graph)
     # a transition on no cycle sits in a singleton SCC with in+out

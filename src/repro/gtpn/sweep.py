@@ -25,8 +25,8 @@ back to a full build.  Delay changes also force a rebuild:
 remaining-tick counters are part of the states themselves.
 
 Every solve goes through one skeleton table: the process-wide
-:class:`~repro.perf.cache.AnalysisCache`, keyed on ``(structure,
-reduction)``, or a private store a caller passes.  Entry points:
+:class:`~repro.perf.cache.AnalysisCache`, keyed on the structure
+fingerprint, or a private store a caller passes.  Entry points:
 
 * :class:`SweepSolver` — the per-structure solver behind
   :func:`repro.gtpn.analyze`, with per-stage timing stats (build /
@@ -50,14 +50,14 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from repro import config, obs
+from repro import obs
 from repro.errors import ModelError
 from repro.gtpn.analysis import AnalysisResult
 from repro.gtpn.approximations import _pair_labels, pair_frequencies
 from repro.gtpn.markov import SolvePlan, stationary_distribution
 from repro.gtpn.net import Net
 from repro.gtpn.packed import (PackedSkeleton, SkeletonMismatch,
-                               compile_packed, packed_build, packed_retime)
+                               packed_build, packed_retime)
 from repro.gtpn.reachability import DEFAULT_MAX_STATES, ReachabilityGraph
 from repro.obs.clock import perf_now
 from repro.perf.cache import AnalysisCache, fingerprint_net, get_cache
@@ -99,14 +99,9 @@ class SweepSolver:
     point.  Results are bit-identical to a from-scratch build.
     """
 
-    def __init__(self, *, method: str = "auto",
-                 max_states: int = DEFAULT_MAX_STATES,
-                 cache: AnalysisCache | None = None,
-                 reduction: str | None = None):
-        self.method = method
+    def __init__(self, *, max_states: int = DEFAULT_MAX_STATES,
+                 cache: AnalysisCache | None = None):
         self.max_states = max_states
-        self.reduction = config.get("reduction") if reduction is None \
-            else config.normalize_reduction(reduction)
         self.cache = get_cache() if cache is None else cache
         self.stats = SweepStats()
 
@@ -137,15 +132,14 @@ class SweepSolver:
         with obs.span("gtpn.solve", states=graph.state_count,
                       order=plan.k):
             pi = stationary_distribution(
-                graph, method=self.method, closed_classes=closed_classes,
-                plan=plan)
+                graph, closed_classes=closed_classes, plan=plan)
         self.stats.solve_s += perf_now() - started
         return AnalysisResult(net=net, graph=graph, pi=pi)
 
     def _graph_for(self, net: Net, structure: str,
                    ) -> tuple[ReachabilityGraph, PackedSkeleton]:
         """Re-time the structure's skeleton under *net*, else build."""
-        skeleton = self.cache.get(structure, self.reduction)
+        skeleton = self.cache.get(structure)
         if skeleton is not None:
             try:
                 return self._retime(skeleton, net), skeleton
@@ -170,12 +164,10 @@ class SweepSolver:
         started = perf_now()
         with obs.span("gtpn.build"):
             graph, skeleton = packed_build(
-                net, compile_packed(net, self.reduction),
-                max_states=self.max_states, structure=structure,
-                reduction=self.reduction)
+                net, max_states=self.max_states, structure=structure)
         self.stats.build_s += perf_now() - started
         self.stats.skeleton_builds += 1
-        self.cache.put(structure, self.reduction, skeleton)
+        self.cache.put(structure, skeleton)
         return graph, skeleton
 
 

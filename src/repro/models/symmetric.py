@@ -8,15 +8,16 @@ same workload: every conversation owns a private copy of the
 client/server chain, all of them sharing the Host (and MP) resource
 places.  The two forms describe the same system, but the replicated
 net's reachable space grows like the product of the per-conversation
-chains — the regime where the packed engine's symmetry lumping
-(``analyze(..., reduction="lump")``) earns its keep by folding states
-that differ only by a conversation permutation.
+chains — the regime where the packed engine's symmetry lumping earns
+its keep by folding states that differ only by a conversation
+permutation.
 
 Each replica is registered with :meth:`repro.gtpn.net.Net.
 declare_symmetry`, which validates that swapping any two replicas is a
-net automorphism; the lumped chain is then an exact (strongly lumpable)
-quotient, and per-transition measures are recovered by orbit averaging
-in :mod:`repro.gtpn.analysis`.
+net automorphism.  The analyzer lumps every net that declares a
+symmetry; the lumped chain is an exact (strongly lumpable) quotient,
+and per-transition measures are recovered by orbit averaging in
+:mod:`repro.gtpn.analysis`.
 """
 
 from __future__ import annotations

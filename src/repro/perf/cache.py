@@ -11,9 +11,12 @@ A net is fingerprinted by a *split key* (:class:`NetFingerprint`):
 
 Names (of the net, its places, and its transitions) stay out of both
 halves, so two structurally identical nets share one skeleton.  The
-analyzer (:mod:`repro.gtpn.sweep`) keys reachability skeletons on
-``(structure, reduction)``: a parameter grid builds the graph once per
-structure and re-times it for every other point.
+analyzer (:mod:`repro.gtpn.sweep`) keys reachability skeletons on the
+structure fingerprint: a parameter grid builds the graph once per
+structure and re-times it for every other point.  Symmetry
+declarations are part of it, and a net that declares them is the one
+the packed engine lumps, so a lumped skeleton and an unlumped one never
+share a key.
 """
 
 from __future__ import annotations
@@ -60,9 +63,9 @@ def fingerprint_net(net) -> NetFingerprint:
     ``structure``.
     """
     structure: list = [len(net.places), tuple(net.initial_marking)]
-    # declared symmetry groups shape the packed engine's lumping
-    # quotient, so they are structural: two nets that differ only in
-    # declarations must not share a lumped skeleton
+    # declared symmetry groups decide whether and how the packed engine
+    # lumps, so they are structural: two nets that differ only in
+    # declarations must not share a skeleton
     for group in net.symmetries:
         structure.append(("sym", tuple(
             (tuple(p_idx), tuple(t_idx)) for p_idx, t_idx
@@ -87,13 +90,13 @@ def fingerprint_net(net) -> NetFingerprint:
 class AnalysisCache:
     """Thread-safe LRU of reachability skeletons.
 
-    Keyed on ``(structure fingerprint, reduction mode)``.  ``hits`` and
+    Keyed on the structure fingerprint.  ``hits`` and
     ``misses`` count :meth:`get` outcomes: a hit means the caller can
     re-time instead of exploring the state space.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
-        self._mem: OrderedDict[tuple[str, str], Any] = OrderedDict()
+        self._mem: OrderedDict[str, Any] = OrderedDict()
         self._max_entries = max_entries
         self._lock = threading.Lock()
         self.hits = 0
@@ -102,26 +105,23 @@ class AnalysisCache:
     def __len__(self) -> int:
         return len(self._mem)
 
-    def get(self, structure: str, reduction: str):
-        """The held skeleton of *structure* under *reduction*, or
-        ``None``."""
-        key = (structure, reduction)
+    def get(self, structure: str):
+        """The held skeleton of *structure*, or ``None``."""
         with self._lock:
-            skeleton = self._mem.get(key)
+            skeleton = self._mem.get(structure)
             if skeleton is None:
                 self.misses += 1
                 obs.add("cache.miss")
                 return None
-            self._mem.move_to_end(key)
+            self._mem.move_to_end(structure)
             self.hits += 1
             obs.add("cache.hit")
             return skeleton
 
-    def put(self, structure: str, reduction: str, skeleton: Any) -> None:
-        key = (structure, reduction)
+    def put(self, structure: str, skeleton: Any) -> None:
         with self._lock:
-            self._mem[key] = skeleton
-            self._mem.move_to_end(key)
+            self._mem[structure] = skeleton
+            self._mem.move_to_end(structure)
             while len(self._mem) > self._max_entries:
                 self._mem.popitem(last=False)
 

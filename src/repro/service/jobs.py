@@ -7,8 +7,8 @@ trusts:
   timing** exactly like the analysis cache's
   :class:`~repro.perf.cache.NetFingerprint`: the *structure* half
   names what system is being evaluated (the experiment id, then every
-  ``structure`` knob of :data:`repro.config.KNOBS`: reduction mode,
-  sync primitive, fault plan, queue limit), the *timing* half names
+  ``structure`` knob of :data:`repro.config.KNOBS`: sync primitive,
+  fault plan, queue limit), the *timing* half names
   the stochastic and load parameters (every ``timing`` knob: seed,
   duration, arrival rate, deadline).  Both halves are derived from the
   knobs' roles, so a knob that changes values cannot be left out.  Two
@@ -69,7 +69,7 @@ class JobKey:
     say *which half* differed between two near-miss submissions.
     """
 
-    structure: tuple                # (experiment_id, reduction, sync, …)
+    structure: tuple                # (experiment_id, sync, fault_plan, …)
     timing: tuple                   # (seed, duration, rate, deadline)
 
     @property

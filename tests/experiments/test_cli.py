@@ -186,3 +186,11 @@ def test_jobs_flag_rejects_bad_values(capsys):
         main(["--jobs", "four", "list"])
     assert "--jobs must be a positive integer, got 'four'" in \
         capsys.readouterr().err
+
+
+def test_reduction_flag_is_gone(capsys):
+    """Lumping follows a net's symmetry declarations; no flag selects it."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--reduction", "lump", "solve", "--arch", "II", "-n", "3"])
+    assert exit_info.value.code == 2
+    assert "repro: error:" in capsys.readouterr().err

@@ -203,16 +203,17 @@ def strided_branch_values(ev, freqs: np.ndarray,
     return prog_values, branch_vals
 
 
-def assert_fold_matches_strided(net: Net, reduction: str = "none") -> None:
+def assert_fold_matches_strided(net: Net):
     """The packed build of *net* folds its branch values exactly as
-    :func:`strided_branch_values` does."""
-    graph, skeleton = packed_build(net, compile_packed(net, reduction),
-                                   max_states=200_000, reduction=reduction)
+    :func:`strided_branch_values` does; returns the built graph."""
+    graph, skeleton = packed_build(net, compile_packed(net),
+                                   max_states=200_000)
     expected = strided_branch_values(skeleton.ev, graph.freqs)
     folded = _branch_values(skeleton.ev, graph.freqs)
     assert folded[0].tobytes() == expected[0].tobytes()
     assert folded[1].tobytes() == expected[1].tobytes()
     assert graph.program_values.tobytes() == expected[0].tobytes()
+    return graph
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,8 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.gtpn import (Net, activity_pair, analyze,
-                        build_reachability_graph, simulate,
-                        stationary_distribution, transition_matrix)
+                        build_reachability_graph, markov, simulate,
+                        stationary_distribution)
 
 
 def cycle_net(mean=10.0, tokens=1):
@@ -126,7 +126,7 @@ def test_reachability_rows_are_stochastic():
 
 def test_transition_matrix_shape():
     graph = build_reachability_graph(cycle_net())
-    matrix = transition_matrix(graph)
+    matrix = graph.matrix
     assert matrix.shape == (graph.state_count, graph.state_count)
 
 
@@ -137,15 +137,9 @@ def test_max_states_guard():
 
 def test_power_and_linear_methods_agree():
     graph = build_reachability_graph(cycle_net(mean=5.0, tokens=2))
-    pi_linear = stationary_distribution(graph, method="linear")
-    pi_power = stationary_distribution(graph, method="power")
+    pi_linear = stationary_distribution(graph)
+    pi_power = markov._solve_power(graph.matrix, graph)
     assert pi_linear == pytest.approx(pi_power, abs=1e-8)
-
-
-def test_unknown_method_rejected():
-    graph = build_reachability_graph(cycle_net())
-    with pytest.raises(AnalysisError):
-        stationary_distribution(graph, method="bogus")
 
 
 def test_analyzer_agrees_with_simulation():

@@ -5,8 +5,9 @@ float dense product, ``slots.astype(float) @ slot_to_t``.  That product
 went to the BLAS library, whose helper threads kept spinning after the
 call and stole a core from a sibling pool worker.  The build now sums
 slot columns per transition in integers.  These tests pin that the
-result is bitwise the old product on every chapter-6 net under every
-reduction, and that a serial build plus solves stays on one CPU.
+result is bitwise the old product on every chapter-6 net and on
+replicated nets lumped and unlumped, and that a serial build plus
+solves stays on one CPU.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.gtpn.packed import compile_packed, packed_build
+from repro.gtpn.packed import packed_build
 from repro.gtpn.reachability import DEFAULT_MAX_STATES
-from repro.models import Architecture, build_local_net
+from repro.models import (Architecture, build_local_net,
+                          build_replicated_local_net)
 from repro.models.nonlocal_client import build_nonlocal_client_net
 from repro.models.nonlocal_server import build_nonlocal_server_net
 
-REDUCTIONS = ("none", "lump", "elim", "lump+elim")
+#: "lump": each net as built, declared symmetries lumped; "none": with
+#: its declarations stripped, solved unlumped
+FORMS = ("none", "lump")
 CONVERSATIONS = (1, 2, 3, 4)
 
 #: CPU seconds per wall second a serial build-and-solve may burn.  A
@@ -35,7 +39,7 @@ CONVERSATIONS = (1, 2, 3, 4)
 MAX_CPU_PER_WALL = 1.10
 
 
-def _chapter_6_nets():
+def _model_nets():
     for arch in Architecture:
         for n in CONVERSATIONS:
             yield f"local {arch.name} n={n}", build_local_net(arch, n, 500.0)
@@ -43,6 +47,9 @@ def _chapter_6_nets():
                    build_nonlocal_client_net(arch, n, 1000.0))
             yield (f"server {arch.name} n={n}",
                    build_nonlocal_server_net(arch, n, 1000.0, 500.0))
+    for n in (2, 3):
+        yield (f"replicated II n={n}",
+               build_replicated_local_net(Architecture.II, n, 500.0))
 
 
 def _float_product(table: np.ndarray, layout) -> np.ndarray:
@@ -52,12 +59,12 @@ def _float_product(table: np.ndarray, layout) -> np.ndarray:
     return table[:, layout.n_places:].astype(float) @ slot_to_t
 
 
-@pytest.mark.parametrize("reduction", REDUCTIONS)
-def test_inflight_matrix_equals_the_float_product(reduction):
-    for name, net in _chapter_6_nets():
-        graph, skeleton = packed_build(
-            net, compile_packed(net, reduction),
-            max_states=DEFAULT_MAX_STATES, reduction=reduction)
+@pytest.mark.parametrize("form", FORMS)
+def test_inflight_matrix_equals_the_float_product(form):
+    for name, net in _model_nets():
+        if form == "none":
+            net.symmetries.clear()
+        graph, skeleton = packed_build(net, max_states=DEFAULT_MAX_STATES)
         layout = skeleton.layout
         assert np.array_equal(skeleton.inflight_matrix,
                               _float_product(skeleton.table, layout)), name

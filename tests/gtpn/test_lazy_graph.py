@@ -4,9 +4,8 @@ A build or re-time evaluates only ``P.data``; the graph builds its CSR
 matrix, expected starts and initial distribution when one is first
 read (:class:`repro.gtpn.reachability.ReachabilityGraph`).  The
 contract under test: what a graph builds lazily is bit-identical to an
-eager :func:`repro.gtpn.packed._evaluate` of the same skeleton, sliced
-the way scipy slices the elim chain, under every reduction and for
-built and re-timed graphs alike; the non-local fixed point never
+eager :func:`repro.gtpn.packed._evaluate` of the same skeleton, for
+lumped and unlumped nets and for built and re-timed graphs alike; the non-local fixed point never
 builds what it does not read; and the residual gate's scatter over
 the plan agrees with ``pi @ P`` and still refuses a wrong plan.
 """
@@ -26,7 +25,15 @@ from repro.models.nonlocal_client import build_nonlocal_client_net
 from repro.models.nonlocal_server import build_nonlocal_server_net
 from repro.perf import configure_cache
 
-REDUCTIONS = ("none", "lump", "elim", "lump+elim")
+#: "lump": the net as built, its declared symmetries lumped; "none":
+#: the same net with its declarations stripped, solved unlumped
+FORMS = ("none", "lump")
+
+
+def _in_form(net, form):
+    if form == "none":
+        net.symmetries.clear()
+    return net
 
 
 @pytest.fixture(autouse=True)
@@ -36,8 +43,8 @@ def _cold_store():
 
 def _booting_replicas(mean):
     """Two interchangeable replicas, each behind a one-shot boot: the
-    boot states are transient (``elim`` slices them off) and the
-    replicas are a declared symmetry (``lump`` folds them)."""
+    boot states are transient and the replicas are a declared symmetry,
+    which the packed engine lumps."""
     net = Net("booting-replicas")
     members = []
     for i in range(2):
@@ -59,21 +66,14 @@ def _booting_replicas(mean):
 
 def _eager(skeleton, net):
     """``(matrix, starts_matrix, init_vec)`` of *net* on *skeleton*,
-    evaluated eagerly and sliced the way scipy slices a matrix."""
-    n_states = skeleton.full_state_count
+    evaluated eagerly."""
+    n_states = skeleton.state_count
     freqs = np.array([float(t.frequency) for t in net.transitions])
     data, starts, init = _evaluate(skeleton.ev, freqs, n_states,
                                    skeleton.n_transitions,
                                    len(skeleton.indices))
     matrix = sp.csr_matrix((data, skeleton.indices, skeleton.indptr),
                            shape=(n_states, n_states))
-    kept = skeleton.kept
-    if kept is not None:
-        matrix = matrix[kept][:, kept]
-        starts = starts[kept]
-        mass = init[kept].sum()
-        init = init[kept] / mass if mass > 0 else \
-            np.full(len(kept), 1.0 / len(kept))
     return matrix, starts, init
 
 
@@ -106,32 +106,26 @@ _NETS = [
 ]
 
 
-@pytest.mark.parametrize("reduction", REDUCTIONS)
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("name, build", _NETS, ids=[n for n, _ in _NETS])
-def test_lazy_graph_equals_eager_evaluation(name, build, reduction):
-    net = build(3.0)
-    graph, skeleton = packed_build(net, compile_packed(net, reduction),
-                                   max_states=200_000,
-                                   reduction=reduction)
+def test_lazy_graph_equals_eager_evaluation(name, build, form):
+    net = _in_form(build(3.0), form)
+    graph, skeleton = packed_build(net, max_states=200_000)
     _assert_lazy_equals_eager(graph, skeleton, net)
-    later = build(7.0)
+    later = _in_form(build(7.0), form)
     retimed = packed_retime(skeleton, later, max_states=200_000)
     assert not np.array_equal(retimed.data, graph.data)
     _assert_lazy_equals_eager(retimed, skeleton, later)
 
 
 def test_each_reduction_changes_the_booting_replicas():
-    """The fixture net exercises both the fold and the slice."""
-    counts = {}
-    for reduction in REDUCTIONS:
-        net = _booting_replicas(3.0)
-        graph, _ = packed_build(net, compile_packed(net, reduction),
-                                max_states=200_000, reduction=reduction)
-        counts[reduction] = graph.state_count
-        if "elim" in reduction:
-            assert graph.reduction.transient_removed > 0
-    assert counts["none"] > counts["lump"] > counts["lump+elim"]
-    assert counts["none"] > counts["elim"] > counts["lump+elim"]
+    """The fixture net exercises the fold: lumped only as declared."""
+    graphs = {form: packed_build(_in_form(_booting_replicas(3.0), form),
+                                 max_states=200_000)[0]
+              for form in FORMS}
+    assert graphs["none"].reduction is None
+    assert graphs["lump"].reduction.folded_states > 0
+    assert graphs["none"].state_count > graphs["lump"].state_count
 
 
 def test_fixed_point_reads_only_what_it_needs(monkeypatch):

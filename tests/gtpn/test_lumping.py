@@ -1,10 +1,11 @@
-"""Tests for exact symmetry lumping (reduction="lump").
+"""Tests for exact symmetry lumping.
 
-The contract under test: on a net with declared replica symmetry the
-lumped chain is a strongly-lumpable quotient, so every steady-state
-measure — throughput, per-pool busy fractions, per-transition firing
-rates (orbit-averaged) — agrees with the unlumped exact solve to
-far better than 1e-9, while the state space shrinks.  Plus the
+The contract under test: a net with declared replica symmetry is
+lumped, and the lumped chain is a strongly-lumpable quotient, so every
+steady-state measure — throughput, per-pool busy fractions,
+per-transition firing rates (orbit-averaged) — agrees with the exact
+solve of the same net with its declarations stripped to far better
+than 1e-9, while the state space shrinks.  Plus the
 declaration-time validation: ``declare_symmetry`` must reject
 malformed groups rather than let an inexact fold through.
 """
@@ -27,6 +28,12 @@ def _cold_store():
     configure_cache()
 
 
+def _stripped(net):
+    """*net* without its symmetry declarations: the unlumped oracle."""
+    net.symmetries.clear()
+    return net
+
+
 def _operating_points():
     return st.one_of(
         st.tuples(st.just(Architecture.I), st.integers(2, 3),
@@ -39,10 +46,11 @@ def _operating_points():
 @given(_operating_points())
 def test_lumped_measures_match_unlumped(point):
     architecture, conversations, compute = point
-    exact = analyze(build_replicated_local_net(
-        architecture, conversations, compute), reduction="none")
+    exact = analyze(_stripped(build_replicated_local_net(
+        architecture, conversations, compute)))
     lumped = analyze(build_replicated_local_net(
-        architecture, conversations, compute), reduction="lump")
+        architecture, conversations, compute))
+    assert exact.graph.reduction is None
     assert lumped.state_count < exact.state_count
     assert lumped.graph.reduction.lumped
     assert abs(lumped.throughput() - exact.throughput()) < TOL
@@ -58,9 +66,9 @@ def test_lumped_measures_match_unlumped(point):
 
 def test_lumped_quotient_shrinks_by_replica_permutations():
     net = build_replicated_local_net(Architecture.I, 3)
-    exact = analyze(build_replicated_local_net(Architecture.I, 3),
-                    reduction="none")
-    lumped = analyze(net, reduction="lump")
+    exact = analyze(_stripped(build_replicated_local_net(Architecture.I,
+                                                         3)))
+    lumped = analyze(net)
     # 3 interchangeable replicas: the quotient can fold up to 3! states
     # onto one representative and never fewer than 1
     assert exact.state_count / 6 <= lumped.state_count
@@ -78,8 +86,7 @@ def test_replicated_net_matches_pooled_throughput():
     the same underlying chain)."""
     from repro.models.local import build_local_net
     pooled = analyze(build_local_net(Architecture.I, 2))
-    replicated = analyze(build_replicated_local_net(Architecture.I, 2),
-                         reduction="lump")
+    replicated = analyze(build_replicated_local_net(Architecture.I, 2))
     assert replicated.throughput() == pytest.approx(
         pooled.throughput(), rel=1e-12)
 
@@ -174,8 +181,8 @@ def _gated_replicas(gate_second: bool = True) -> Net:
 
 
 def test_gated_replicas_lump_exactly():
-    exact = analyze(_gated_replicas(), reduction="none")
-    lumped = analyze(_gated_replicas(), reduction="lump")
+    exact = analyze(_stripped(_gated_replicas()))
+    lumped = analyze(_gated_replicas())
     assert lumped.state_count < exact.state_count
     assert abs(lumped.throughput() - exact.throughput()) < TOL
     for transition in exact.net.transitions:

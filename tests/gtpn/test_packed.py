@@ -1,7 +1,7 @@
 """Tests for the array-native packed GTPN engine (repro.gtpn.packed).
 
-The contract under test: with ``reduction="none"`` the packed engine is
-*bit-identical* to the object walk kept as a test oracle
+The contract under test: on a net without symmetry declarations the
+packed engine is *bit-identical* to the object walk kept as a test oracle
 (``conftest.object_walk``) — same state order, same CSR arrays, same
 initial vector, same expected-start and in-flight matrices — on nets
 covering multi-tick delays, immediate transitions, multi-token places,
@@ -21,7 +21,8 @@ from repro.gtpn.packed import (SkeletonMismatch, _Interner,
                                _unique_rows_first_seen, compile_packed,
                                packed_build, packed_retime)
 from repro.models import (build_nonlocal_client_net,
-                          build_nonlocal_server_net)
+                          build_nonlocal_server_net,
+                          build_replicated_local_net)
 from repro.models.local import build_local_net
 from repro.models.params import Architecture
 
@@ -147,12 +148,9 @@ def test_round_major_fold_matches_the_strided_fold(fold_identical, name,
     fold_identical(make())
 
 
-@pytest.mark.parametrize("reduction", ["lump", "lump+elim"])
-def test_round_major_fold_matches_the_strided_fold_lumped(fold_identical,
-                                                          reduction):
-    fold_identical(build_local_net(Architecture.II, 3), reduction)
-    fold_identical(build_nonlocal_client_net(Architecture.II, 3, 3000.0),
-                   reduction)
+def test_round_major_fold_matches_the_strided_fold_lumped(fold_identical):
+    graph = fold_identical(build_replicated_local_net(Architecture.II, 3))
+    assert graph.reduction.folded_states > 0
 
 
 def test_gated_off_member_leaves_the_weighted_choice():
@@ -306,7 +304,7 @@ def test_state_space_limit_error_is_structured():
     assert error.state_count > 100
     assert error.frontier_size > 0
     assert error.max_states == 100
-    assert "reduction='lump'" in str(error)
+    assert "Net.declare_symmetry" in str(error)
 
 
 def test_class_member_cap_is_an_analysis_error():

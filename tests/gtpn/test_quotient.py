@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.gtpn import Net, activity_pair, analyze, markov
-from repro.gtpn.packed import compile_packed, packed_build, packed_retime
+from repro.gtpn.packed import packed_build, packed_retime
 from repro.models import (Architecture, build_local_net,
                           build_replicated_local_net)
 from repro.models.nonlocal_client import build_nonlocal_client_net
@@ -30,7 +30,7 @@ def _cold_store():
 
 def _warmup_net(mean):
     """A one-shot boot transition ahead of a service cycle: the boot
-    states are transient, so ``elim`` solves a strict slice."""
+    states are transient, and the solve keeps them (with zero mass)."""
     net = Net("warmup")
     start = net.place("Start", tokens=1)
     ready = net.place("Ready")
@@ -42,10 +42,12 @@ def _warmup_net(mean):
     return net
 
 
-def _build(net, reduction="none", structure=""):
-    return packed_build(net, compile_packed(net, reduction),
-                        max_states=200_000, structure=structure,
-                        reduction=reduction)
+def _build(net, form="lump"):
+    """Pack *net*; the "none" form strips its symmetry declarations
+    first, so the same net builds unlumped."""
+    if form == "none":
+        net.symmetries.clear()
+    return packed_build(net, max_states=200_000)
 
 
 def _full_solve(matrix):
@@ -67,7 +69,7 @@ def _server(arch, n):
     return lambda x: build_nonlocal_server_net(arch, n, 150.0 + x / 10)
 
 
-# (id, builder of the net at compute time X, reduction)
+# (id, builder of the net at compute time X, form: see ``_build``)
 _CHAINS = [
     *[(f"local-{a.name}-n{n}", _local(a, n), "none")
       for a in (Architecture.I, Architecture.II, Architecture.III)
@@ -82,15 +84,15 @@ _CHAINS = [
     ("replicated-II-n3-lump",
      lambda x: build_replicated_local_net(Architecture.II, 3,
                                           compute_time=x), "lump"),
-    ("warmup-elim", lambda x: _warmup_net(3.0 + x / 1000), "elim"),
+    ("warmup", lambda x: _warmup_net(3.0 + x / 1000), "none"),
 ]
 _IDS = [chain[0] for chain in _CHAINS]
 
 
-def _fresh_and_retimed(build, reduction):
+def _fresh_and_retimed(build, form):
     """A graph built at X = 1000 and one re-timed from its skeleton to
     X = 3000."""
-    graph, skeleton = _build(build(1000.0), reduction)
+    graph, skeleton = _build(build(1000.0), form)
     retimed = packed_retime(skeleton, build(3000.0), max_states=200_000)
     assert not np.array_equal(graph.matrix.data, retimed.matrix.data)
     return graph, retimed
@@ -114,18 +116,17 @@ def _assert_rows_equal_within_classes(graph):
         assert data[mine].tobytes() == data[theirs].tobytes()
 
 
-@pytest.mark.parametrize("name, build, reduction", _CHAINS, ids=_IDS)
-def test_rows_in_one_advance_class_are_equal(name, build, reduction):
-    graph, retimed = _fresh_and_retimed(build, reduction)
+@pytest.mark.parametrize("name, build, form", _CHAINS, ids=_IDS)
+def test_rows_in_one_advance_class_are_equal(name, build, form):
+    graph, retimed = _fresh_and_retimed(build, form)
     assert np.array_equal(graph.advance_class, retimed.advance_class)
     _assert_rows_equal_within_classes(graph)
     _assert_rows_equal_within_classes(retimed)
 
 
-@pytest.mark.parametrize("name, build, reduction", _CHAINS, ids=_IDS)
-def test_quotient_solve_agrees_with_the_full_chain(name, build,
-                                                   reduction):
-    for graph in _fresh_and_retimed(build, reduction):
+@pytest.mark.parametrize("name, build, form", _CHAINS, ids=_IDS)
+def test_quotient_solve_agrees_with_the_full_chain(name, build, form):
+    for graph in _fresh_and_retimed(build, form):
         matrix = graph.matrix
         plan = markov.build_solve_plan(matrix.indptr, matrix.indices,
                                        graph.advance_class)
@@ -139,14 +140,13 @@ def test_quotient_solve_agrees_with_the_full_chain(name, build,
 
 
 def test_reductions_quotient_the_solved_chain():
-    """Under ``elim`` the labels are sliced to the kept states and
-    relabelled; the replicated net's lumped chain still quotients."""
+    """The transient boot states stay in the solved chain and in its
+    quotient; the replicated net's lumped chain still quotients."""
     graph, _ = _fresh_and_retimed(lambda x: _warmup_net(3.0 + x / 1000),
-                                  "elim")
-    assert graph.reduction.transient_removed > 0
+                                  "none")
+    assert graph.reduction is None
     assert graph.quotient_order < graph.state_count
-    lumped, _ = _build(build_replicated_local_net(Architecture.II, 3),
-                       "lump")
+    lumped, _ = _build(build_replicated_local_net(Architecture.II, 3))
     assert lumped.reduction.folded_states > 0
     assert lumped.quotient_order < lumped.state_count
 

@@ -173,7 +173,7 @@ def test_skeleton_plan_agrees_with_augmented_oracle(augmented_oracle):
 
 def _warmup_net(mean):
     """A one-shot boot transition ahead of a service cycle: the boot
-    states are transient, so ``elim`` solves a strict slice."""
+    states are transient, and the solve keeps them (with zero mass)."""
     net = Net("warmup")
     start = net.place("Start", tokens=1)
     ready = net.place("Ready")
@@ -185,18 +185,19 @@ def _warmup_net(mean):
     return net
 
 
-def test_elim_plan_covers_the_kept_slice():
+def test_transient_plan_covers_every_state():
     store = AnalysisCache()
-    solver = SweepSolver(cache=store, reduction="elim")
+    solver = SweepSolver(cache=store)
     for mean in (3.0, 12.0):
         swept = solver.analyze(_warmup_net(mean))
-        fresh = _fresh(_warmup_net(mean), reduction="elim")
+        fresh = _fresh(_warmup_net(mean))
         _assert_identical(swept, fresh)
     assert len(store) == 1
-    skeleton = store.get(swept.graph.structure, "elim")
-    assert skeleton.kept is not None
-    assert len(skeleton.kept) < skeleton.full_state_count
-    assert skeleton.solve_plan().n == swept.graph.state_count
+    skeleton = store.get(swept.graph.structure)
+    assert skeleton.closed_class_count() == 1
+    assert skeleton.solve_plan().n == skeleton.state_count \
+        == swept.graph.state_count
+    assert swept.pi.min() == 0.0
 
 
 # ----------------------------------------------------------------------

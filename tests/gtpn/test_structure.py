@@ -1,5 +1,11 @@
 """Tests for GTPN structural analysis (incidence matrix, invariants)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,3 +152,27 @@ def test_property_invariants_hold_at_reachable_states(conversations,
             for p, n in t.inputs.items():
                 total += n * weights.get(net.places[p].name, 0)
         assert total == conversations
+
+_EXACT_AND_OPEN_SETUP = textwrap.dedent("""
+    import sys
+    import repro.api
+    from repro.gtpn import analyze
+    from repro.models import Architecture, Mode, build_local_net
+    from repro.traffic.arrivals import PoissonArrivals
+    from repro.traffic.engine import build_open_system
+    analyze(build_local_net(Architecture.II, 2))
+    build_open_system(Architecture.II, Mode.NONLOCAL,
+                      PoissonArrivals(0.0004), seed=7)
+    print("networkx" in sys.modules)
+""")
+
+
+def test_exact_and_open_setup_do_not_import_networkx():
+    """networkx serves only the structural checks, so the analyzer and
+    the open-traffic set-up start without it."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _EXACT_AND_OPEN_SETUP],
+                         env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    assert out.strip() == "False"

@@ -20,8 +20,6 @@ PLAN = FaultPlan(seed=3)
 #: parsed value, junk the parser must refuse).  Each value differs from
 #: the knob's default.
 SAMPLES = {
-    "reduction": ("elim+lump", "lump+elim", "LUMP", "lump",
-                  ["fold", "lump+fold"]),
     "sync": ("CAS", "cas", "ll/sc", "llsc", ["spin", ""]),
     "fault_plan": (None, None, PLAN, PLAN, []),
     "queue_limit": ("16", 16, "12", 12,
@@ -47,13 +45,13 @@ def _no_knob_env(monkeypatch):
             monkeypatch.delenv(knob.env, raising=False)
 
 
-def test_table_is_the_nine_knobs_with_samples():
-    assert len(config.KNOBS) == 9
+def test_table_is_the_eight_knobs_with_samples():
+    assert len(config.KNOBS) == 8
     assert {knob.name for knob in config.KNOBS} == set(SAMPLES)
     assert {knob.role for knob in config.KNOBS} == set(config.ROLES)
     flags = [knob.flag for knob in config.KNOBS if knob.flag]
     envs = [knob.env for knob in config.KNOBS if knob.env]
-    assert len(flags) == len(set(flags)) == 8
+    assert len(flags) == len(set(flags)) == 7
     assert len(envs) == len(set(envs))
 
 

@@ -113,6 +113,5 @@ def test_lru_bound_evicts_oldest():
         nets.append(net)
         analyze(net, cache=cache)
     assert len(cache) == 2
-    assert cache.get(fingerprint_net(nets[0]).structure, "none") is None
-    assert cache.get(fingerprint_net(nets[2]).structure, "none") \
-        is not None
+    assert cache.get(fingerprint_net(nets[0]).structure) is None
+    assert cache.get(fingerprint_net(nets[2]).structure) is not None

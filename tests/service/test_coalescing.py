@@ -88,17 +88,17 @@ def test_execution_knobs_still_coalesce():
 
 
 def test_spellings_of_one_value_coalesce():
-    # keys are built from parsed values: CAS/cas and elim+lump/lump+elim
+    # keys are built from parsed values: CAS/cas and "16"/16
     # name one computation, so the twin attaches to the running job
     tracker = ToyTracker()
     with temporary_experiment(make_toy(tracker=tracker)):
         service = _gated_service(tracker)
         try:
             first = service.submit("toy-exp", seed=4, sync="CAS",
-                                   reduction="elim+lump")
+                                   queue_limit="16")
             assert tracker.started.acquire(timeout=TIMEOUT)
             twin = service.submit("toy-exp", seed=4, sync="cas",
-                                  reduction="lump+elim")
+                                  queue_limit=16)
             assert twin.coalesced
             tracker.gate.set()
             assert twin.result(timeout=TIMEOUT) is \

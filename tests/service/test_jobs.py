@@ -58,7 +58,7 @@ def test_key_resolution_ignores_running_jobs_overrides():
     # from the ambient CLI/env state, never the running job's values —
     # otherwise a concurrent submission aliases onto the wrong address
     base = build_job_key("figure-6.7", {})
-    with config.overrides(seed=99, duration=123.0, reduction="lump"):
+    with config.overrides(seed=99, duration=123.0, sync="htm"):
         concurrent = build_job_key("figure-6.7", {})
         explicit = build_job_key("figure-6.7", {"seed": 99})
     assert concurrent == base
@@ -111,8 +111,8 @@ def test_numeric_normalisation():
     # from parsed values, so these coalesce and share a store entry
     assert build_job_key("t", {"sync": "CAS"}) == \
         build_job_key("t", {"sync": "cas"})
-    assert build_job_key("t", {"reduction": "elim+lump"}) == \
-        build_job_key("t", {"reduction": "lump+elim"})
+    assert build_job_key("t", {"sync": "LL/SC"}) == \
+        build_job_key("t", {"sync": "llsc"})
 
 
 def test_malformed_or_unknown_knob_raises_at_key_time():
@@ -124,27 +124,26 @@ def test_malformed_or_unknown_knob_raises_at_key_time():
 
 def test_canonical_digest_matches_earlier_stores(monkeypatch):
     # pins key composition: which knobs enter each half, in which
-    # order and rendering.  The digests date from before the knob
-    # table existed; a change to them must be a deliberate one
+    # order and rendering; a change to them must be a deliberate one.
+    # Re-pinned when the reduction knob left the structure half
     for knob in config.KNOBS:
         if knob.env is not None:
             monkeypatch.delenv(knob.env, raising=False)
     assert build_job_key("figure-6.18", {"sync": "cas"}).digest == \
-        "179fedf0b695c1d7"
+        "8631eafff9fb91d4"
     assert build_job_key("figure-6.7", {"seed": 7}).digest == \
-        "d604c9fd596573a1"
+        "a9972ff58b9d2429"
     assert build_job_key(
         "traffic-knee-quick",
         {"seed": 7, "duration": 500000, "arrival_rate": 0.5,
          "deadline": 8000, "queue_limit": 16,
-         "reduction": "lump+elim"}).digest == "956419a71eeb2c54"
+         "sync": "htm"}).digest == "61844b68ea2c567f"
 
 
 #: What each knob may change, pinned here independently of the table:
 #: a knob that changes computed values must key (structure or timing
 #: half), and an execution knob must not fragment the key.
 EXPECTED_ROLES = {
-    "reduction": ("structure", "lump"),
     "sync": ("structure", "llsc"),
     "fault_plan": ("structure", FaultPlan(seed=3)),
     "queue_limit": ("structure", 12),

@@ -245,7 +245,7 @@ def test_front_doors_check_knobs_against_the_table():
         with pytest.raises(ConfigError, match="duration"):
             api.submit_experiment("toy-exp", duration="abc")
         result = api.run_experiment("toy-exp", seed=2, sync="CAS",
-                                    reduction="elim+lump")
+                                    queue_limit="16")
     assert result.config["sync"] == "cas"
-    assert result.config["reduction"] == "lump+elim"
+    assert result.config["queue_limit"] == 16
     assert result.config["sync_source"] == "cli"
