@@ -73,9 +73,6 @@ class BusMonitor:
             return 0.0
         return sum(op.latency for op in ops) / len(ops)
 
-    def preemption_count(self) -> int:
-        return sum(op.preemptions for op in self.fabric.completed)
-
     def report(self) -> str:
         """Human-readable summary of the run."""
         lines = [f"smart bus: {len(self.fabric.completed)} operations, "

@@ -162,7 +162,3 @@ class TraceEvent:
     action: str
     edges: int
     detail: dict = field(default_factory=dict)
-
-    @property
-    def duration_edges(self) -> int:
-        return self.edges

@@ -200,8 +200,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_traffic(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import Table
     from repro.traffic import make_process, run_open_experiment
-    from repro.traffic.experiments import (DEFAULT_POOL,
-                                           DEFAULT_QUEUE_LIMIT,
+    from repro.traffic.experiments import (DEFAULT_QUEUE_LIMIT,
                                            closed_loop_capacity)
     architecture = Architecture[args.arch]
     mode = Mode.LOCAL if args.mode == "local" else Mode.NONLOCAL

@@ -34,8 +34,7 @@ from repro.gtpn.state import State, TickEngine
 from repro.gtpn.structure import (check_invariant, incidence_matrix,
                                   invariant_value, is_connected,
                                   place_invariants,
-                                  structural_deadlock_free_bound,
-                                  to_networkx)
+                                  structural_deadlock_free_bound)
 
 __all__ = [
     "AnalysisResult",
@@ -70,5 +69,4 @@ __all__ = [
     "simulate_with_confidence",
     "stationary_distribution",
     "structural_deadlock_free_bound",
-    "to_networkx",
 ]

@@ -1307,8 +1307,7 @@ def _materialize(skeleton: PackedSkeleton, net: Net,
         inflight_matrix=skeleton.inflight_matrix,
         packed_table=skeleton.table, packed_layout=skeleton.layout,
         skeleton=skeleton, freqs=freqs, program_values=prog_values,
-        branch_values=branch_vals, structure=skeleton.structure,
-        advance_class=skeleton.advance_class)
+        branch_values=branch_vals)
 
 
 def packed_retime(skeleton: PackedSkeleton, net: Net, *,

@@ -75,11 +75,12 @@ class ReachabilityGraph:
     * ``packed_table``: one packed row per state, decoded by
       ``packed_layout`` (:class:`repro.gtpn.packed.PackedLayout`).
     * ``freqs``: the transition frequencies P was evaluated at.
+
+    Read through the skeleton the graph was evaluated from:
+
     * ``reduction``: the skeleton's :class:`ReductionInfo` when the
       net was lumped, ``None`` otherwise.
-    * ``structure``: the structure fingerprint of the packed skeleton
-      the graph was evaluated from (empty when the build was not
-      keyed).
+    * ``structure``: the skeleton's structure fingerprint.
     * ``advance_class[i]``: the advance class of state i, ``0..k-1``:
       states whose post-completion configurations (marking after
       completions, plus the slots still counting down) are equal have
@@ -105,8 +106,6 @@ class ReachabilityGraph:
     freqs: np.ndarray = field(repr=False)
     program_values: np.ndarray = field(repr=False)
     branch_values: np.ndarray = field(repr=False)
-    structure: str = ""
-    advance_class: np.ndarray | None = None
 
     @property
     def state_count(self) -> int:
@@ -115,6 +114,14 @@ class ReachabilityGraph:
     @property
     def reduction(self) -> ReductionInfo | None:
         return self.skeleton.lumping
+
+    @property
+    def structure(self) -> str:
+        return self.skeleton.structure
+
+    @property
+    def advance_class(self) -> np.ndarray | None:
+        return self.skeleton.advance_class
 
     @property
     def quotient_order(self) -> int:

@@ -9,9 +9,8 @@ sanity in tests:
 * **P-invariants** (left null space of C): weightings of places whose
   token count every firing conserves — e.g. the Host token of the
   architecture models, or Clients + all client-cycle stages,
-* conversion to a :mod:`networkx` bipartite digraph for connectivity
-  and cycle analysis (networkx is imported on first use, so the
-  analyzer and the simulators start without it).
+* the bipartite place/transition digraph as a :mod:`scipy.sparse`
+  adjacency, for connectivity and cycle analysis.
 
 The loop transitions of the geometric-delay pairs have equal input
 and output arcs, so they contribute zero columns and never break an
@@ -21,15 +20,13 @@ invariant.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from repro.errors import ModelError
 from repro.gtpn.net import Net
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 def incidence_matrix(net: Net) -> np.ndarray:
@@ -93,40 +90,34 @@ def check_invariant(net: Net, weights: dict[str, int]) -> bool:
     return True
 
 
-def to_networkx(net: Net) -> nx.DiGraph:
-    """The net as a bipartite digraph (places and transitions).
-
-    Node attributes: ``kind`` ("place"/"transition"), ``tokens`` for
-    places, ``delay``/``resource`` for transitions.  Edge attribute
-    ``weight`` is the arc multiplicity.
-    """
-    import networkx as nx
-
-    graph = nx.DiGraph(name=net.name)
-    for place in net.places:
-        graph.add_node(f"p:{place.name}", kind="place",
-                       tokens=place.initial_tokens)
+def _net_graph(net: Net) -> sp.csr_matrix:
+    """The net as a bipartite digraph: the adjacency matrix over the
+    places (nodes ``0..P-1``) and the transitions (``P..P+T-1``), with
+    an arc from each input place to its transition and from each
+    transition to its output places."""
+    n_places = len(net.places)
+    n_nodes = n_places + len(net.transitions)
+    tails, heads = [], []
     for t in net.transitions:
-        graph.add_node(f"t:{t.name}", kind="transition", delay=t.delay,
-                       resource=t.resource)
-        for p, n in t.inputs.items():
-            graph.add_edge(f"p:{net.places[p].name}", f"t:{t.name}",
-                           weight=n)
-        for p, n in t.outputs.items():
-            graph.add_edge(f"t:{t.name}", f"p:{net.places[p].name}",
-                           weight=n)
-    return graph
+        node = n_places + t.index
+        for p in t.inputs:
+            tails.append(p)
+            heads.append(node)
+        for p in t.outputs:
+            tails.append(node)
+            heads.append(p)
+    return sp.csr_matrix((np.ones(len(tails), dtype=np.int8),
+                          (tails, heads)), shape=(n_nodes, n_nodes))
 
 
 def is_connected(net: Net) -> bool:
     """Weak connectivity of the net graph (a sanity check: the
     architecture models are single connected systems)."""
-    import networkx as nx
-
-    graph = to_networkx(net)
-    if graph.number_of_nodes() == 0:
+    if not net.places and not net.transitions:
         raise ModelError("empty net")
-    return nx.is_weakly_connected(graph)
+    count, _labels = csgraph.connected_components(
+        _net_graph(net), directed=True, connection="weak")
+    return count == 1
 
 
 def structural_deadlock_free_bound(net: Net) -> bool:
@@ -134,20 +125,14 @@ def structural_deadlock_free_bound(net: Net) -> bool:
     directed cycle through the net graph (token flow can return).
 
     The closed conversation cycles of the architecture models satisfy
-    this; a net failing it will eventually drain some place.
+    this; a net failing it will eventually drain some place.  The
+    graph is bipartite, so a transition lies on a cycle exactly when
+    its strongly connected component has another member.
     """
-    import networkx as nx
-
-    graph = to_networkx(net)
-    condensed = nx.condensation(graph)
-    # a transition on no cycle sits in a singleton SCC with in+out
-    for t in net.transitions:
-        node = f"t:{t.name}"
-        scc_index = condensed.graph["mapping"][node]
-        members = condensed.nodes[scc_index]["members"]
-        if len(members) == 1 and not (graph.has_edge(node, node)):
-            return False
-    return True
+    _count, labels = csgraph.connected_components(
+        _net_graph(net), directed=True, connection="strong")
+    sizes = np.bincount(labels)
+    return bool((sizes[labels[len(net.places):]] > 1).all())
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.errors import KernelError
@@ -12,6 +13,7 @@ from repro.kernel.timings import CostModel, cost_model
 from repro.models.params import Architecture, Mode
 
 if TYPE_CHECKING:   # pragma: no cover - import cycle guard
+    from repro.kernel.events import EventManager
     from repro.kernel.system import DistributedSystem
 
 
@@ -57,10 +59,13 @@ class Node:
         self.tasks: dict[str, Task] = {}
         self.kernel = IPCKernel(self)
         self.transport = system.build_transport(self)
-        # section 4.2 event/interrupt machinery (lazy import: events
-        # builds on the kernel)
+
+    @cached_property
+    def events(self) -> EventManager:
+        """The section 4.2 event and interrupt machinery, built on
+        first use (lazy import: events builds on the kernel)."""
         from repro.kernel.events import EventManager
-        self.events = EventManager(self)
+        return EventManager(self)
 
     def costs(self, local: bool) -> CostModel:
         """The cost table for a local or non-local interaction."""

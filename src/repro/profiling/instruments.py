@@ -39,10 +39,6 @@ class HardwareTimer:
         """Current counter value (wrapped)."""
         return int(self._time_us / self.tick_us) % self.modulus
 
-    @property
-    def now_us(self) -> float:
-        return self._time_us
-
 
 @dataclass
 class ProcedureEntry:

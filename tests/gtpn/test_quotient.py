@@ -10,6 +10,8 @@ labelling is refused by the residual gate on the full P, and graphs
 without labels still solve, with every state its own class.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -187,7 +189,8 @@ def test_wrong_classes_are_refused_by_the_gate():
 def test_unlabelled_graph_solves_every_state_as_a_class():
     graph, _ = _build(build_local_net(Architecture.II, 3))
     labelled = markov.stationary_distribution(graph)
-    graph.advance_class = None
+    graph = replace(graph, skeleton=replace(graph.skeleton,
+                                            advance_class=None))
     assert graph.quotient_order == graph.state_count
     with obs.recording() as recorder:
         unlabelled = markov.stationary_distribution(graph)

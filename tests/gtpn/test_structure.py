@@ -1,13 +1,6 @@
 """Tests for GTPN structural analysis (incidence matrix, invariants)."""
 
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +8,8 @@ from repro.gtpn import Net, activity_pair
 from repro.gtpn.structure import (check_invariant, incidence_matrix,
                                   invariant_value, is_connected,
                                   place_invariants,
-                                  structural_deadlock_free_bound,
-                                  to_networkx)
-from repro.models import Architecture, Mode, build_local_net
+                                  structural_deadlock_free_bound)
+from repro.models import Architecture, build_local_net
 from repro.models.nonlocal_client import build_nonlocal_client_net
 
 
@@ -101,21 +93,17 @@ class TestInvariants:
 
 
 class TestGraphView:
-    def test_bipartite_structure(self):
-        graph = to_networkx(simple_cycle())
-        kinds = {data["kind"] for _n, data in graph.nodes(data=True)}
-        assert kinds == {"place", "transition"}
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 4
-
-    def test_tokens_and_delay_attributes(self):
-        graph = to_networkx(simple_cycle())
-        assert graph.nodes["p:A"]["tokens"] == 2
-        assert graph.nodes["t:go"]["delay"] == 1
-
     def test_architecture_models_connected(self):
         for arch in Architecture:
             assert is_connected(build_local_net(arch, 2)), arch
+
+    def test_disjoint_nets_are_not_connected(self):
+        net = Net()
+        for name in ("a", "b"):
+            place = net.place(f"P{name}", tokens=1)
+            net.transition(f"t{name}", delay=1, inputs=[place],
+                           outputs=[place])
+        assert not is_connected(net)
 
     def test_cycle_condition_on_models(self):
         for arch in Architecture:
@@ -152,27 +140,3 @@ def test_property_invariants_hold_at_reachable_states(conversations,
             for p, n in t.inputs.items():
                 total += n * weights.get(net.places[p].name, 0)
         assert total == conversations
-
-_EXACT_AND_OPEN_SETUP = textwrap.dedent("""
-    import sys
-    import repro.api
-    from repro.gtpn import analyze
-    from repro.models import Architecture, Mode, build_local_net
-    from repro.traffic.arrivals import PoissonArrivals
-    from repro.traffic.engine import build_open_system
-    analyze(build_local_net(Architecture.II, 2))
-    build_open_system(Architecture.II, Mode.NONLOCAL,
-                      PoissonArrivals(0.0004), seed=7)
-    print("networkx" in sys.modules)
-""")
-
-
-def test_exact_and_open_setup_do_not_import_networkx():
-    """networkx serves only the structural checks, so the analyzer and
-    the open-traffic set-up start without it."""
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", _EXACT_AND_OPEN_SETUP],
-                         env=env, capture_output=True, text=True,
-                         timeout=120, check=True).stdout
-    assert out.strip() == "False"

@@ -186,28 +186,44 @@ class TestNonLocalRendezvous:
 
 
 class TestMemoryReferences:
-    def test_memory_move_with_rights(self):
-        system, node = make_local_system()
+    @pytest.mark.parametrize("write,remote,packets", [
+        (False, False, 0),
+        (True, False, 0),
+        (True, True, 2),     # the send and the reply; the move is no packet
+    ], ids=["local-read", "local-write", "remote-write"])
+    def test_memory_move_with_rights(self, write, remote, packets):
+        """The server moves a page through the client's reference, on
+        the client's node or across the wire, with the right the
+        reference grants."""
+        if remote:
+            system, client_node, node = make_two_node_system()
+        else:
+            system, node = make_local_system()
+            client_node = node
         owner = node.create_task("owner")
         node.kernel.create_service(owner, "svc")
         server = node.create_task("server")
-        client = node.create_task("client")
+        client = client_node.create_task("client")
         node.kernel.offer(server, "svc")
-        ref = MemoryReference(owner="client", address=0x1000, size=4096,
-                              rights=AccessRight.READ)
+        ref = MemoryReference(
+            owner="client", address=0x1000, size=4096,
+            rights=AccessRight.WRITE if write else AccessRight.READ)
         moved = []
 
         def on_message(message):
             node.kernel.memory_move(
-                server, message.memory_ref, 4096, write=False,
+                server, message.memory_ref, 4096, write=write,
                 on_done=lambda: (moved.append(system.now),
                                  node.kernel.reply(server, message)))
 
         node.kernel.receive(server, "svc", on_message)
-        node.kernel.send(client, "svc", memory_ref=ref)
+        client_node.kernel.send(client, "svc", memory_ref=ref)
         system.sim.run()
         assert moved
         assert node.kernel.stats.bytes_moved == 4096
+        assert node.kernel.stats.memory_moves == 1
+        assert system.wire.packet_count == packets
+        assert ref.revoked
 
     def test_write_without_right_rejected(self):
         ref = MemoryReference(owner="t", address=0, size=100,
