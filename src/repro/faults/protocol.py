@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.errors import KernelError
+from repro.kernel.sim import EventHandle
 from repro.kernel.transport import Transport
 
 if TYPE_CHECKING:   # pragma: no cover - import cycle guard
@@ -103,6 +104,8 @@ class _Outstanding:
     on_giveup: Callable[[str], None] | None
     msg_id: int
     attempt: int = 0
+    #: the armed retransmission timeout, cancelled once it is moot
+    timer: EventHandle | None = None
 
 
 class ReliableTransport(Transport):
@@ -155,7 +158,7 @@ class ReliableTransport(Transport):
         stale = [key for key, out in self._outstanding.items()
                  if out.msg_id == message.msg_id]
         for key in stale:
-            del self._outstanding[key]
+            self._cancel_timer(self._outstanding.pop(key))
 
     # ------------------------------------------------------------------
     # sender side
@@ -193,23 +196,33 @@ class ReliableTransport(Transport):
                 self.node.name, out.destination, out.kind,
                 lambda: peer.receive_data(self.node.name, out.seq,
                                           out.kind, out.deliver))
-            sim.after(self.policy.timeout_for(attempt),
-                      lambda: self._timeout(out, attempt))
+            if self._outstanding.get((out.destination, out.seq)) is out:
+                # not acked or abandoned while this copy was queued
+                out.timer = sim.at_cancellable(
+                    sim.now + self.policy.timeout_for(attempt),
+                    lambda: self._timeout(out))
 
         self.node.processors.net_out.submit(dma_cost, put_on_wire,
                                             label=dma_label)
 
-    def _timeout(self, out: _Outstanding, attempt: int) -> None:
-        current = self._outstanding.get((out.destination, out.seq))
-        if current is not out or out.attempt != attempt:
-            return                     # acked, abandoned, or superseded
+    def _cancel_timer(self, out: _Outstanding) -> None:
+        """Disarm *out*'s timeout: it was acked or abandoned."""
+        if out.timer is not None:
+            self.node.sim.cancel(out.timer)
+            out.timer = None
+
+    def _timeout(self, out: _Outstanding) -> None:
+        # acks and abandons cancel the timer, no timer is armed for a
+        # packet no longer outstanding, and the next one is armed only
+        # after this one fired: *out* is live and this is its attempt
+        out.timer = None
         if out.attempt >= self.policy.max_retries:
             del self._outstanding[(out.destination, out.seq)]
             self.stats.giveups += 1
             obs.add("transport.giveup")
             if out.on_giveup is not None:
                 out.on_giveup(
-                    f"retry budget exhausted: {attempt + 1} "
+                    f"retry budget exhausted: {out.attempt + 1} "
                     f"transmissions to {out.destination} unacked")
             return
         out.attempt += 1
@@ -276,5 +289,6 @@ class ReliableTransport(Transport):
     def _acked(self, destination: str, seq: int) -> None:
         out = self._outstanding.pop((destination, seq), None)
         if out is not None:
+            self._cancel_timer(out)
             self.stats.acks_received += 1
             obs.add("transport.ack_received")

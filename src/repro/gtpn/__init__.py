@@ -30,7 +30,7 @@ from repro.gtpn.reachability import (ReachabilityGraph, ReductionInfo,
                                      build_reachability_graph)
 from repro.gtpn.simulation import (ConfidenceResult, SimulationResult,
                                    simulate, simulate_with_confidence)
-from repro.gtpn.state import State, TickEngine
+from repro.gtpn.state import State
 from repro.gtpn.structure import (check_invariant, incidence_matrix,
                                   invariant_value, is_connected,
                                   place_invariants,
@@ -48,7 +48,6 @@ __all__ = [
     "SimulationResult",
     "State",
     "SymmetryGroup",
-    "TickEngine",
     "Transition",
     "activity_pair",
     "analyze",

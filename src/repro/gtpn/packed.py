@@ -1,8 +1,8 @@
 """Array-native GTPN engine: packed states, batched expansion, lumping.
 
 This module is the exact analyzer's reachability engine.  It runs the
-tick semantics of :mod:`repro.gtpn.state` (which the Monte Carlo
-simulator executes one ``State`` at a time) over numpy arrays:
+tick semantics of :mod:`repro.gtpn.state` over numpy arrays, following
+every branch (the Monte Carlo simulator samples one):
 
 * **Packed states** — a state is one ``int32`` row: the marking in the
   first ``n_places`` columns, then one column per ``(transition,
@@ -14,9 +14,10 @@ simulator executes one ``State`` at a time) over numpy arrays:
   states per step.  The settle rounds of a tick run vectorized: one
   enabledness test per round for every (item, class member) pair, a
   mixed-radix expansion of the per-class choice cross product
-  (class 0 is the slowest-varying digit, exactly the tick engine's
-  ``_cartesian`` order), and sentinel-row bookkeeping so inactive
-  classes cost a no-op row instead of a Python branch.  A declared
+  (class 0 is the slowest-varying digit, exactly the cross-product
+  order of the oracle tick engine in ``tests/gtpn/conftest.py``), and
+  sentinel-row bookkeeping so inactive classes cost a no-op row
+  instead of a Python branch.  A declared
   :class:`~repro.gtpn.net.Gate` is one more column test of the same
   enabledness mask (see :class:`PackedNet`).
 * **Direct CSR assembly** — branch probabilities are recorded as
@@ -29,13 +30,13 @@ simulator executes one ``State`` at a time) over numpy arrays:
 Bit-reproducibility contract: every floating-point accumulation —
 factor normalization, per-round products, branch dedup sums, row and
 expected-starts accumulation — replays the order of a breadth-first
-walk over :class:`~repro.gtpn.state.TickEngine` ticks (Python left
-folds, first-seen branch order, additive/multiplicative identity
-padding), so a packed build of a net without symmetry declarations
-is **bit-identical** to that walk (the test suite keeps it as an
-oracle), and a :func:`packed_retime` re-evaluation is bit-identical to
-a fresh :func:`packed_build` by construction (same arrays through the
-same :func:`_materialize`).
+walk over the ticks of the retired one-state-at-a-time ``TickEngine``
+(Python left folds, first-seen branch order, additive/multiplicative
+identity padding), so a packed build of a net without symmetry
+declarations is **bit-identical** to that walk (both live on as the
+oracle in ``tests/gtpn/conftest.py``), and a :func:`packed_retime`
+re-evaluation is bit-identical to a fresh :func:`packed_build` by
+construction (same arrays through the same :func:`_materialize`).
 
 A net that declares symmetry groups (:meth:`Net.declare_symmetry
 <repro.gtpn.net.Net.declare_symmetry>`) is lumped, and no other net
@@ -849,7 +850,8 @@ def _settle_markings(pnet: PackedNet, markings: np.ndarray,
             break
 
         # mixed-radix expansion of the per-class cross product:
-        # class 0 is the slowest-varying digit (``_cartesian`` order)
+        # class 0 is the slowest-varying digit (the cross-product order
+        # of the oracle tick engine in tests/gtpn/conftest.py)
         c1 = np.maximum(cnt, 1)
         combos = c1.prod(axis=1)
         rep = np.repeat(np.arange(len(work)), combos)

@@ -3,9 +3,8 @@
 Any run of the toolkit is reproducible from the command line: the
 global ``--seed`` CLI flag (or the ``REPRO_SEED`` environment
 variable) installs a default seed that every stochastic component —
-the GTPN Monte Carlo simulator (:class:`repro.gtpn.state.\
-SamplingResolver` via :mod:`repro.gtpn.simulation`), the kernel
-conversation workloads, and the fault schedules of
+the GTPN Monte Carlo simulator (:mod:`repro.gtpn.simulation`), the
+kernel conversation workloads, and the fault schedules of
 :mod:`repro.faults` — consults when its caller did not pass an
 explicit seed.
 

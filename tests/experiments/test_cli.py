@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -160,6 +163,15 @@ def test_validate_quick_end_to_end(tmp_path, capsys):
     # the committed baseline at the repo root was found and checked
     assert payload["baseline"].get("skipped") is None
     assert payload["baseline"]["ok"] is True
+    # the seeded Monte Carlo CIs equal the committed report's, exactly
+    committed = json.loads(
+        (Path(__file__).resolve().parents[2]
+         / "validation-report.json").read_text())
+    assert [point["config_id"] for point in payload["points"]] == \
+        [point["config_id"] for point in committed["points"]]
+    for point, pinned in zip(payload["points"], committed["points"]):
+        assert point["monte_carlo"] == pinned["monte_carlo"], \
+            point["config_id"]
 
 
 def test_validate_rebaseline_writes_custom_path(tmp_path, capsys):

@@ -88,6 +88,26 @@ class TestProtocolUnderLoss:
         assert result.completed <= reliable.completed
 
 
+def test_only_live_timeouts_fire(monkeypatch):
+    """Acks and abandons cancel a packet's timeout, so every timeout
+    that fires belongs to a packet still outstanding."""
+    from repro.faults import ReliableTransport
+    fired = []
+    timeout = ReliableTransport._timeout
+
+    def checked(self, out):
+        assert self._outstanding.get((out.destination, out.seq)) is out
+        fired.append(out.attempt)
+        timeout(self, out)
+
+    monkeypatch.setattr(ReliableTransport, "_timeout", checked)
+    policy = RetryPolicy(initial_timeout_us=10_000.0, max_retries=5,
+                         conversation_timeout_us=500_000.0)
+    result = run_with_loss(0.05, policy=policy)
+    assert result.retransmissions > 0
+    assert len(fired) == result.retransmissions + result.giveups
+
+
 def test_transport_selected_by_plan_activity():
     from repro.faults import ReliableTransport, UnreliableNetwork
     from repro.kernel import DirectTransport, Wire

@@ -1,23 +1,210 @@
 """Shared fixtures for the GTPN suite: test-only oracles.
 
 Retired engines live on here, outside the package, as differential
-oracles for the code that replaced them: the augmented-system
-stationary solve, the one-state-at-a-time object reachability walk and
+oracles for the code that replaced them: the one-state-at-a-time tick
+engine with its exhaustive and sampling resolvers, the augmented-system
+stationary solve, the object reachability walk over those ticks and
 the program-major branch-value fold.
 """
 
 from __future__ import annotations
 
+import random
+from bisect import bisect
+from dataclasses import dataclass
+from itertools import accumulate
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import strategies as st
 
-from repro.errors import StateSpaceLimitError
+from repro.errors import AnalysisError, StateSpaceLimitError
 from repro.gtpn import Net
 from repro.gtpn.packed import (_branch_values, compile_packed,
                                packed_build)
-from repro.gtpn.state import ExhaustiveResolver, State, TickEngine
+from repro.gtpn.state import MAX_IMMEDIATE_ROUNDS, State
+
+
+class ExhaustiveResolver:
+    """Follow every branch with its exact probability (analyzer)."""
+
+    def choose(self, options):
+        return list(options)
+
+
+class SamplingResolver:
+    """Sample a single branch (Monte Carlo simulator).
+
+    Draws through the same ``random() * total`` + bisect scheme as
+    ``random.choices``, over cumulative weights memoized per distinct
+    option tuple; :mod:`repro.gtpn.simulation` must replay its stream.
+    """
+
+    def __init__(self, rng: random.Random):
+        self._rng = rng
+        #: options-tuple -> (cum_weights, payloads)
+        self._cum: dict[tuple, tuple[list[float], list]] = {}
+
+    def choose(self, options):
+        key = tuple(options)
+        cached = self._cum.get(key)
+        if cached is None:
+            cum = list(accumulate(p for p, _payload in options))
+            payloads = [payload for _p, payload in options]
+            cached = self._cum[key] = (cum, payloads)
+        cum, payloads = cached
+        pick = bisect(cum, self._rng.random() * cum[-1], 0,
+                      len(cum) - 1)
+        return [(1.0, payloads[pick])]
+
+
+@dataclass
+class Branch:
+    """One outcome of executing a tick: a successor with probability.
+
+    ``starts`` counts, per transition index, how many firings started
+    during the tick (used to compute firing rates of immediate
+    transitions, whose activity never shows up in ``inflight``).
+    """
+
+    probability: float
+    state: State
+    starts: tuple[int, ...]
+
+
+class TickEngine:
+    """The retired one-state-at-a-time GTPN tick, as an oracle.
+
+    Executes the semantics of :mod:`repro.gtpn.state` on one
+    :class:`State` at a time.  Under :class:`ExhaustiveResolver` it
+    follows every branch (the packed engine reproduces that over arrays,
+    bit for bit); under :class:`SamplingResolver` it follows one (the
+    Monte Carlo sampler reproduces that draw for draw).
+    """
+
+    def __init__(self, net: Net):
+        net.validate()
+        self.net = net
+        self._classes = net.conflict_classes()
+        self._in_arcs = [tuple(t.inputs.items()) for t in net.transitions]
+        self._out_arcs = [tuple(t.outputs.items())
+                          for t in net.transitions]
+        self._freq = [float(t.frequency) for t in net.transitions]
+        self._delay = [int(t.delay) for t in net.transitions]
+        self._gates = [net.gate_indices(t) if t.gate is not None else None
+                       for t in net.transitions]
+
+    def initial_branches(self, resolver) -> list[Branch]:
+        """Settle the initial marking into post-decision states."""
+        marking = list(self.net.initial_marking)
+        return self._settle(marking, [], resolver)
+
+    def tick(self, state: State, resolver) -> list[Branch]:
+        """Execute one tick from *state*, returning successor branches."""
+        marking = list(state.marking)
+        inflight: list[list[int]] = []
+        for t_idx, remaining in state.inflight:
+            if remaining <= 1:
+                # firing completes: deposit outputs
+                for p, n in self._out_arcs[t_idx]:
+                    marking[p] += n
+            else:
+                inflight.append([t_idx, remaining - 1])
+        return self._settle(marking, inflight, resolver)
+
+    def _settle(self, marking, inflight, resolver) -> list[Branch]:
+        n_t = len(self.net.transitions)
+        work = self._run_settle_rounds(
+            [(1.0, marking, inflight, [0] * n_t)], resolver)
+        branches: dict[tuple, Branch] = {}
+        for prob, mk, fl, starts in work:
+            state = State(marking=tuple(mk),
+                          inflight=tuple(sorted(map(tuple, fl))))
+            key = (state.marking, state.inflight, tuple(starts))
+            if key in branches:
+                branches[key].probability += prob
+            else:
+                branches[key] = Branch(probability=prob, state=state,
+                                       starts=tuple(starts))
+        return list(branches.values())
+
+    def _run_settle_rounds(self, work, resolver):
+        done = []
+        rounds = 0
+        while work:
+            rounds += 1
+            if rounds > MAX_IMMEDIATE_ROUNDS:
+                raise AnalysisError(
+                    f"net {self.net.name!r}: settle rounds did not reach "
+                    f"quiescence in {MAX_IMMEDIATE_ROUNDS} rounds "
+                    "(unbounded zero-time loop?)")
+            next_work = []
+            for prob, mk, fl, starts in work:
+                selections = self._select_per_class(mk, fl)
+                if not selections:
+                    done.append((prob, mk, fl, starts))
+                    continue
+                for branch_prob, chosen in _cartesian(selections, resolver):
+                    new_mk = list(mk)
+                    new_fl = [list(entry) for entry in fl]
+                    new_starts = list(starts)
+                    for t_idx in chosen:
+                        for p, n in self._in_arcs[t_idx]:
+                            new_mk[p] -= n
+                        delay = self._delay[t_idx]
+                        if delay == 0:
+                            # immediate: outputs deposit within the tick
+                            for p, n in self._out_arcs[t_idx]:
+                                new_mk[p] += n
+                        else:
+                            new_fl.append([t_idx, delay])
+                        new_starts[t_idx] += 1
+                    next_work.append(
+                        (prob * branch_prob, new_mk, new_fl, new_starts))
+            work = next_work
+        return done
+
+    def _select_per_class(self, marking, inflight):
+        """For each conflict class with an enabled member (positive
+        frequency, inputs marked, gate open), the ``(probability,
+        transition_index)`` choices, normalised by frequency."""
+        selections = []
+        busy = None
+        for cls in self._classes:
+            weighted = []
+            for t_idx in cls:
+                if self._freq[t_idx] <= 0:
+                    continue
+                if any(marking[p] < n for p, n in self._in_arcs[t_idx]):
+                    continue
+                gate = self._gates[t_idx]
+                if gate is not None:
+                    if busy is None:
+                        busy = {t for t, _remaining in inflight}
+                    places, fired = gate
+                    if any(marking[p] for p in places) \
+                            or any(u in busy for u in fired):
+                        continue
+                weighted.append((self._freq[t_idx], t_idx))
+            if weighted:
+                total = sum(f for f, _ in weighted)
+                selections.append(
+                    [(f / total, t_idx) for f, t_idx in weighted])
+        return selections
+
+
+def _cartesian(selections, resolver) -> list[tuple[float, list[int]]]:
+    """Cross-product of per-class choices, pruned through *resolver*,
+    in class order: one transition per class per settle round."""
+    combos: list[tuple[float, list[int]]] = [(1.0, [])]
+    for options in selections:
+        chosen = resolver.choose(options)
+        combos = [(p * cp, picks + [t_idx])
+                  for p, picks in combos
+                  for cp, t_idx in chosen]
+    return combos
 
 
 def augmented_solve(matrix: sp.csr_matrix) -> np.ndarray | None:
@@ -220,3 +407,26 @@ def assert_fold_matches_strided(net: Net):
 def fold_identical():
     """:func:`assert_fold_matches_strided` as a differential fixture."""
     return assert_fold_matches_strided
+
+
+@st.composite
+def conservative_nets(draw):
+    """A random strongly-conservative net (1 token in, 1 token out)."""
+    n_places = draw(st.integers(2, 3))
+    n_transitions = draw(st.integers(1, 3))
+    tokens = draw(st.lists(st.integers(0, 1), min_size=n_places,
+                           max_size=n_places))
+    if sum(tokens) == 0:
+        tokens[0] = 1
+    net = Net("random")
+    places = [net.place(f"P{i}", tokens=tokens[i])
+              for i in range(n_places)]
+    for t in range(n_transitions):
+        source = draw(st.integers(0, n_places - 1))
+        target = draw(st.integers(0, n_places - 1))
+        frequency = draw(st.floats(0.1, 1.0))
+        net.transition(f"T{t}", delay=draw(st.integers(1, 3)),
+                       frequency=frequency,
+                       inputs=[places[source]],
+                       outputs=[places[target]])
+    return net

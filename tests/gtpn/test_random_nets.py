@@ -6,40 +6,16 @@ invariants: probability conservation, token conservation, and
 analyzer/simulator agreement.
 """
 
-import random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AnalysisError
-from repro.gtpn import (Net, TickEngine, analyze,
-                        build_reachability_graph, markov, simulate)
-from repro.gtpn.state import ExhaustiveResolver
-
-
-@st.composite
-def conservative_nets(draw):
-    """A random strongly-conservative net (1 token in, 1 token out)."""
-    n_places = draw(st.integers(2, 3))
-    n_transitions = draw(st.integers(1, 3))
-    tokens = draw(st.lists(st.integers(0, 1), min_size=n_places,
-                           max_size=n_places))
-    if sum(tokens) == 0:
-        tokens[0] = 1
-    net = Net("random")
-    places = [net.place(f"P{i}", tokens=tokens[i])
-              for i in range(n_places)]
-    for t in range(n_transitions):
-        source = draw(st.integers(0, n_places - 1))
-        target = draw(st.integers(0, n_places - 1))
-        frequency = draw(st.floats(0.1, 1.0))
-        net.transition(f"T{t}", delay=draw(st.integers(1, 3)),
-                       frequency=frequency,
-                       inputs=[places[source]],
-                       outputs=[places[target]])
-    return net
+from repro.gtpn import (Net, analyze, build_reachability_graph, markov,
+                        simulate)
+from tests.gtpn.conftest import (ExhaustiveResolver, TickEngine,
+                                 conservative_nets)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,12 @@
-"""Tests of the GTPN tick semantics (repro.gtpn.state)."""
+"""Tests of the GTPN tick semantics (repro.gtpn.state), run on the
+exhaustive oracle tick engine."""
 
 import pytest
 
 from repro.errors import AnalysisError
-from repro.gtpn import Gate, Net, TickEngine
-from repro.gtpn.state import ExhaustiveResolver, State
+from repro.gtpn import Gate, Net
+from repro.gtpn.state import State
+from tests.gtpn.conftest import ExhaustiveResolver, TickEngine
 
 
 def branches_of(net, state=None):

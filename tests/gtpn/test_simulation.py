@@ -1,9 +1,20 @@
 """Tests for the Monte Carlo GTPN simulator."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AnalysisError
-from repro.gtpn import Net, activity_pair, simulate
+from repro.gtpn import (Gate, Net, activity_pair, simulate,
+                        simulate_with_confidence)
+from repro.gtpn.simulation import _Sampler
+from repro.models import (Architecture, build_local_net,
+                          build_nonlocal_client_net,
+                          build_nonlocal_server_net)
+from tests.gtpn.conftest import (SamplingResolver, TickEngine,
+                                 conservative_nets)
 
 
 def small_net():
@@ -63,3 +74,70 @@ def test_warmup_excluded_from_measurement():
     # measuring only after warmup must not crash and still be sane
     result = simulate(small_net(), ticks=10_000, warmup=10_000, seed=3)
     assert 0.1 < result.throughput() < 0.25
+
+
+def test_unbounded_immediate_loop_raises():
+    """The sampler keeps the settle-round cap of the tick semantics."""
+    net = Net()
+    a = net.place("A", tokens=1)
+    net.transition("T", delay=0, inputs=[a], outputs=[a])
+    with pytest.raises(AnalysisError, match="quiescence"):
+        simulate(net, ticks=10, seed=0)
+    with pytest.raises(AnalysisError, match="quiescence"):
+        simulate_with_confidence(net, resource="lambda", batches=2,
+                                 batch_ticks=10, warmup=0, seed=0)
+
+
+def assert_replays_oracle(net, seed, ticks=2_000):
+    """Step the sampler and the retired ``TickEngine`` under its
+    ``SamplingResolver`` from one seed: after the initial settle and
+    after every tick both hold the same marking, the same in-flight
+    multiset and the same per-transition starts."""
+    sampler = _Sampler(net, seed)
+    engine = TickEngine(net)
+    resolver = SamplingResolver(random.Random(seed))
+    (branch,) = engine.initial_branches(resolver)
+    before = [0] * len(net.transitions)
+    for _ in range(ticks + 1):
+        assert tuple(sampler.marking) == branch.state.marking
+        assert tuple(sorted(map(tuple, sampler.inflight))) \
+            == branch.state.inflight
+        assert tuple(after - prior for after, prior
+                     in zip(sampler.starts, before)) == branch.starts
+        before = list(sampler.starts)
+        sampler.tick()
+        (branch,) = engine.tick(branch.state, resolver)
+
+
+def _model_nets():
+    for arch in Architecture:
+        for n in (1, 2, 3):
+            yield build_local_net(arch, n, 500.0)
+    yield build_nonlocal_client_net(Architecture.II, 2, 3000.0)
+    yield build_nonlocal_server_net(Architecture.II, 2, 3000.0)
+
+
+def _late_gate_net():
+    """``late`` is enabled one settle round after ``slow`` starts, and
+    its gate must see ``slow`` in flight (as in test_semantics)."""
+    net = Net("late-gate")
+    a = net.place("A", tokens=1)
+    c = net.place("C", tokens=1)
+    d = net.place("D")
+    net.transition("slow", delay=2, inputs=[a], outputs=[a])
+    net.transition("hop", delay=0, inputs=[c], outputs=[d])
+    net.transition("late", delay=1, inputs=[d], outputs=[c],
+                   gate=Gate(not_firing=["slow"]))
+    return net
+
+
+@pytest.mark.parametrize("net", [*_model_nets(), _late_gate_net()],
+                         ids=lambda net: net.name)
+def test_sampler_replays_oracle_on_model_nets(net):
+    assert_replays_oracle(net, seed=7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(conservative_nets(), st.integers(0, 2**16))
+def test_sampler_replays_oracle_on_random_nets(net, seed):
+    assert_replays_oracle(net, seed)

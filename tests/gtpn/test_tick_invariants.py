@@ -1,19 +1,16 @@
-"""Invariants of the tick engine guarding the memoized fast path.
+"""Invariants of the exhaustive tick over the model nets.
 
-The analyzer memoizes ``TickEngine.tick`` successor branches per state
-(tick is deterministic under the exhaustive resolver), so these tests
-pin down the properties the memo relies on: every state's branch
-probabilities form a distribution, and repeated ticks of the same
-state return identical branches.
+Every reachable state's successor branches, as the oracle tick engine
+enumerates them, form a probability distribution.
 """
 
 import pytest
 
 from repro.gtpn import build_reachability_graph
-from repro.gtpn.state import ExhaustiveResolver, TickEngine
 from repro.models import (Architecture, build_local_net,
                           build_nonlocal_client_net,
                           build_nonlocal_server_net)
+from tests.gtpn.conftest import ExhaustiveResolver, TickEngine
 
 
 def _architecture_nets():
@@ -35,23 +32,3 @@ def test_branch_probabilities_sum_to_one_everywhere(net):
         assert total == pytest.approx(1.0, abs=1e-9)
         for branch in branches:
             assert branch.probability > 0
-
-
-@pytest.mark.parametrize("net", [build_local_net(Architecture.II, 2,
-                                                 500.0)],
-                         ids=lambda net: net.name)
-def test_memoized_tick_reproduces_first_expansion(net):
-    engine = TickEngine(net)
-    resolver = ExhaustiveResolver()
-    [start] = [b.state for b in engine.initial_branches(resolver)][:1]
-    first = engine.tick(start, resolver)
-    again = engine.tick(start, resolver)
-    assert len(first) == len(again)
-    for a, b in zip(first, again):
-        assert a.probability == b.probability
-        assert a.state == b.state
-        assert a.starts == b.starts
-    # memoized lists are fresh containers: mutating one copy must not
-    # leak into the next caller's view
-    first.clear()
-    assert len(engine.tick(start, resolver)) == len(again)
