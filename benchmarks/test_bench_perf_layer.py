@@ -181,23 +181,12 @@ _SCALING_NS_HEAVY = (7, 8)
 #: the grid; the floor only catches order-of-magnitude regressions.
 MIN_STATES_PER_S = 15_000
 
-#: Wall budget for the flagship lumping point: a >= 1e5 pre-lumping
-#: state arch-II grid point must solve end-to-end under this.
-LUMPED_BUDGET_S = 10.0
-
-#: Pre-lumping reachable states of the flagship point (arch II
-#: replicated, 4 conversations), measured by a packed build of the net
-#: with its symmetry declarations stripped;
-#: re-verified when ``REPRO_BENCH_HEAVY`` is set (costs ~40 s).
-_REPLICATED_N4_FULL_STATES = 376_400
-
-
 def test_bench_packed_scaling_arch2(perf_record):
     """Scaling records for the array-native engine: one packed build +
     exact solve per conversation count, recording the build/solve split,
-    the states-per-second build rate, the order of the advance-class
-    quotient the solve factored, and the stationary-solver method that
-    produced the vector (the direct LU, not the power fallback)."""
+    the states-per-second build rate and the order of the advance-class
+    quotient the solve factored; the vector must come from the direct
+    LU, not the power fallback."""
     from repro.gtpn.markov import stationary_distribution
     from repro.gtpn.packed import compile_packed, packed_build
 
@@ -213,15 +202,12 @@ def test_bench_packed_scaling_arch2(perf_record):
         with obs.recording() as recorder:
             _, solve_s = _timed(stationary_distribution, graph,
                                 closed_classes=skeleton.closed_class_count())
-        (solve_method,) = [name.removeprefix("markov.method.")
-                           for name in recorder.counters
-                           if name.startswith("markov.method.")]
+        assert "markov.solve_fallback" not in recorder.counters
         states_per_s = graph.state_count / build_s
         perf_record(bench=f"scaling-arch2-n{n}",
                     state_count=graph.state_count,
-                    quotient_order=graph.quotient_order, reduction="none",
+                    quotient_order=graph.quotient_order,
                     build_s=build_s, solve_s=solve_s,
-                    solve_method=solve_method,
                     states_per_s=states_per_s)
         assert states_per_s >= MIN_STATES_PER_S
 
@@ -284,39 +270,6 @@ def test_bench_nonlocal_fixed_point(perf_record, monkeypatch):
     assert len(net_builds) == 2
     assert len(builds) == 2
     assert len(retimes) == 2 * (solution.iterations - 1)
-
-
-def test_bench_lumped_flagship_point(perf_record):
-    """The acceptance point for symmetry lumping: an arch-II grid
-    point whose unlumped chain has >= 1e5 reachable states solves
-    end-to-end (model build, lumped exploration, exact stationary
-    solve) inside the wall budget; the replicated net declares its
-    symmetry, so the analyzer lumps it."""
-    from repro.models import build_replicated_local_net
-
-    result, total_s = _timed(
-        lambda: analyze(build_replicated_local_net(Architecture.II, 4),
-                        max_states=5_000_000, cache=AnalysisCache()))
-
-    full_states = _REPLICATED_N4_FULL_STATES
-    if os.environ.get("REPRO_BENCH_HEAVY"):
-        from repro.gtpn.packed import compile_packed, packed_build
-        net = build_replicated_local_net(Architecture.II, 4)
-        net.symmetries.clear()
-        full_graph, _ = packed_build(net, compile_packed(net),
-                                     max_states=5_000_000)
-        full_states = full_graph.state_count
-        assert full_states == _REPLICATED_N4_FULL_STATES
-
-    perf_record(bench="lumped-arch2-replicated-n4",
-                state_count=result.state_count,
-                quotient_order=result.graph.quotient_order,
-                reduction="lump",
-                pre_lump_states=full_states, total_s=total_s,
-                throughput=result.throughput())
-    assert full_states >= 100_000
-    assert result.graph.reduction.lumped
-    assert total_s < LUMPED_BUDGET_S
 
 
 #: Allowed disabled-tracing overhead on an exact solve, as a fraction

@@ -37,9 +37,7 @@ class StateSpaceLimitError(AnalysisError):
         super().__init__(
             f"net {net_name!r}: more than {max_states} reachable states "
             f"({state_count} interned, {frontier_size} still on the "
-            "frontier); raise max_states, simplify the model, or "
-            "declare its symmetric subnets (Net.declare_symmetry) so "
-            "the analyzer lumps them")
+            "frontier); raise max_states or simplify the model")
 
 
 class BusError(ReproError):

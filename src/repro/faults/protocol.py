@@ -121,6 +121,8 @@ class ReliableTransport(Transport):
         self._outstanding: dict[tuple[str, int], _Outstanding] = {}
         #: per-source set of sequence numbers already passed up
         self._delivered_seqs: dict[str, set[int]] = {}
+        #: per watched conversation (by msg_id), its armed deadline
+        self._deadlines: dict[int, EventHandle] = {}
 
     # ------------------------------------------------------------------
     # kernel-facing interface
@@ -148,13 +150,23 @@ class ReliableTransport(Transport):
         deadline = self.policy.conversation_timeout_us
         if deadline <= 0:
             return
-        self.node.sim.after(
-            deadline,
+        sim = self.node.sim
+        self._deadlines[message.msg_id] = sim.at_cancellable(
+            sim.now + deadline,
             lambda: self.node.kernel.fail_conversation(
                 message,
                 f"conversation deadline ({deadline:g} us) passed"))
 
+    def _disarm_deadline(self, message: "Message") -> None:
+        handle = self._deadlines.pop(message.msg_id, None)
+        if handle is not None:
+            self.node.sim.cancel(handle)
+
+    def on_conversation_completed(self, message: "Message") -> None:
+        self._disarm_deadline(message)
+
     def on_conversation_failed(self, message: "Message") -> None:
+        self._disarm_deadline(message)
         stale = [key for key, out in self._outstanding.items()
                  if out.msg_id == message.msg_id]
         for key in stale:

@@ -23,10 +23,10 @@ from repro.gtpn.approximations import (activity_pair, geometric_frequency,
                                        littles_law_population,
                                        littles_law_residence)
 from repro.gtpn.markov import stationary_distribution
-from repro.gtpn.net import Gate, Net, Place, SymmetryGroup, Transition
+from repro.gtpn.net import Gate, Net, Place, Transition
 from repro.gtpn.packed import (PackedLayout, PackedSkeleton, compile_packed,
                                packed_build, packed_retime)
-from repro.gtpn.reachability import (ReachabilityGraph, ReductionInfo,
+from repro.gtpn.reachability import (ReachabilityGraph,
                                      build_reachability_graph)
 from repro.gtpn.simulation import (ConfidenceResult, SimulationResult,
                                    simulate, simulate_with_confidence)
@@ -44,10 +44,8 @@ __all__ = [
     "PackedSkeleton",
     "Place",
     "ReachabilityGraph",
-    "ReductionInfo",
     "SimulationResult",
     "State",
-    "SymmetryGroup",
     "Transition",
     "activity_pair",
     "analyze",

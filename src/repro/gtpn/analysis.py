@@ -45,38 +45,14 @@ class AnalysisResult:
         """Per-transition mean number of concurrent in-flight firings.
 
         One vector product (deterministic per build, and both build and
-        retime go through it, so sweep bit-identity holds); lumped
-        graphs then average each declared transition orbit, which
-        recovers the exact per-member value because canonicalization
-        only permutes members within a state.
+        retime go through it, so sweep bit-identity holds).
         """
-        return self._fold_orbits(self.pi @ self.graph.inflight_matrix,
-                                 places=False)
+        return self.pi @ self.graph.inflight_matrix
 
     @cached_property
     def _mean_starts(self) -> np.ndarray:
         """Per-transition expected firing starts per tick."""
-        return self._fold_orbits(self.pi @ self.graph.starts_matrix,
-                                 places=False)
-
-    def _fold_orbits(self, vec: np.ndarray, *, places: bool) -> np.ndarray:
-        """Average *vec* over each symmetry orbit of a lumped graph.
-
-        Lumping preserves orbit sums exactly but scrambles which member
-        carries which share; the members are interchangeable, so the
-        orbit mean is each member's exact steady-state value.
-        """
-        info = self.graph.reduction
-        if info is None or not info.lumped:
-            return vec
-        orbits = info.place_orbits if places else info.transition_orbits
-        out = vec.copy()
-        for orbit in orbits:
-            total = 0.0
-            for idx in orbit:
-                total += vec[idx]
-            out[list(orbit)] = total / len(orbit)
-        return out
+        return self.pi @ self.graph.starts_matrix
 
     def resource_usage(self, resource: str) -> float:
         """Mean steady-state usage of *resource* (see module docstring).
@@ -100,8 +76,7 @@ class AnalysisResult:
     @cached_property
     def _mean_marking(self) -> np.ndarray:
         """Per-place mean token count."""
-        return self._fold_orbits(
-            self.pi @ self.graph.skeleton.marking_matrix(), places=True)
+        return self.pi @ self.graph.skeleton.marking_matrix()
 
     def mean_tokens(self, place: str) -> float:
         """Steady-state mean number of tokens in *place*."""
@@ -140,8 +115,7 @@ def analyze(net: Net, *, max_states: int = DEFAULT_MAX_STATES,
     structure builds it, and every later one re-times the held
     skeleton (:mod:`repro.gtpn.sweep`) and re-solves just the linear
     system — bit-identical to a from-scratch build.  Pass ``cache`` to
-    use a private store instead of the process-wide one.  A net that
-    declares symmetry groups is lumped (:mod:`repro.gtpn.packed`).
+    use a private store instead of the process-wide one.
     """
     from repro.gtpn.sweep import SweepSolver
     with obs.span("gtpn.analyze", net=net.name) as root:

@@ -12,8 +12,7 @@ with R mapping states to classes and S holding one row per class.
 The solve factors the class chain Q = S R, of order k (574 for the
 6,336 states of arch II n=4): pin the last class, factor the remaining
 principal block of Q^T - I, lift nu to pi = nu S, and accept pi only
-if it passes a fixed-point residual gate on the full P.  A graph
-without classes solves with k = n through the same code.  The
+if it passes a fixed-point residual gate on the full P.  The
 architecture models of chapter 6 produce irreducible chains (every
 conversation cycles forever); anything the gate rejects, such as a
 chain whose pinned class is transient, falls back to power iteration,
@@ -69,31 +68,24 @@ def stationary_distribution(graph: ReachabilityGraph,
     One direct solve (:func:`_solve_linear`); a vector the solve cannot
     produce or its residual gate refuses falls back to power iteration
     (:func:`_solve_power`, counted as ``markov.solve_fallback``).
-    ``closed_classes`` lets a caller that already knows the chain's
-    closed communicating class count (the sweep skeleton computes it
-    once per structure) skip the strongly-connected-components pass; the reducibility refusal is
-    identical either way.  ``plan`` is the chain's cached
-    :class:`SolvePlan` (the skeleton keeps one per structure); without
-    one the direct solve plans from the matrix's own pattern and the
-    graph's ``advance_class``, which gives the same vector.
-    With a plan the direct solve reads only ``graph.data``; the CSR
-    ``graph.matrix`` is read (and so built, on a lazy graph) only by
-    the closed-class count, the plan-less path and the power fallback.
+    ``closed_classes`` and ``plan`` default to the graph's skeleton's
+    closed communicating class count and :class:`SolvePlan`, both
+    computed once per structure and cached there; a caller that holds
+    them (the sweep solver) passes them, and a test passes a plan with
+    wrong classes to exercise the gate.  The direct solve reads only
+    ``graph.data``; the CSR ``graph.matrix`` is read (and so built, on
+    a lazy graph) only by the power fallback.
     """
-    closed = _closed_class_count(graph.matrix) if closed_classes is None \
-        else closed_classes
+    closed = graph.skeleton.closed_class_count() \
+        if closed_classes is None else closed_classes
     if closed > 1:
         raise AnalysisError(
             f"embedded chain is reducible ({closed} closed communicating "
             "classes); the stationary distribution is not unique")
     if plan is None:
-        matrix, plan = _plan_for(
-            graph.matrix, getattr(graph, "advance_class", None))
-        data = matrix.data
-    else:
-        data = graph.data
+        plan = graph.skeleton.solve_plan()
     try:
-        pi = _solve_linear(data, plan)
+        pi = _solve_linear(graph.data, plan)
     except (np.linalg.LinAlgError, ValueError):
         # numerical failure of the direct solve: fall back to power
         # iteration.  Anything else is a defect and propagates — a
@@ -249,16 +241,6 @@ def build_solve_plan(indptr: np.ndarray, indices: np.ndarray,
         diagonal=np.flatnonzero(rows[take] == cols[take]),
         rhs_index=q_indices[last], rhs_source=last,
         p_row=np.repeat(np.arange(n), np.diff(indptr)), p_col=indices)
-
-
-def _plan_for(matrix: sp.csr_matrix, classes: np.ndarray | None = None,
-              ) -> tuple[sp.csr_matrix, SolvePlan]:
-    """A throwaway plan for *matrix*, and the matrix it applies to."""
-    if not matrix.has_canonical_format:
-        matrix = matrix.copy()
-        matrix.sum_duplicates()
-    return matrix, build_solve_plan(matrix.indptr, matrix.indices,
-                                    classes)
 
 
 # Every solve of one plan factors a block of one pattern: only its data

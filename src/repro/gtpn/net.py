@@ -128,33 +128,6 @@ class Transition:
         return f"Transition({self.name!r})"
 
 
-@dataclass(frozen=True)
-class SymmetryGroup:
-    """A validated block of interchangeable subnets.
-
-    ``members[i]`` is ``(place_indices, transition_indices)`` of the
-    i-th replica; aligned positions across members correspond under the
-    net automorphism that swaps any two replicas.  Declared through
-    :meth:`Net.declare_symmetry`; the packed engine
-    (:mod:`repro.gtpn.packed`) lumps every net that declares one.
-    """
-
-    members: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def place_orbits(self) -> list[tuple[int, ...]]:
-        """Aligned place indices across members, one orbit per position."""
-        return [tuple(m[0][j] for m in self.members)
-                for j in range(len(self.members[0][0]))]
-
-    def transition_orbits(self) -> list[tuple[int, ...]]:
-        return [tuple(m[1][j] for m in self.members)
-                for j in range(len(self.members[0][1]))]
-
-
 class Net:
     """A GTPN under construction and its derived structure.
 
@@ -167,7 +140,6 @@ class Net:
         self.name = name
         self.places: list[Place] = []
         self.transitions: list[Transition] = []
-        self.symmetries: list[SymmetryGroup] = []
         self._place_by_name: dict[str, Place] = {}
         self._transition_by_name: dict[str, Transition] = {}
         self._conflict_classes: list[list[int]] | None = None
@@ -357,98 +329,6 @@ class Net:
                 classes.setdefault(find(t.index), []).append(t.index)
             self._conflict_classes = sorted(classes.values())
         return self._conflict_classes
-
-    # ------------------------------------------------------------------
-    # symmetry
-    # ------------------------------------------------------------------
-    def declare_symmetry(self, members: Sequence[tuple[Sequence, Sequence]],
-                         ) -> SymmetryGroup:
-        """Declare ≥ 2 interchangeable subnets (replicated clients).
-
-        ``members`` lists, per replica, ``(places, transitions)`` (as
-        objects or names), aligned so position *j* of one replica
-        corresponds to position *j* of every other.  The declaration is
-        validated: swapping any replica with the first must be a net
-        automorphism (equal mapped arcs and gates, equal delay/frequency,
-        equal initial tokens), which suffices for full interchange
-        symmetry because transpositions generate the symmetric group.
-        The analyzer lumps every net that declares a symmetry: it folds
-        states that differ only by a replica permutation onto one
-        representative, which is exact (strong lumpability) precisely
-        because of this property.
-        """
-        if len(members) < 2:
-            raise ModelError("a symmetry group needs at least 2 members")
-        resolved: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for places, transitions in members:
-            p_idx = tuple(p.index if isinstance(p, Place)
-                          else self.place_index(p) for p in places)
-            t_idx = tuple(t.index if isinstance(t, Transition)
-                          else self.transition_index(t)
-                          for t in transitions)
-            resolved.append((p_idx, t_idx))
-        n_p, n_t = len(resolved[0][0]), len(resolved[0][1])
-        if any(len(p) != n_p or len(t) != n_t for p, t in resolved):
-            raise ModelError(
-                "symmetry members must have aligned place/transition "
-                "lists of equal length")
-        claimed_p = [p for pl, _ in resolved for p in pl]
-        claimed_t = [t for _, tl in resolved for t in tl]
-        prior_p = {p for g in self.symmetries
-                   for pl, _ in g.members for p in pl}
-        prior_t = {t for g in self.symmetries
-                   for _, tl in g.members for t in tl}
-        if (len(set(claimed_p)) != len(claimed_p)
-                or len(set(claimed_t)) != len(claimed_t)
-                or set(claimed_p) & prior_p or set(claimed_t) & prior_t):
-            raise ModelError(
-                "symmetry members must not overlap each other or a "
-                "previously declared group")
-        group = SymmetryGroup(members=tuple(resolved))
-        for k in range(1, len(resolved)):
-            self._check_swap_automorphism(group, k)
-        self.symmetries.append(group)
-        return group
-
-    def _check_swap_automorphism(self, group: SymmetryGroup,
-                                 k: int) -> None:
-        """Verify that swapping member 0 with member *k* preserves the net."""
-        p_perm = list(range(len(self.places)))
-        t_perm = list(range(len(self.transitions)))
-        (p0, t0), (pk, tk) = group.members[0], group.members[k]
-        for a, b in zip(p0, pk):
-            p_perm[a], p_perm[b] = b, a
-        for a, b in zip(t0, tk):
-            t_perm[a], t_perm[b] = b, a
-        for a, b in zip(p0, pk):
-            if (self.places[a].initial_tokens
-                    != self.places[b].initial_tokens):
-                raise ModelError(
-                    f"places {self.places[a].name!r} and "
-                    f"{self.places[b].name!r} differ in initial tokens; "
-                    "not a symmetry")
-        for t in self.transitions:
-            image = self.transitions[t_perm[t.index]]
-            if (t.delay != image.delay
-                    or float(t.frequency) != float(image.frequency)):
-                raise ModelError(
-                    f"transitions {t.name!r} and {image.name!r} differ "
-                    "in delay/frequency; not a symmetry")
-            places, fired = self.gate_indices(t)
-            if (tuple(sorted(p_perm[p] for p in places)),
-                    tuple(sorted(t_perm[u] for u in fired))) \
-                    != self.gate_indices(image):
-                raise ModelError(
-                    f"swapping symmetry member 0 with member {k} does "
-                    f"not preserve the gate of transition {t.name!r}; "
-                    "not a net automorphism")
-            mapped_in = {p_perm[p]: n for p, n in t.inputs.items()}
-            mapped_out = {p_perm[p]: n for p, n in t.outputs.items()}
-            if mapped_in != image.inputs or mapped_out != image.outputs:
-                raise ModelError(
-                    f"swapping symmetry member 0 with member {k} does "
-                    f"not preserve the arcs of transition {t.name!r}; "
-                    "not a net automorphism")
 
     def validate(self) -> None:
         """Raise :class:`ModelError` for structurally broken nets."""

@@ -1,4 +1,4 @@
-"""Array-native GTPN engine: packed states, batched expansion, lumping.
+"""Array-native GTPN engine: packed states, batched expansion.
 
 This module is the exact analyzer's reachability engine.  It runs the
 tick semantics of :mod:`repro.gtpn.state` over numpy arrays, following
@@ -32,21 +32,11 @@ factor normalization, per-round products, branch dedup sums, row and
 expected-starts accumulation — replays the order of a breadth-first
 walk over the ticks of the retired one-state-at-a-time ``TickEngine``
 (Python left folds, first-seen branch order, additive/multiplicative
-identity padding), so a packed build of a net without symmetry
-declarations is **bit-identical** to that walk (both live on as the
-oracle in ``tests/gtpn/conftest.py``), and a :func:`packed_retime`
-re-evaluation is bit-identical to a fresh :func:`packed_build` by
-construction (same arrays through the same :func:`_materialize`).
-
-A net that declares symmetry groups (:meth:`Net.declare_symmetry
-<repro.gtpn.net.Net.declare_symmetry>`) is lumped, and no other net
-is.  Successor rows are canonicalized by sorting the column blocks of
-every declared :class:`~repro.gtpn.net.SymmetryGroup` member, folding
-states that differ only by a replica permutation onto one
-representative.  The quotient is exact (strong lumpability) because
-every declared swap is a validated net automorphism; per-member
-measures are recovered by orbit averaging in
-:mod:`repro.gtpn.analysis`.
+identity padding), so a packed build is **bit-identical** to that
+walk (both live on as the oracle in ``tests/gtpn/conftest.py``), and a
+:func:`packed_retime` re-evaluation is bit-identical to a fresh
+:func:`packed_build` by construction (same arrays through the same
+:func:`_materialize`).
 """
 
 from __future__ import annotations
@@ -60,7 +50,7 @@ from repro import obs
 from repro.errors import AnalysisError, StateSpaceLimitError
 from repro.gtpn.markov import SolvePlan, _closed_class_count, build_solve_plan
 from repro.gtpn.net import Net
-from repro.gtpn.reachability import ReachabilityGraph, ReductionInfo
+from repro.gtpn.reachability import ReachabilityGraph
 from repro.gtpn.state import MAX_IMMEDIATE_ROUNDS, State
 
 #: Hard caps keeping the packed encodings honest; ``compile_packed``
@@ -313,20 +303,6 @@ class PackedNet:
         self.trip_req = np.array(trip_req, dtype=np.int32)
         self.trip_offsets = np.array(trip_offsets, dtype=np.int64)
 
-        #: symmetry lumping: per declared group, one row of state
-        #: columns per member (its places, then its transitions' slots)
-        self.sym_blocks: list[np.ndarray] = []
-        for group in net.symmetries:
-            cols_per_member = []
-            for p_idx, t_idx in group.members:
-                cols = [int(p) for p in p_idx]
-                for t in t_idx:
-                    if slot_base[t] >= 0:
-                        cols.extend(n_p + slot_base[t] + r
-                                    for r in range(int(self.delays[t])))
-                cols_per_member.append(cols)
-            self.sym_blocks.append(np.array(cols_per_member,
-                                            dtype=np.int64))
         #: per transition: its gate as (place, transition) index tuples
         self.gates = tuple(gates)
 
@@ -658,14 +634,12 @@ class PackedSkeleton:
     probabilities for new frequencies in-place on this structure.
     Shared through the skeleton store: treat every field as read-only.
     ``advance_class`` labels each table row with the first-seen rank
-    of its post-advance row (see
-    :meth:`PackedNet.advance`; canonicalized under lumping); rows of P
+    of its post-advance row (see :meth:`PackedNet.advance`); rows of P
     in one class are equal, which is what lets the stationary solve
     factor the class chain.  The pattern has no empty row (checked at
     build).  What the graphs of every timing share, the solve plan,
     the closed-class count and the float marking matrix, is derived on
-    first demand and kept here.  ``lumping`` is the lumping record of
-    a net that declares symmetry groups, ``None`` otherwise.
+    first demand and kept here.
     """
 
     structure: str              # structure fingerprint
@@ -675,13 +649,12 @@ class PackedSkeleton:
     freq_positive: tuple        # per transition: frequency > 0
     gates: tuple                # per transition: gate index tuples
     layout: PackedLayout
-    table: np.ndarray           # (n_states, width) canonical state rows
+    table: np.ndarray           # (n_states, width) packed state rows
     indptr: np.ndarray
     indices: np.ndarray
     advance_class: np.ndarray   # per table row, first-seen
     ev: _EvalData
     inflight_matrix: np.ndarray
-    lumping: ReductionInfo | None
     closed_classes: int | None = None   # None until first demanded
     plan: SolvePlan | None = None       # None until first demanded
     marking: np.ndarray | None = None   # None until first read
@@ -727,28 +700,6 @@ class PackedSkeleton:
     def initial_vector(self, prog_values: np.ndarray) -> np.ndarray:
         """Time-zero distribution over the states."""
         return _initial_vector(self.ev, prog_values, self.state_count)
-
-
-def _lump_canonicalize(pnet: PackedNet, rows: np.ndarray,
-                       ) -> tuple[np.ndarray, int]:
-    """Fold symmetric states: sort every group's member column blocks.
-
-    Sorting the replica blocks picks one representative per orbit of
-    the full interchange group; the result of applying the implied
-    permutation is itself a reachable state because every declared swap
-    is a validated net automorphism.  Returns the canonical rows and
-    how many were re-labelled.
-    """
-    rows = rows.copy()
-    changed = np.zeros(len(rows), dtype=bool)
-    for cols in pnet.sym_blocks:
-        sub = rows[:, cols]                     # (n, members, width)
-        keys = np.moveaxis(sub, 2, 0)[::-1]     # first column = primary
-        order = np.lexsort(keys)                # (n, members)
-        canon = np.take_along_axis(sub, order[:, :, None], axis=1)
-        changed |= (canon != sub).any(axis=(1, 2))
-        rows[:, cols] = canon
-    return rows, int(changed.sum())
 
 
 # ----------------------------------------------------------------------
@@ -1037,27 +988,18 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
     """Breadth-first build of the embedded chain, a wave at a time.
 
     Returns ``(graph, skeleton)``; the graph is bit-identical to a
-    breadth-first walk over tick-engine ticks (for a net without
-    symmetry declarations), the skeleton re-times under new
-    frequencies via :func:`packed_retime`.
+    breadth-first walk over tick-engine ticks, the skeleton re-times
+    under new frequencies via :func:`packed_retime`.
     """
     if pnet is None:
         pnet = compile_packed(net)
     net.validate()
     n_p, n_t = pnet.n_places, pnet.n_transitions
     width = pnet.layout.width
-    lumping = bool(pnet.sym_blocks)
     interner = _Interner(width)
     books = _Bookkeeper()
-    folded_states = 0
 
     def intern_successors(rows: np.ndarray, explored: int) -> np.ndarray:
-        nonlocal folded_states
-        if lumping:
-            rows, changed = _lump_canonicalize(pnet, rows)
-            folded_states += changed
-            if changed:
-                obs.add("gtpn.lumped", changed)
         ids = interner.intern(rows)
         if interner.n > max_states:
             raise StateSpaceLimitError(net.name, interner.n,
@@ -1160,15 +1102,13 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
     pids = memo.finalize_pids()
     books.i_item_pid = pids[i_gidx]
     books.item_pid = [pids[g] for g in wave_gidx]
-    skeleton = _finalize_skeleton(net, pnet, interner, books,
-                                  structure, folded_states)
+    skeleton = _finalize_skeleton(net, pnet, interner, books, structure)
     graph = _materialize(skeleton, net, pnet.freqs)
     return graph, skeleton
 
 
 def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
-                       books: _Bookkeeper, structure: str,
-                       folded_states: int) -> PackedSkeleton:
+                       books: _Bookkeeper, structure: str) -> PackedSkeleton:
     n_states, n_t = interner.n, pnet.n_transitions
 
     # factor table straight from the padded program rows: a row-major
@@ -1260,24 +1200,8 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
     table = interner.table()
     inflight_matrix = pnet.layout.inflight_counts(table)
     # states with one post-advance row have one expansion, hence equal
-    # rows of P: label them by the row the wave loop expanded.  Under
-    # lumping, advanced rows one replica permutation apart settle to
-    # permuted outcomes, which canonicalize to the same successors with
-    # the same probabilities, so the canonical advanced row labels them
-    advanced = pnet.advance(table)
-    if pnet.sym_blocks:
-        advanced, _ = _lump_canonicalize(pnet, advanced)
-    _, advance_class = _unique_rows_first_seen(advanced)
-
-    lumping = None
-    if pnet.sym_blocks:
-        lumping = ReductionInfo(
-            lumped=True,
-            place_orbits=tuple(orbit for g in net.symmetries
-                               for orbit in g.place_orbits()),
-            transition_orbits=tuple(orbit for g in net.symmetries
-                                    for orbit in g.transition_orbits()),
-            folded_states=folded_states)
+    # rows of P: label them by the row the wave loop expanded
+    _, advance_class = _unique_rows_first_seen(pnet.advance(table))
 
     skeleton = PackedSkeleton(
         structure=structure,
@@ -1287,7 +1211,7 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
         gates=pnet.gates,
         layout=pnet.layout, table=table, indptr=indptr,
         indices=indices, advance_class=advance_class, ev=ev,
-        inflight_matrix=inflight_matrix, lumping=lumping)
+        inflight_matrix=inflight_matrix)
     return skeleton
 
 

@@ -39,25 +39,6 @@ if TYPE_CHECKING:
 DEFAULT_MAX_STATES = 200_000
 
 
-@dataclass(frozen=True)
-class ReductionInfo:
-    """How symmetry lumping folded a graph.
-
-    Attached to :class:`ReachabilityGraph` when its net declares
-    symmetry groups (:meth:`repro.gtpn.net.Net.declare_symmetry`), which
-    the packed engine then lumps; ``None`` for every other net.
-    ``place_orbits`` / ``transition_orbits`` list the index groups whose
-    per-member measures were folded together;
-    :mod:`repro.gtpn.analysis` recovers exact per-member values by orbit
-    averaging.
-    """
-
-    lumped: bool                    # symmetry folding was active
-    place_orbits: tuple = ()
-    transition_orbits: tuple = ()
-    folded_states: int = 0          # successor rows re-canonicalized
-
-
 @dataclass(eq=False)
 class ReachabilityGraph:
     """The embedded chain of a GTPN, as arrays.
@@ -78,14 +59,12 @@ class ReachabilityGraph:
 
     Read through the skeleton the graph was evaluated from:
 
-    * ``reduction``: the skeleton's :class:`ReductionInfo` when the
-      net was lumped, ``None`` otherwise.
     * ``structure``: the skeleton's structure fingerprint.
     * ``advance_class[i]``: the advance class of state i, ``0..k-1``:
       states whose post-completion configurations (marking after
       completions, plus the slots still counting down) are equal have
       equal rows of P, so the stationary solve factors the order-k
-      class chain.  ``None`` makes every state its own class.
+      class chain.
 
     A build or re-time evaluates only ``data``.  ``matrix``,
     ``starts_matrix`` and ``init_vec`` are materialized on first read,
@@ -112,22 +91,16 @@ class ReachabilityGraph:
         return len(self.packed_table)
 
     @property
-    def reduction(self) -> ReductionInfo | None:
-        return self.skeleton.lumping
-
-    @property
     def structure(self) -> str:
         return self.skeleton.structure
 
     @property
-    def advance_class(self) -> np.ndarray | None:
+    def advance_class(self) -> np.ndarray:
         return self.skeleton.advance_class
 
     @property
     def quotient_order(self) -> int:
         """Order of the chain the stationary solve factors."""
-        if self.advance_class is None:
-            return self.state_count
         return int(self.advance_class.max()) + 1
 
     @cached_property
@@ -150,8 +123,7 @@ def build_reachability_graph(net: Net,
                              ) -> ReachabilityGraph:
     """Explore every reachable state of *net* breadth-first.
 
-    Runs the packed array engine (:mod:`repro.gtpn.packed`), which
-    lumps a net that declares symmetry groups.
+    Runs the packed array engine (:mod:`repro.gtpn.packed`).
     """
     from repro.gtpn import packed
 

@@ -400,6 +400,8 @@ class IPCKernel:
                 return
             raise KernelError(
                 f"no pending reply for message {message.msg_id}")
+        if not pending.local:
+            self.node.transport.on_conversation_completed(message)
         if pending.memory_ref is not None:
             # rights are revoked once the rendezvous completes
             pending.memory_ref.revoked = True

@@ -60,6 +60,10 @@ class Transport:
         """Arm an end-to-end deadline for a remote invocation
         (no-op for a reliable wire)."""
 
+    def on_conversation_completed(self, message: "Message") -> None:
+        """The reply reached the client; disarm the conversation's
+        deadline (no-op for a reliable wire)."""
+
     def on_conversation_failed(self, message: "Message") -> None:
         """The kernel failed the conversation; stop any retransmission
         still outstanding for it (no-op for a reliable wire)."""

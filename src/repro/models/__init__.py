@@ -40,7 +40,6 @@ from repro.models.solve import (ThroughputResult, communication_time,
                                 solve_offered_load_grid,
                                 server_time_for_offered_load,
                                 throughput_vs_offered_load)
-from repro.models.symmetric import build_replicated_local_net
 
 __all__ = [
     "ACTION_TABLES",
@@ -58,7 +57,6 @@ __all__ = [
     "arch1_client_contention",
     "build_contention_net",
     "build_local_net",
-    "build_replicated_local_net",
     "build_nonlocal_client_net",
     "build_nonlocal_server_net",
     "build_symmetric_net",

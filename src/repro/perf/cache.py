@@ -3,9 +3,8 @@
 A net is fingerprinted by a *split key* (:class:`NetFingerprint`):
 
 * the **structure fingerprint** covers everything that shapes the
-  reachable state space — place count, initial marking, arcs, gates,
-  resource tags and symmetry declarations — and is invariant across a
-  timing sweep, while
+  reachable state space — place count, initial marking, arcs, gates
+  and resource tags — and is invariant across a timing sweep, while
 * the **timing fingerprint** covers the numeric attribute values
   (firing times and frequency weights).
 
@@ -13,10 +12,7 @@ Names (of the net, its places, and its transitions) stay out of both
 halves, so two structurally identical nets share one skeleton.  The
 analyzer (:mod:`repro.gtpn.sweep`) keys reachability skeletons on the
 structure fingerprint: a parameter grid builds the graph once per
-structure and re-times it for every other point.  Symmetry
-declarations are part of it, and a net that declares them is the one
-the packed engine lumps, so a lumped skeleton and an unlumped one never
-share a key.
+structure and re-times it for every other point.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ class NetFingerprint(NamedTuple):
     """Split content hash of a net.
 
     ``structure`` is invariant across a timing sweep (places, arcs,
-    gates, initial marking, resource tags, symmetry declarations);
+    gates, initial marking, resource tags);
     ``timing`` hashes the numeric attribute values (delays, frequency
     weights).  Compares as a plain tuple, so ``fingerprint_net(a) ==
     fingerprint_net(b)`` means identical full keys and equal
@@ -63,13 +59,6 @@ def fingerprint_net(net) -> NetFingerprint:
     ``structure``.
     """
     structure: list = [len(net.places), tuple(net.initial_marking)]
-    # declared symmetry groups decide whether and how the packed engine
-    # lumps, so they are structural: two nets that differ only in
-    # declarations must not share a skeleton
-    for group in net.symmetries:
-        structure.append(("sym", tuple(
-            (tuple(p_idx), tuple(t_idx)) for p_idx, t_idx
-            in group.members)))
     timing: list = []
     for t in net.transitions:
         structure.append((tuple(sorted(t.inputs.items())),

@@ -201,7 +201,8 @@ def test_jobs_flag_rejects_bad_values(capsys):
 
 
 def test_reduction_flag_is_gone(capsys):
-    """Lumping follows a net's symmetry declarations; no flag selects it."""
+    """No state-space reduction flag exists: ``--reduction`` is a parser
+    error."""
     with pytest.raises(SystemExit) as exit_info:
         main(["--reduction", "lump", "solve", "--arch", "II", "-n", "3"])
     assert exit_info.value.code == 2

@@ -108,6 +108,34 @@ def test_only_live_timeouts_fire(monkeypatch):
     assert len(fired) == result.retransmissions + result.giveups
 
 
+def test_completed_conversations_disarm_their_deadlines(monkeypatch):
+    """A completed conversation cancels its deadline, so every deadline
+    that fires fails a conversation still open, and a transport keeps
+    deadlines only for conversations its kernel still waits on."""
+    from repro.kernel.ipc import IPCKernel
+    fired = []
+    fail = IPCKernel.fail_conversation
+
+    def recorded(self, message, reason):
+        failed = fail(self, message, reason)
+        if reason.startswith("conversation deadline"):
+            fired.append(failed)
+        return failed
+
+    monkeypatch.setattr(IPCKernel, "fail_conversation", recorded)
+    policy = RetryPolicy(initial_timeout_us=10_000.0, max_retries=5,
+                         conversation_timeout_us=50_000.0)
+    system, meter = build_conversation_system(
+        Architecture.II, Mode.NONLOCAL, 2, 0.0, 0,
+        faults=FaultPlan.packet_loss(0.05, seed=1, policy=policy))
+    system.run_for(400_000.0)
+    assert meter.count > 0
+    assert all(fired)
+    for node in system.nodes.values():
+        assert set(node.transport._deadlines) \
+            <= set(node.kernel._pending_replies)
+
+
 def test_transport_selected_by_plan_activity():
     from repro.faults import ReliableTransport, UnreliableNetwork
     from repro.kernel import DirectTransport, Wire

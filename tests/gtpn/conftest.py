@@ -13,6 +13,7 @@ import random
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import strategies as st
 
 from repro.errors import AnalysisError, StateSpaceLimitError
-from repro.gtpn import Net
+from repro.gtpn import Net, markov
 from repro.gtpn.packed import (_branch_values, compile_packed,
                                packed_build)
 from repro.gtpn.state import MAX_IMMEDIATE_ROUNDS, State
@@ -245,6 +246,21 @@ def augmented_solve(matrix: sp.csr_matrix) -> np.ndarray | None:
 def augmented_oracle():
     """The augmented-system solve as a differential-test oracle."""
     return augmented_solve
+
+
+def chain_graph(matrix: sp.csr_matrix, init_vec: np.ndarray):
+    """A bare chain in the shape ``markov.stationary_distribution``
+    reads: its CSR matrix and data, the initial vector the power
+    fallback starts from, and a skeleton holding the chain's solve
+    plan and closed class count."""
+    matrix = matrix.copy()
+    matrix.sum_duplicates()
+    plan = markov.build_solve_plan(matrix.indptr, matrix.indices)
+    closed = markov._closed_class_count(matrix)
+    skeleton = SimpleNamespace(solve_plan=lambda: plan,
+                               closed_class_count=lambda: closed)
+    return SimpleNamespace(matrix=matrix, data=matrix.data,
+                           init_vec=init_vec, skeleton=skeleton)
 
 
 class OracleGraph:

@@ -5,7 +5,7 @@ matrix, expected starts and initial distribution when one is first
 read (:class:`repro.gtpn.reachability.ReachabilityGraph`).  The
 contract under test: what a graph builds lazily is bit-identical to an
 eager :func:`repro.gtpn.packed._evaluate` of the same skeleton, for
-lumped and unlumped nets and for built and re-timed graphs alike; the non-local fixed point never
+built and re-timed graphs alike; the non-local fixed point never
 builds what it does not read; and the residual gate's scatter over
 the plan agrees with ``pi @ P`` and still refuses a wrong plan.
 """
@@ -19,21 +19,11 @@ from repro.gtpn import Net, activity_pair, markov
 from repro.gtpn.packed import (_evaluate, compile_packed, packed_build,
                                packed_retime)
 from repro.gtpn.sweep import BoundPair, SweepSolver
-from repro.models import (Architecture, build_local_net,
-                          build_replicated_local_net, solve_nonlocal)
+from repro.models import Architecture, build_local_net, solve_nonlocal
 from repro.models.nonlocal_client import build_nonlocal_client_net
 from repro.models.nonlocal_server import build_nonlocal_server_net
 from repro.perf import configure_cache
-
-#: "lump": the net as built, its declared symmetries lumped; "none":
-#: the same net with its declarations stripped, solved unlumped
-FORMS = ("none", "lump")
-
-
-def _in_form(net, form):
-    if form == "none":
-        net.symmetries.clear()
-    return net
+from tests.models.replicated import build_replicated_local_net
 
 
 @pytest.fixture(autouse=True)
@@ -43,24 +33,18 @@ def _cold_store():
 
 def _booting_replicas(mean):
     """Two interchangeable replicas, each behind a one-shot boot: the
-    boot states are transient and the replicas are a declared symmetry,
-    which the packed engine lumps."""
+    boot states are transient."""
     net = Net("booting-replicas")
-    members = []
     for i in range(2):
         start = net.place(f"Start{i}", tokens=1)
         ready = net.place(f"Ready{i}")
         done = net.place(f"Done{i}")
-        boot = net.transition(f"boot{i}", delay=1, inputs=[start],
-                              outputs=[ready])
-        serve, loop = activity_pair(net, f"serve{i}", mean,
-                                    inputs=[ready], outputs=[done],
-                                    resource="lambda")
-        recycle = net.transition(f"recycle{i}", delay=1, inputs=[done],
-                                 outputs=[ready])
-        members.append(([start, ready, done],
-                        [boot, serve, loop, recycle]))
-    net.declare_symmetry(members)
+        net.transition(f"boot{i}", delay=1, inputs=[start],
+                       outputs=[ready])
+        activity_pair(net, f"serve{i}", mean, inputs=[ready],
+                      outputs=[done], resource="lambda")
+        net.transition(f"recycle{i}", delay=1, inputs=[done],
+                       outputs=[ready])
     return net
 
 
@@ -106,26 +90,18 @@ _NETS = [
 ]
 
 
-@pytest.mark.parametrize("form", FORMS)
-@pytest.mark.parametrize("name, build", _NETS, ids=[n for n, _ in _NETS])
-def test_lazy_graph_equals_eager_evaluation(name, build, form):
-    net = _in_form(build(3.0), form)
+#: ids end in "-none": every graph is built with no state-space
+#: reduction
+@pytest.mark.parametrize("name, build", _NETS,
+                         ids=[f"{n}-none" for n, _ in _NETS])
+def test_lazy_graph_equals_eager_evaluation(name, build):
+    net = build(3.0)
     graph, skeleton = packed_build(net, max_states=200_000)
     _assert_lazy_equals_eager(graph, skeleton, net)
-    later = _in_form(build(7.0), form)
+    later = build(7.0)
     retimed = packed_retime(skeleton, later, max_states=200_000)
     assert not np.array_equal(retimed.data, graph.data)
     _assert_lazy_equals_eager(retimed, skeleton, later)
-
-
-def test_each_reduction_changes_the_booting_replicas():
-    """The fixture net exercises the fold: lumped only as declared."""
-    graphs = {form: packed_build(_in_form(_booting_replicas(3.0), form),
-                                 max_states=200_000)[0]
-              for form in FORMS}
-    assert graphs["none"].reduction is None
-    assert graphs["lump"].reduction.folded_states > 0
-    assert graphs["none"].state_count > graphs["lump"].state_count
 
 
 def test_fixed_point_reads_only_what_it_needs(monkeypatch):

@@ -8,8 +8,6 @@ accepted vector, and agrees with the retired augmented-system solve
 (the ``augmented_oracle`` fixture).
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,6 +17,7 @@ from repro.gtpn import (Net, activity_pair, build_reachability_graph,
                         stationary_distribution)
 from repro.gtpn import markov
 from repro.models import Architecture, build_local_net
+from tests.gtpn.conftest import chain_graph
 
 
 def cycle_graph():
@@ -70,7 +69,7 @@ def ring_graph(n):
         shape=(n, n))
     init_vec = np.zeros(n)
     init_vec[0] = 1.0
-    return SimpleNamespace(matrix=matrix, init_vec=init_vec)
+    return chain_graph(matrix, init_vec)
 
 
 def test_accepted_solve_counts_its_method_and_residual():

@@ -6,11 +6,9 @@ labels each state with that configuration's first-seen rank
 (``ReachabilityGraph.advance_class``).  The contract under test: rows
 of P in one class are bytewise equal (fresh and re-timed), the solve
 of the class chain agrees with the solve of the full chain, a wrong
-labelling is refused by the residual gate on the full P, and graphs
-without labels still solve, with every state its own class.
+labelling is refused by the residual gate on the full P, and identity
+labels, every state its own class, solve to the same vector.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +16,7 @@ import pytest
 from repro import obs
 from repro.gtpn import Net, activity_pair, analyze, markov
 from repro.gtpn.packed import packed_build, packed_retime
-from repro.models import (Architecture, build_local_net,
-                          build_replicated_local_net)
+from repro.models import Architecture, build_local_net
 from repro.models.nonlocal_client import build_nonlocal_client_net
 from repro.models.nonlocal_server import build_nonlocal_server_net
 from repro.perf import configure_cache
@@ -44,18 +41,14 @@ def _warmup_net(mean):
     return net
 
 
-def _build(net, form="lump"):
-    """Pack *net*; the "none" form strips its symmetry declarations
-    first, so the same net builds unlumped."""
-    if form == "none":
-        net.symmetries.clear()
+def _build(net):
     return packed_build(net, max_states=200_000)
 
 
 def _full_solve(matrix):
     """The deflated solve with every state its own class."""
-    matrix, plan = markov._plan_for(matrix)
-    return markov._solve_linear(matrix.data, plan)
+    return markov._solve_linear(matrix.data, markov.build_solve_plan(
+        matrix.indptr, matrix.indices))
 
 
 def _local(arch, n):
@@ -71,30 +64,27 @@ def _server(arch, n):
     return lambda x: build_nonlocal_server_net(arch, n, 150.0 + x / 10)
 
 
-# (id, builder of the net at compute time X, form: see ``_build``)
+# (id, builder of the net at compute time X)
 _CHAINS = [
-    *[(f"local-{a.name}-n{n}", _local(a, n), "none")
+    *[(f"local-{a.name}-n{n}", _local(a, n))
       for a in (Architecture.I, Architecture.II, Architecture.III)
       for n in (1, 2, 3, 4)],
-    *[(f"{side}-{a.name}-n{n}", build(a, n), "none")
+    *[(f"{side}-{a.name}-n{n}", build(a, n))
       for a in Architecture for n in (1, 2, 3)
       for side, build in (("client", _client), ("server", _server))],
-    ("client-II-n2-hosts2", _client(Architecture.II, 2, hosts=2), "none"),
+    ("client-II-n2-hosts2", _client(Architecture.II, 2, hosts=2)),
     ("local-II-n2-hosts2",
      lambda x: build_local_net(Architecture.II, 2, compute_time=x,
-                               hosts=2), "none"),
-    ("replicated-II-n3-lump",
-     lambda x: build_replicated_local_net(Architecture.II, 3,
-                                          compute_time=x), "lump"),
-    ("warmup", lambda x: _warmup_net(3.0 + x / 1000), "none"),
+                               hosts=2)),
+    ("warmup", lambda x: _warmup_net(3.0 + x / 1000)),
 ]
 _IDS = [chain[0] for chain in _CHAINS]
 
 
-def _fresh_and_retimed(build, form):
+def _fresh_and_retimed(build):
     """A graph built at X = 1000 and one re-timed from its skeleton to
     X = 3000."""
-    graph, skeleton = _build(build(1000.0), form)
+    graph, skeleton = _build(build(1000.0))
     retimed = packed_retime(skeleton, build(3000.0), max_states=200_000)
     assert not np.array_equal(graph.matrix.data, retimed.matrix.data)
     return graph, retimed
@@ -103,7 +93,7 @@ def _fresh_and_retimed(build, form):
 def _assert_rows_equal_within_classes(graph):
     classes = graph.advance_class
     matrix = graph.matrix
-    assert classes is not None and len(classes) == graph.state_count
+    assert len(classes) == graph.state_count
     labels, reps = np.unique(classes, return_index=True)
     # labels are first-seen ranks 0..k-1
     assert np.array_equal(labels, np.arange(len(labels)))
@@ -118,17 +108,17 @@ def _assert_rows_equal_within_classes(graph):
         assert data[mine].tobytes() == data[theirs].tobytes()
 
 
-@pytest.mark.parametrize("name, build, form", _CHAINS, ids=_IDS)
-def test_rows_in_one_advance_class_are_equal(name, build, form):
-    graph, retimed = _fresh_and_retimed(build, form)
+@pytest.mark.parametrize("name, build", _CHAINS, ids=_IDS)
+def test_rows_in_one_advance_class_are_equal(name, build):
+    graph, retimed = _fresh_and_retimed(build)
     assert np.array_equal(graph.advance_class, retimed.advance_class)
     _assert_rows_equal_within_classes(graph)
     _assert_rows_equal_within_classes(retimed)
 
 
-@pytest.mark.parametrize("name, build, form", _CHAINS, ids=_IDS)
-def test_quotient_solve_agrees_with_the_full_chain(name, build, form):
-    for graph in _fresh_and_retimed(build, form):
+@pytest.mark.parametrize("name, build", _CHAINS, ids=_IDS)
+def test_quotient_solve_agrees_with_the_full_chain(name, build):
+    for graph in _fresh_and_retimed(build):
         matrix = graph.matrix
         plan = markov.build_solve_plan(matrix.indptr, matrix.indices,
                                        graph.advance_class)
@@ -143,14 +133,9 @@ def test_quotient_solve_agrees_with_the_full_chain(name, build, form):
 
 def test_reductions_quotient_the_solved_chain():
     """The transient boot states stay in the solved chain and in its
-    quotient; the replicated net's lumped chain still quotients."""
-    graph, _ = _fresh_and_retimed(lambda x: _warmup_net(3.0 + x / 1000),
-                                  "none")
-    assert graph.reduction is None
+    quotient."""
+    graph, _ = _fresh_and_retimed(lambda x: _warmup_net(3.0 + x / 1000))
     assert graph.quotient_order < graph.state_count
-    lumped, _ = _build(build_replicated_local_net(Architecture.II, 3))
-    assert lumped.reduction.folded_states > 0
-    assert lumped.quotient_order < lumped.state_count
 
 
 def test_local_arch2_n4_factors_574_classes():
@@ -187,12 +172,14 @@ def test_wrong_classes_are_refused_by_the_gate():
 
 
 def test_unlabelled_graph_solves_every_state_as_a_class():
+    """Identity labels make the class chain the full chain: the solve
+    factors all n states and agrees with the advance-class solve."""
     graph, _ = _build(build_local_net(Architecture.II, 3))
     labelled = markov.stationary_distribution(graph)
-    graph = replace(graph, skeleton=replace(graph.skeleton,
-                                            advance_class=None))
-    assert graph.quotient_order == graph.state_count
+    n = graph.state_count
+    assert graph.quotient_order < n
     with obs.recording() as recorder:
-        unlabelled = markov.stationary_distribution(graph)
-    assert recorder.gauges["markov.quotient_order"] == graph.state_count
+        unlabelled = markov._solve_linear(graph.data, markov.build_solve_plan(
+            graph.indptr, graph.indices, np.arange(n)))
+    assert recorder.gauges["markov.quotient_order"] == n
     assert np.abs(labelled - unlabelled).max() / labelled.max() <= 1e-11

@@ -1,23 +1,15 @@
-"""Replicated-conversation local models for symmetry lumping.
+"""Replicated-conversation local nets: a test oracle and a large input.
 
 The chapter-6 local models (:mod:`repro.models.local`) pool the n
 conversations as indistinguishable tokens in shared ``Clients`` /
-``Servers`` places — a counter abstraction that is itself a (manual)
-symmetry reduction.  This module builds the *replicated* form of the
-same workload: every conversation owns a private copy of the
-client/server chain, all of them sharing the Host (and MP) resource
-places.  The two forms describe the same system, but the replicated
-net's reachable space grows like the product of the per-conversation
-chains — the regime where the packed engine's symmetry lumping earns
-its keep by folding states that differ only by a conversation
-permutation.
-
-Each replica is registered with :meth:`repro.gtpn.net.Net.
-declare_symmetry`, which validates that swapping any two replicas is a
-net automorphism.  The analyzer lumps every net that declares a
-symmetry; the lumped chain is an exact (strongly lumpable) quotient,
-and per-transition measures are recovered by orbit averaging in
-:mod:`repro.gtpn.analysis`.
+``Servers`` places, a counter abstraction of the system.  The builder
+here writes the same workload out per conversation: every conversation
+owns a private copy of the client/server chain, all of them sharing
+the Host (and MP) resource places.  The two forms describe the same
+system, so their throughputs agree (``test_replicated.py``); the
+replicated net's reachable space grows like the product of the
+per-conversation chains, which makes it a large input for engine
+tests.
 """
 
 from __future__ import annotations
@@ -36,8 +28,7 @@ def build_replicated_local_net(architecture: Architecture,
     Same parameters and semantics as :func:`repro.models.local.
     build_local_net`, but each conversation runs in its own replica of
     the activity chain (places suffixed ``#c``), sharing the Host and —
-    for architectures II-IV — the MP.  With ``conversations >= 2`` the
-    replicas are declared as a symmetry group, enabling exact lumping.
+    for architectures II-IV — the MP.
     """
     if conversations < 1:
         raise ModelError("need at least one conversation")
@@ -51,18 +42,11 @@ def build_replicated_local_net(architecture: Architecture,
     net = Net(f"{kind}-replicated-n{conversations}-h{hosts}")
     host = net.place("Host", tokens=hosts)
     mp = None if uni else net.place("MP", tokens=1)
-
-    members = []
     for c in range(conversations):
-        p_start, t_start = len(net.places), len(net.transitions)
         if uni:
             _uniprocessor_replica(net, params, c, compute_time, host)
         else:
             _coprocessor_replica(net, params, c, compute_time, host, mp)
-        members.append((net.places[p_start:],
-                        net.transitions[t_start:]))
-    if conversations >= 2:
-        net.declare_symmetry(members)
     return net
 
 
