@@ -266,10 +266,70 @@ def test_bench_nonlocal_fixed_point(perf_record, monkeypatch):
                 per_side_us=(retime_s + solve_s)
                 / (2 * solution.iterations) * 1e6,
                 total_s=total_s, throughput=solution.throughput)
-    assert fixed_point.attrs["iterations"] == solution.iterations
+    assert fixed_point.attrs["iterations"] == [solution.iterations]
     assert len(net_builds) == 2
     assert len(builds) == 2
     assert len(retimes) == 2 * (solution.iterations - 1)
+
+
+#: The one non-local curve timed in lockstep: figure 6.19,
+#: architecture II, two conversations, its nine offered loads.
+_NONLOCAL_CURVE = dict(architecture=Architecture.II, conversations=2)
+
+
+def test_bench_nonlocal_curve(perf_record, monkeypatch):
+    """One figure-6.19 curve's nine fixed points in lockstep, cold.
+    Each side's net is built once per curve, and every round solves
+    each side once for all the points still iterating: one stacked
+    re-time and one factorization, after a first round that analyzes
+    the first point alone on each side."""
+    from repro.experiments.figures import DEFAULT_LOADS
+    from repro.models import Mode, iter_nonlocal_curve, iterate
+    from repro.models.solve import server_time_for_offered_load
+
+    curve = _NONLOCAL_CURVE
+    computes = [server_time_for_offered_load(Architecture.I, Mode.NONLOCAL,
+                                             load) for load in DEFAULT_LOADS]
+    net_builds = []
+    for name in ("build_nonlocal_client_net", "build_nonlocal_server_net"):
+        def counted(*args, _build=getattr(iterate, name), **kwargs):
+            net_builds.append(_build)
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(iterate, name, counted)
+    configure_cache()               # cold: both sides build once
+    with obs.recording() as recorder:
+        solutions, total_s = _timed(lambda: dict(iter_nonlocal_curve(
+            curve["architecture"], curve["conversations"], computes)))
+
+    def stage_s(name):
+        return sum(s.duration_s for s in recorder.spans if s.name == name)
+
+    (fixed_point,) = [s for s in recorder.spans
+                      if s.name == "models.fixed_point"]
+    side_solves = [s for s in recorder.spans if s.name == "gtpn.solve"]
+    iterations = [solutions[i].iterations for i in range(len(computes))]
+    rounds = fixed_point.attrs["rounds"]
+    points_solved = recorder.counters["markov.points_solved"]
+    retime_s, solve_s = stage_s("gtpn.retime"), stage_s("gtpn.solve")
+    perf_record(bench="nonlocal-curve",
+                architecture=curve["architecture"].name,
+                conversations=curve["conversations"],
+                loads=list(DEFAULT_LOADS), iterations=iterations,
+                net_builds=len(net_builds), rounds=rounds,
+                batched_side_solves=len(side_solves),
+                factorizations=recorder.counters["markov.factorizations"],
+                points_solved=points_solved,
+                build_s=stage_s("gtpn.build"), retime_s=retime_s,
+                solve_s=solve_s,
+                # re-time plus solve per point and side, over the
+                # whole curve
+                per_point_side_us=(retime_s + solve_s) / points_solved
+                * 1e6, total_s=total_s)
+    assert fixed_point.attrs["iterations"] == iterations
+    assert len(net_builds) == 2
+    assert rounds == max(iterations)
+    assert len(side_solves) == 2 * rounds + 2
+    assert points_solved == 2 * sum(iterations)
 
 
 #: Allowed disabled-tracing overhead on an exact solve, as a fraction

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import sys
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs

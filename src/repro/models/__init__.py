@@ -6,6 +6,8 @@ The package builds and solves the thesis's performance models:
 * :func:`build_nonlocal_client_net` / :func:`build_nonlocal_server_net`
   — the split non-local models (Figures 6.10-6.11/6.13-6.14),
 * :func:`solve_nonlocal` — the iterative surrogate-delay fixed point,
+  and :func:`iter_nonlocal_curve`, the fixed points of one curve's
+  points in lockstep,
 * :func:`solve` / :func:`offered_load_table` — the headline API behind
   every Figure 6.17-6.23 curve and Tables 6.24/6.25.
 """
@@ -25,7 +27,8 @@ from repro.models.extension import (DedicationComparison,
                                     dedication_crossover_lock_overhead,
                                     host_scaling, mp_saturation_bound)
 from repro.models.iterate import (IterationStep, NonlocalSolution,
-                                  initial_server_delay, solve_nonlocal)
+                                  initial_server_delay, iter_nonlocal_curve,
+                                  solve_nonlocal)
 from repro.models.local import build_local_net
 from repro.models.nonlocal_client import (build_nonlocal_client_net,
                                           client_params)
@@ -68,6 +71,7 @@ __all__ = [
     "derive_arch3_round_trip",
     "host_scaling",
     "initial_server_delay",
+    "iter_nonlocal_curve",
     "mp_saturation_bound",
     "mp_speed_sensitivity",
     "offered_load",

@@ -31,6 +31,15 @@ OCCUPANCY = "population"
 #: Activity pair carrying the surrogate client delay C_d.
 CLIENT_DELAY_PAIR = "client_wait"
 
+#: Activity pair of the server's restart, compute and reply: the one
+#: pair whose mean depends on the compute time X.
+SERVE_PAIR = "serve"
+
+
+def serve_mean(params: NonlocalServerParams, compute_time: float) -> float:
+    """Mean of the :data:`SERVE_PAIR` at compute time *compute_time*."""
+    return params.serve_base + compute_time
+
 
 def build_nonlocal_server_net(architecture: Architecture,
                               conversations: int,
@@ -106,14 +115,14 @@ def build_nonlocal_server_net(architecture: Architecture,
     if uniprocessor:
         # T11/T12 — compute + syscall reply on the host, inhibited by
         # interrupts; completes the round trip.
-        activity_pair(net, "serve", params.serve_base + compute_time,
+        activity_pair(net, SERVE_PAIR, serve_mean(params, compute_time),
                       inputs=[server_ready], outputs=[servers],
                       holds=[host], gate=interrupt_free,
                       resource="lambda_out", occupancy=OCCUPANCY)
     else:
         reply_req = net.place("ReplyReq")
         # T9/T10 — restart server + compute + syscall reply (Host)
-        activity_pair(net, "serve", params.serve_base + compute_time,
+        activity_pair(net, SERVE_PAIR, serve_mean(params, compute_time),
                       inputs=[server_ready], outputs=[reply_req],
                       holds=[host], occupancy=OCCUPANCY)
         # T11/T12 — process reply (MP), inhibited by interrupts

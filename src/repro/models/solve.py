@@ -8,12 +8,15 @@ exactly the quantity plotted in Figures 6.17-6.23.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 from repro.errors import ModelError
 from repro.gtpn import analyze
-from repro.models.iterate import NonlocalSolution, solve_nonlocal
+from repro.models.iterate import (NonlocalSolution, iter_nonlocal_curve,
+                                  solve_nonlocal)
 from repro.models.local import build_local_net
 from repro.models.params import (OFFERED_LOAD_SERVER_TIMES_MS,
                                  Architecture, Mode)
@@ -56,17 +59,23 @@ def solve(architecture: Architecture, mode: Mode, conversations: int,
     I/III/IV have no software queue path, so the knob normalizes to
     the ``tas`` baseline there and the results are unchanged.
     """
+    key = _point_key(architecture, mode, conversations, compute_time, sync)
+    return ThroughputResult(architecture=architecture, mode=mode,
+                            conversations=conversations,
+                            compute_time=compute_time,
+                            throughput=_solve_cached(*key), sync=key[4])
+
+
+def _point_key(architecture: Architecture, mode: Mode, conversations: int,
+               compute_time: float, sync: str | None) -> tuple:
+    """The memo key of one checked point: its compute time a float and
+    its primitive resolved."""
     if conversations < 1:
         raise ModelError("need at least one conversation")
     if compute_time < 0:
         raise ModelError("compute time must be non-negative")
-    sync = _resolve_sync(architecture, sync)
-    throughput = _solve_cached(architecture, mode, conversations,
-                               float(compute_time), sync)
-    return ThroughputResult(architecture=architecture, mode=mode,
-                            conversations=conversations,
-                            compute_time=compute_time,
-                            throughput=throughput, sync=sync)
+    return (architecture, mode, conversations, float(compute_time),
+            _resolve_sync(architecture, sync))
 
 
 def _resolve_sync(architecture: Architecture,
@@ -89,22 +98,81 @@ def _local_net(architecture: Architecture, conversations: int,
                            params=params)
 
 
-@lru_cache(maxsize=4096)
-def _solve_cached(architecture: Architecture, mode: Mode,
-                  conversations: int, compute_time: float,
-                  sync: str = "tas") -> float:
+def _nonlocal_params(sync: str) -> dict:
+    """The split nets' parameter overrides for a resolved primitive."""
+    if sync == "tas":
+        return {}
+    from repro.models import syncmodel
+    return dict(client_params=syncmodel.nonlocal_client_params(sync),
+                server_params=syncmodel.nonlocal_server_params(sync))
+
+
+def _solve_point(architecture: Architecture, mode: Mode,
+                 conversations: int, compute_time: float,
+                 sync: str = "tas") -> float:
     if mode is Mode.LOCAL:
         net = _local_net(architecture, conversations, compute_time, sync)
         return analyze(net).throughput()
-    client_params = server_params = None
-    if sync != "tas":
-        from repro.models import syncmodel
-        client_params = syncmodel.nonlocal_client_params(sync)
-        server_params = syncmodel.nonlocal_server_params(sync)
     solution: NonlocalSolution = solve_nonlocal(
-        architecture, conversations, compute_time,
-        client_params=client_params, server_params=server_params)
+        architecture, conversations, compute_time, **_nonlocal_params(sync))
     return solution.throughput
+
+
+class _PointMemo:
+    """Throughput per point key (see :func:`_point_key`): the one point
+    memo of :func:`solve`, the least recently used key evicted past
+    *maxsize*.  A miss solves its point alone; :func:`_solve_curve`
+    enters every point of a curve it solved in lockstep."""
+
+    def __init__(self, solve_point, maxsize: int):
+        self._solve_point = solve_point
+        self._maxsize = maxsize
+        self._values: OrderedDict[tuple, float] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, *key) -> float:
+        with self._lock:
+            value = self._values.get(key)
+            if value is not None:
+                self._values.move_to_end(key)
+                return value
+        value = self._solve_point(*key)
+        self.put(key, value)
+        return value
+
+    def __contains__(self, key: tuple) -> bool:
+        with self._lock:
+            return key in self._values
+
+    def put(self, key: tuple, value: float) -> None:
+        with self._lock:
+            self._values[key] = value
+            self._values.move_to_end(key)
+            if len(self._values) > self._maxsize:
+                self._values.popitem(last=False)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._values.clear()
+
+
+_solve_cached = _PointMemo(_solve_point, maxsize=4096)
+
+
+def _solve_curve(keys: list[tuple]) -> None:
+    """Memoize the non-local points *keys*, one curve's: those not yet
+    in the memo are solved in lockstep (:func:`iter_nonlocal_curve`).
+    """
+    todo = [key for key in dict.fromkeys(keys) if key not in _solve_cached]
+    if not todo:
+        return
+    architecture, _mode, conversations, _x, sync = todo[0]
+    # each point's solution is dropped as soon as it converges: the
+    # memo keeps only its throughput
+    for index, solution in iter_nonlocal_curve(
+            architecture, conversations, [key[3] for key in todo],
+            **_nonlocal_params(sync)):
+        _solve_cached.put(todo[index], solution.throughput)
 
 
 @dataclass(frozen=True)
@@ -230,7 +298,9 @@ def solve_grid(points: list[tuple[Architecture, Mode, int, float]], *,
     space, so a grid costs one build per structure plus one linear
     solve per point.  A fanned-out grid sends all points of one
     structure to one worker as one task, so it too builds each
-    structure once.
+    structure once.  The non-local points of one structure group form
+    a curve, whose fixed points are solved in lockstep by one call
+    when its first point comes up (:func:`_solve_curve`).
 
     Points may carry a fifth element naming the synchronization
     primitive; 4-tuples get the ambient ``--sync`` configuration
@@ -241,8 +311,7 @@ def solve_grid(points: list[tuple[Architecture, Mode, int, float]], *,
     default_sync = config.get("sync")
     expanded = [point if len(point) >= 5 else (*point, default_sync)
                 for point in points]
-    return map_sweep(solve, expanded, jobs=jobs, star=True,
-                     group=_structure_group(4))
+    return _map_grid(solve, _point_key, expanded, jobs, sync_at=4)
 
 
 def solve_offered_load_grid(
@@ -252,17 +321,53 @@ def solve_offered_load_grid(
 
     The realistic-workload figures (6.18/6.19/6.22/6.23) are grids of
     (architecture, mode, conversations, load, reference) tuples; this
-    fans them out with the same structure grouping and serial-fallback
-    behaviour as :func:`solve_grid` — including parent-side resolution
-    of the ambient synchronization primitive for 5-tuples (a sixth
-    element overrides it per point).
+    fans them out with the same structure grouping, lockstep curves
+    and serial-fallback behaviour as :func:`solve_grid` — including
+    parent-side resolution of the ambient synchronization primitive
+    for 5-tuples (a sixth element overrides it per point).
     """
     from repro import config
     default_sync = config.get("sync")
     expanded = [point if len(point) >= 6 else (*point, default_sync)
                 for point in points]
-    return map_sweep(solve_at_offered_load, expanded, jobs=jobs,
-                     star=True, group=_structure_group(5))
+    return _map_grid(solve_at_offered_load, _offered_load_key, expanded,
+                     jobs, sync_at=5)
+
+
+def _offered_load_key(architecture: Architecture, mode: Mode,
+                      conversations: int, load: float,
+                      reference: Architecture, sync: str | None) -> tuple:
+    """The memo key of one :func:`solve_at_offered_load` point."""
+    return _point_key(architecture, mode, conversations,
+                      server_time_for_offered_load(reference, mode, load),
+                      sync)
+
+
+def _map_grid(fn, key, points: list[tuple], jobs: int | None,
+              sync_at: int) -> list[ThroughputResult]:
+    """``fn(*point)`` for every point, through :func:`map_sweep` grouped
+    by structure.  The first non-local point of each structure group
+    carries the whole group, its curve, which :func:`_grid_point`
+    solves before it; the group's later points are memo hits."""
+    group = _structure_group(sync_at)
+    curves: dict[tuple, list[int]] = {}
+    for index, point in enumerate(points):
+        if point[1] is Mode.NONLOCAL:
+            curves.setdefault(group(point), []).append(index)
+    work = [(point, None) for point in points]
+    for indices in curves.values():
+        work[indices[0]] = (points[indices[0]],
+                            tuple(points[index] for index in indices))
+    return map_sweep(partial(_grid_point, fn, key), work, jobs=jobs,
+                     group=lambda item: group(item[0]))
+
+
+def _grid_point(fn, key, item: tuple) -> ThroughputResult:
+    """One grid point: its curve first, when it carries one."""
+    point, curve = item
+    if curve is not None:
+        _solve_curve([key(*member) for member in curve])
+    return fn(*point)
 
 
 def offered_load_table(mode: Mode, *,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.gtpn import Gate, Net, activity_pair, analyze
 from repro.gtpn.packed import packed_build, packed_retime
 from repro.gtpn.sweep import (SkeletonMismatch, SweepSolver, retime,
@@ -209,7 +210,7 @@ def test_retime_pairs_matches_fresh_build_and_its_fingerprint():
     solver = SweepSolver()
     first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
     bound = solver.bind_pair(first, "work")
-    retimed = bound.solve(9.0)
+    (retimed,) = bound.solve([9.0])
     fresh = _grid_net(0.5, 0.5, 9.0)
     _assert_identical(retimed, _fresh(fresh))
     # a re-solve carries the bound net; the net it was solved at is
@@ -235,7 +236,7 @@ def test_retime_pairs_to_one_tick_falls_back_to_a_build():
     solver = SweepSolver()
     first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
     bound = solver.bind_pair(first, "work")
-    retimed = bound.solve(1.0)
+    (retimed,) = bound.solve([1.0])
     assert solver.stats.mismatches == 1
     assert solver.stats.skeleton_builds == 2
     assert retimed.net.get_transition("work.loop").frequency == 0.0
@@ -245,7 +246,7 @@ def test_retime_pairs_to_one_tick_falls_back_to_a_build():
     assert (retimed.pi == oracle.pi).all()
     assert np.array_equal(retimed.graph.matrix.data,
                           oracle.graph.matrix.data)
-    later = bound.solve(6.0)
+    (later,) = bound.solve([6.0])
     assert solver.stats.skeleton_builds == 2
     assert solver.stats.points_retimed == 1
     _assert_identical(later, _fresh(_grid_net(0.5, 0.5, 6.0)))
@@ -256,8 +257,10 @@ def test_retime_pairs_cannot_add_a_loop_transition():
     first = solver.analyze(_grid_net(0.5, 0.5, 1.0))
     bound = solver.bind_pair(first, "work")
     with pytest.raises(SkeletonMismatch):
-        bound.solve(4.0)
-    _assert_identical(bound.solve(1.0), first)
+        bound.solve([4.0])
+    with pytest.raises(SkeletonMismatch):
+        bound.solve([1.0, 4.0])
+    _assert_identical(bound.solve([1.0])[0], first)
 
 
 def test_retime_pairs_rejects_unknown_or_non_pair_names():
@@ -283,8 +286,60 @@ def test_bound_pair_keeps_its_results_skeleton():
     solver = SweepSolver()
     first = solver.analyze(net_with(2, 4.0))
     solver.analyze(net_with(3, 4.0))            # replaces the skeleton
-    retimed = solver.bind_pair(first, "work").solve(6.0)
+    (retimed,) = solver.bind_pair(first, "work").solve([6.0])
     assert solver.stats.mismatches == 1
     assert solver.stats.skeleton_builds == 2
     assert solver.stats.points_retimed == 1
     _assert_identical(retimed, _fresh(net_with(2, 6.0)))
+
+def test_bound_pair_solves_many_means_in_lockstep():
+    """One stacked re-solve of several means: one re-time and one
+    factorization for all of them, each result bit-identical to its
+    own fresh build.  A mean of exactly one tick is rebuilt alone (a
+    counted mismatch) and the other means share the stacked solve."""
+    solver = SweepSolver()
+    first = solver.analyze(_grid_net(0.5, 0.5, 4.0))
+    bound = solver.bind_pair(first, "work")
+    means = [6.0, 1.0, 9.0, 2.5]
+    with obs.recording() as recorder:
+        results = bound.solve(means)
+    for mean, result in zip(means, results):
+        oracle = _fresh(_grid_net(0.5, 0.5, mean))
+        if mean == 1.0:
+            # the rebuilt net keeps a zero-frequency loop, the oracle
+            # is built without one: compare what they share
+            assert result.throughput() == oracle.throughput()
+            assert result.pi.tobytes() == oracle.pi.tobytes()
+            assert result.graph.data.tobytes() == oracle.graph.data.tobytes()
+        else:
+            _assert_identical(result, oracle)
+        assert bound.retimed(result, mean).net.get_transition(
+            "work").frequency == 1.0 / mean
+    assert solver.stats.mismatches == 1
+    assert solver.stats.skeleton_builds == 2
+    assert solver.stats.points_retimed == 3
+    assert recorder.counters["markov.factorizations"] == 2.0
+    assert recorder.counters["markov.points_solved"] == 4.0
+    (stacked,) = [s for s in recorder.spans
+                  if s.name == "gtpn.solve" and s.attrs["points"] > 1]
+    assert stacked.attrs["points"] == 3
+
+
+def test_bound_pairs_retime_several_pairs_per_point():
+    """Binding two pairs re-times both from each point's row of
+    means, and the kept net carries both means."""
+    def net_at(work: float, rest: float) -> Net:
+        net = _grid_net(0.5, 0.5, work)
+        ready = net.get_place("Ready")
+        activity_pair(net, "rest", rest, inputs=[ready], outputs=[ready])
+        return net
+
+    solver = SweepSolver()
+    bound = solver.bind_pair(solver.analyze(net_at(4.0, 3.0)),
+                             "work", "rest")
+    rows = [(6.0, 3.0), (9.0, 7.0)]
+    for (work, rest), result in zip(rows, bound.solve(rows)):
+        _assert_identical(result, _fresh(net_at(work, rest)))
+        kept = bound.retimed(result, (work, rest))
+        assert fingerprint_net(kept.net) == \
+            fingerprint_net(net_at(work, rest))
