@@ -137,7 +137,7 @@ def test_max_states_guard():
 
 def test_power_and_linear_methods_agree():
     graph = build_reachability_graph(cycle_net(mean=5.0, tokens=2))
-    pi_linear = stationary_distribution(graph)
+    (pi_linear,) = stationary_distribution(graph)
     pi_power = markov._solve_power(graph.matrix, graph)
     assert pi_linear == pytest.approx(pi_power, abs=1e-8)
 

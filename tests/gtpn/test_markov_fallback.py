@@ -38,7 +38,7 @@ def test_numerical_failure_falls_back_and_counts(monkeypatch):
     graph = cycle_graph()
     reference = markov._solve_power(graph.matrix, graph)
     with obs.recording() as recorder:
-        pi = stationary_distribution(graph)
+        (pi,) = stationary_distribution(graph)
     assert pi == pytest.approx(reference, abs=1e-8)
     assert recorder.counters.get("markov.solve_fallback") == 1.0
 
@@ -87,7 +87,7 @@ def test_single_state_chain_has_an_empty_deflated_block():
     graph = build_reachability_graph(net)
     assert graph.state_count == 1
     with obs.recording() as recorder:
-        pi = stationary_distribution(graph)
+        (pi,) = stationary_distribution(graph)
     assert pi.tolist() == [1.0]
     assert recorder.counters.get("markov.method.lu") == 1.0
 
@@ -105,7 +105,7 @@ def test_deflated_solve_matches_augmented_oracle(chain, augmented_oracle):
     graph = _ORACLE_CHAINS[chain]()
     expected = augmented_oracle(graph.matrix)
     with obs.recording() as recorder:
-        pi = stationary_distribution(graph)
+        (pi,) = stationary_distribution(graph)
     assert recorder.counters.get("markov.method.lu") == 1.0
     assert "markov.solve_fallback" not in recorder.counters
     assert np.abs(pi - expected).max() <= 1e-12

@@ -250,7 +250,7 @@ def test_packed_retime_is_bit_identical_to_packed_build(make):
     net = make()
     pg, skeleton = packed_build(net, compile_packed(net),
                                 max_states=200_000)
-    rg = packed_retime(skeleton, net, max_states=200_000)
+    (rg,) = packed_retime(skeleton, net, max_states=200_000)
     assert (rg.matrix != pg.matrix).nnz == 0
     assert (rg.init_vec == pg.init_vec).all()
     assert (rg.starts_matrix == pg.starts_matrix).all()
