@@ -17,6 +17,7 @@ import json
 import os
 import platform
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,11 @@ _PERF_RECORDS: list[dict] = []
 #: Written next to the repository's other BENCH artifacts.
 PERF_JSON_PATH = Path(__file__).resolve().parent.parent / \
     "BENCH_perf.json"
+
+# microbenches time scenarios that the tests under tests/paper define
+# and check against the thesis: make the ``tests`` package importable
+# however pytest was started
+sys.path.insert(0, str(PERF_JSON_PATH.parent))
 
 
 @pytest.fixture

@@ -1,62 +1,16 @@
-"""Benches for the smart-bus tables (5.1, 5.2) and bus primitives."""
+"""Microbenches of the smart-bus primitives (section 5.2); the
+scenarios and their thesis asserts live in ``tests/paper``."""
 
-from repro.bus import BusOperation, OpKind, SmartBusFabric
-from repro.experiments.registry import get_experiment
-from repro.memory import SmartMemoryController, build_layout
-
-
-def test_bench_table_5_1_signals(run_once):
-    table = run_once(get_experiment("table-5.1").run)
-    assert sum(row[1] for row in table.rows) == 33
-
-
-def test_bench_table_5_2_commands(run_once):
-    table = run_once(get_experiment("table-5.2").run)
-    assert len(table.rows) == 9
-
-
-def _queue_op_burst():
-    layout = build_layout(n_tcbs=16, n_buffers=16)
-    controller = SmartMemoryController(layout.memory)
-    fabric = SmartBusFabric(controller)
-    fabric.attach("host", 2)
-    fabric.attach("mp", 4)
-    for i in range(16):
-        fabric.schedule(BusOperation(
-            unit="mp", kind=OpKind.FIRST,
-            list_addr=layout.tcb_free_list))
-    fabric.run()
-    return fabric
+from tests.paper.test_chapter5 import (block_stream_with_preemption,
+                                       queue_op_burst)
 
 
 def test_bench_queue_operation_burst(benchmark):
     """Microbench: 16 atomic first-control-block transactions."""
-    fabric = benchmark(_queue_op_burst)
-    # eight-edge handshake each: 16 * 8 edges * 0.25 us = 32 us
-    assert fabric.now == 32.0
-
-
-def _block_stream_with_preemption():
-    layout = build_layout(n_tcbs=16, n_buffers=16)
-    controller = SmartMemoryController(layout.memory)
-    fabric = SmartBusFabric(controller)
-    fabric.attach("host", 2)
-    fabric.attach("net", 6)
-    buffer = layout.buffers.address_of(0)
-    layout.memory.write_block(buffer, list(range(20)))
-    read = fabric.schedule(BusOperation(
-        unit="host", kind=OpKind.BLOCK_READ, address=buffer, count=20))
-    fabric.schedule(BusOperation(
-        unit="net", kind=OpKind.ENQUEUE,
-        element=layout.tcbs.address_of(0),
-        list_addr=layout.communication_list, issue_time=2.0))
-    fabric.run()
-    return read
+    benchmark(queue_op_burst)
 
 
 def test_bench_preempted_block_stream(benchmark):
     """Microbench: a 40-byte block read preempted by a network
     enqueue (section 5.2's no-bus-locking scenario)."""
-    read = benchmark(_block_stream_with_preemption)
-    assert read.result == list(range(20))
-    assert read.preemptions >= 1
+    benchmark(block_stream_with_preemption)

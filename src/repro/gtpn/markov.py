@@ -30,7 +30,11 @@ for scipy's construction checks.
 Chains of one skeleton at different timings solve together: their B
 rows of ``P.data`` factor as one block-diagonal matrix, so one
 factorization (``markov.factorizations``) serves B chains
-(``markov.points_solved``), each row gated on its own.  Each accepted
+(``markov.points_solved``), each row gated on its own.  Class chains
+up to order ``_FINE_SUPERNODE_MAX_ORDER`` (every non-local chain of
+chapter 6, and the local ones up to four conversations) factor with
+single-column supernodes and panels (``markov.factorizations.fine``),
+longer ones with SuperLU's defaults.  Each accepted
 vector counts ``markov.method.lu``; a solve records its largest
 residual (``markov.residual``) and the order it factored
 (``markov.quotient_order``).
@@ -184,7 +188,10 @@ def build_solve_plan(indptr: np.ndarray, indices: np.ndarray,
     free of values, so the order is a function of the pattern and the
     classes alone.  Factoring the ordered block with ``NATURAL`` then
     repeats the ``MMD_ATA`` factorization without recomputing the
-    order per solve.
+    order per solve; the supernode settings it factors with (see
+    :func:`_solve_linear`) change only how SuperLU groups the columns,
+    and so the order of its floating-point updates, not the order of
+    the columns.
     """
     indptr = np.asarray(indptr)
     indices = np.asarray(indices)
@@ -290,6 +297,20 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+#: Largest class-chain order factored with fine supernodes
+#: (``_FINE_SUPERNODES``: single-column supernodes and panels).
+#: SuperLU's default relaxed supernodes and 10-column panels are built
+#: for large dense fronts; on the sparse class chains of the non-local
+#: nets they cost ≈70% more factorization time.  Measured with one
+#: chain per factorization (2 vCPUs, median ms, defaults → fine):
+#: server II n=4, order 181: 0.23 → 0.14; local II n=4, 573: 5.2 →
+#: 4.7; server II n=7, 1,253: 6.5 → 4.4; local II n=5, 1,385: 31 → 36;
+#: local II n=6, 2,981: 353 → 420.  The fronts of the large local
+#: chains are dense enough for the defaults to win.
+_FINE_SUPERNODE_MAX_ORDER = 1_300
+_FINE_SUPERNODES = {"relax": 1, "panel_size": 1}
+
+
 def _solve_linear(data: list[np.ndarray],
                   plan: SolvePlan) -> list[np.ndarray | None]:
     """Deflated direct solve of pi (P - I) = 0 through the class chain.
@@ -305,12 +326,16 @@ def _solve_linear(data: list[np.ndarray],
     -(Q^T)[:k-1, k-1], both gathered from ``Q.data``.  The block is as
     sparse as the chain itself and column diagonally dominant, so
     SuperLU's pivots are stable; its columns arrive in the plan's
-    fill-reducing order and are factored with ``NATURAL``.  The B
-    chains' blocks sit on the diagonal of one matrix, factored once
-    (``markov.factorizations``): no pivot or update crosses from one
-    block to another, so each chain's vector is bit for bit its lone
-    solve.  Everything else runs chain by chain, as 1-D array
-    operations.  A vector is accepted only if its nu is non-negative
+    fill-reducing order and are factored with ``NATURAL``: with
+    single-column supernodes and panels (``relax=1, panel_size=1``,
+    also counted ``markov.factorizations.fine``) when the chain's order
+    is at most :data:`_FINE_SUPERNODE_MAX_ORDER`, with SuperLU's
+    defaults above it.  The B chains' blocks sit on the diagonal of
+    one matrix, factored once (``markov.factorizations``): no pivot or
+    update crosses from one block to another, and the settings follow
+    the order of one chain, never B, so each chain's vector is bit for
+    bit its lone solve.  Everything else runs chain by chain, as 1-D
+    array operations.  A vector is accepted only if its nu is non-negative
     and its pi is a fixed point of its full P (max |pi P - pi| <=
     1e-8), so a plan with wrong classes costs a fallback, never a
     wrong answer; ``None`` hands the chain to the counted
@@ -319,6 +344,7 @@ def _solve_linear(data: list[np.ndarray],
     ``pi @ P`` forms, without transposing P.
     """
     m = plan.k - 1
+    fine = m <= _FINE_SUPERNODE_MAX_ORDER
     s_data, block_data, rhs = [], [], []
     for p_data in data:
         if len(p_data) != plan.nnz:
@@ -337,8 +363,9 @@ def _solve_linear(data: list[np.ndarray],
         block_data.append(block_row)
         rhs.append(rhs_row)
     try:
-        y = spla.splu(_block(plan, block_data),
-                      permc_spec="NATURAL").solve(_joined(rhs))
+        y = spla.splu(_block(plan, block_data), permc_spec="NATURAL",
+                      **(_FINE_SUPERNODES if fine else {})
+                      ).solve(_joined(rhs))
     except RuntimeError:
         # SuperLU reports an exactly singular block this way: one
         # singular chain must not refuse the others, so each chain is
@@ -347,6 +374,8 @@ def _solve_linear(data: list[np.ndarray],
             return [None]
         return [_solve_linear([p_data], plan)[0] for p_data in data]
     obs.add("markov.factorizations")
+    if fine:
+        obs.add("markov.factorizations.fine")
     obs.add("markov.points_solved", len(data))
     return [_lift(p_data, s_row, y_row, plan)
             for p_data, s_row, y_row in zip(data, s_data,

@@ -27,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
     for path in paths:
         try:
             header = validate_jsonl(path)
-        except (ReproError, OSError) as error:
+        except ReproError as error:
             print(f"invalid: {error}", file=sys.stderr)
             return 1
         print(f"{path}: valid ({header['schema']})")

@@ -72,7 +72,12 @@ def write_jsonl(recorder: Recorder, path: str | Path,
 def read_jsonl(path: str | Path) -> tuple[dict, list[dict]]:
     """Load a JSONL trace: ``(header, records)`` (header excluded)."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as error:
+        raise ReproError(f"cannot read trace {path}: "
+                         f"{error.strerror}") from None
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

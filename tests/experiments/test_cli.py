@@ -108,6 +108,15 @@ def test_chaos_rejects_bad_loss_rate(capsys):
     assert "outside [0, 1]" in capsys.readouterr().err
 
 
+def test_stats_on_a_missing_trace_is_an_error_not_a_traceback(
+        tmp_path, capsys):
+    missing = tmp_path / "MISSING.jsonl"
+    assert main(["stats", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read trace ")
+    assert str(missing) in err and "Traceback" not in err
+
+
 def test_profile_writes_dump_and_summary(tmp_path, capsys):
     assert main(["--profile", "run", "table-5.1",
                  "--save", str(tmp_path)]) == 0

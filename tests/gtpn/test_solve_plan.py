@@ -318,3 +318,74 @@ def test_stacked_rows_pass_their_own_gates():
     assert recorder.counters["markov.factorizations"] == 1.0
     assert pis[1].tobytes() == accepted.tobytes()
     assert np.abs(pis[0] @ unequal - pis[0]).max() <= 1e-9
+
+
+# ----------------------------------------------------------------------
+# SuperLU's supernode settings follow the class-chain order alone
+# ----------------------------------------------------------------------
+
+def _ring(n):
+    """An n-state chain that stays or steps to the next state."""
+    states = np.arange(n)
+    matrix = sp.csr_matrix((np.full(2 * n, 0.5),
+                            (np.repeat(states, 2),
+                             np.stack([states, (states + 1) % n],
+                                      axis=1).ravel())), shape=(n, n))
+    plan = markov.build_solve_plan(matrix.indptr, matrix.indices, states)
+    return matrix.data, plan
+
+
+def test_supernodes_are_fine_up_to_the_cutoff_order(monkeypatch):
+    """A class chain of order m <= the cut-off is factored with
+    single-column supernodes and panels, a longer one with SuperLU's
+    defaults; a batch of two chains (a block twice the cut-off) still
+    factors as its chains' order says."""
+    cutoff = markov._FINE_SUPERNODE_MAX_ORDER
+    seen = []
+    splu = markov.spla.splu
+
+    def spy(block, **options):
+        seen.append((block.shape[0], options))
+        return splu(block, **options)
+
+    monkeypatch.setattr(markov.spla, "splu", spy)
+    with obs.recording() as recorder:
+        data, plan = _ring(cutoff + 1)
+        pis = markov._solve_linear([data, data], plan)
+        data, plan = _ring(cutoff + 2)
+        pis += markov._solve_linear([data], plan)
+    assert seen == [
+        (2 * cutoff, {"permc_spec": "NATURAL", "relax": 1,
+                      "panel_size": 1}),
+        (cutoff + 1, {"permc_spec": "NATURAL"})]
+    assert recorder.counters["markov.factorizations"] == 2.0
+    assert recorder.counters["markov.factorizations.fine"] == 1.0
+    assert pis[0].tobytes() == pis[1].tobytes()
+    for pi in pis:
+        assert np.abs(pi - 1.0 / len(pi)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("build, fine", [
+    # order 1,253: the longest model chain measured below the cut-off
+    (lambda x: build_nonlocal_server_net(Architecture.II, 7, 300.0 + x),
+     True),
+    # order 1,385: the shortest one measured above it
+    (lambda x: build_local_net(Architecture.II, 5, x), False),
+], ids=["server-II-n7", "local-II-n5"])
+def test_batch_is_bit_identical_to_lone_solves_either_side_of_cutoff(
+        build, fine):
+    net = build(0.0)
+    graph, skeleton = packed_build(net, compile_packed(net),
+                                   max_states=200_000)
+    (other,) = packed_retime(skeleton, build(2850.0), max_states=200_000)
+    plan = skeleton.solve_plan()
+    assert (plan.k - 1 <= markov._FINE_SUPERNODE_MAX_ORDER) == fine
+    data = [graph.data, other.data]
+    with obs.recording() as recorder:
+        batch = markov._solve_linear(data, plan)
+    assert recorder.counters["markov.factorizations"] == 1.0
+    assert recorder.counters.get("markov.factorizations.fine", 0.0) \
+        == float(fine)
+    for p_data, pi in zip(data, batch):
+        (alone,) = markov._solve_linear([p_data], plan)
+        assert pi.tobytes() == alone.tobytes()
